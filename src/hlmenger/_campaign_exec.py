@@ -4,6 +4,14 @@ Fault sets are consumed from the caller's stream in canonical order and
 evaluated in fixed-size chunks, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. Workers share
 nothing: each builds its own flow engine from the (n, edges) layout once.
+
+Per fault set F the SMEC decision is the hub check (smec_holds): V-1
+capped max-flows into one vertex of maximum degree in G-F, warm-started
+from the engine's stored fault-free paths that avoid F, with cold flows
+when F touches every stored hub. Only a failing set builds a Gusfield
+tree, whose rows are scanned in ascending pair order to pick the same
+witness pair as a full pairwise scan; a direct max-flow then extracts the
+witness cut.
 """
 
 from __future__ import annotations
@@ -20,25 +28,77 @@ _SKIP = "skip"
 _WORKER_STATE = None
 
 
+def smec_holds(engine: UnitFlowEngine) -> bool:
+    """Is H = G - F SMEC, for the faults F installed in the engine?
+
+    Hub lemma: for r of maximum degree in H, H is SMEC iff
+    lambda_H(u, r) >= deg_H(u) for every u != r. A violating pair (u, v)
+    has a cut delta(S) with u in S, v outside, smaller than deg u and
+    deg v; if r is outside S then (u, r) violates, as deg r >= deg v,
+    else (v, r) does. So the check is V-1 flows into r, each capped at
+    deg_H(u). A stored hub that F leaves untouched keeps its maximum base
+    degree; its stored paths that avoid F start each flow, so only the
+    missing units are augmented. When F touches every stored hub, flows
+    into the lowest vertex of maximum degree in H run cold. Vertices F
+    touches go first, so failing sets exit after a few flows.
+    """
+    deg = engine.degrees
+    edges = engine.edges
+    touched = sorted({x for k in engine.fault for x in edges[k]})
+    untouched = set(range(engine.n)).difference(touched)
+    order = touched + sorted(untouched)
+    hub = next((h for h in engine.hubs if h in untouched), None)
+    paths = None if hub is None else engine.stored_paths(hub)
+    if hub is None:
+        hub = max(range(engine.n), key=deg.__getitem__, default=None)
+    dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
+    for u in order:
+        need = deg[u]
+        if u == hub or not need:
+            continue
+        start = ()
+        if paths is not None:
+            start = [p for p in paths[u] if dead.isdisjoint(p)]
+            if len(start) >= need:
+                continue
+        if engine.max_flow(u, hub, need, start) < need:
+            return False
+    return True
+
+
 def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
     """First (u, v, paths, required) in ascending pair order, or None.
 
-    All pair values come from the engine's Gusfield tree; pairs whose
+    Pair values come from the engine's Gusfield tree, one row at a time,
+    so the scan stops in the first row holding a violation; pairs whose
     smaller endpoint degree is 0 are vacuous.
     """
     deg = engine.degrees
-    cuts = engine.all_pairs_min_cut()
     n = engine.n
-    for u in range(n):
+    for u, row in enumerate(engine.min_cut_rows()):
         du = deg[u]
         if du == 0:
             continue
-        row = cuts[u]
         for v in range(u + 1, n):
             req = du if du < deg[v] else deg[v]
             if req and row[v] < req:
                 return u, v, row[v], req
     return None
+
+
+def smec_witness(engine: UnitFlowEngine) -> Optional[tuple]:
+    """None if G - F is SMEC, else (u, v, paths, required, cut) for the
+    first violating pair in ascending order, with a minimum u-v cut."""
+    if smec_holds(engine):
+        return None
+    hit = smec_violation(engine)
+    if hit is None:
+        raise RuntimeError("hub check and flow tree disagree")
+    u, v, paths, req = hit
+    value, cut = engine.min_cut(u, v)
+    if value != paths:
+        raise RuntimeError("flow tree and direct max-flow disagree")
+    return u, v, paths, req, cut
 
 
 def largest_component_under_faults(n: int, edges, fault_idx) -> int:
@@ -74,19 +134,10 @@ def largest_component_under_faults(n: int, edges, fault_idx) -> int:
 def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
                   kind: str, floor: int, conditional: bool):
     """Returns None (pass), a witness dict (fail) or _SKIP (inadmissible)."""
-    if kind == "component" and not conditional:
-        size = largest_component_under_faults(n, edges, idx)
-        if size < floor:
-            return {
-                "fault_edges": [list(edges[k]) for k in idx],
-                "largest_component": size,
-                "floor": floor,
-            }
-        return None
-
-    engine.set_fault_indices(idx)
-    if conditional and min(engine.degrees) < 2:
-        return _SKIP
+    if kind == "smec" or conditional:
+        engine.set_fault_indices(idx)
+        if conditional and min(engine.degrees) < 2:
+            return _SKIP
 
     if kind == "component":
         size = largest_component_under_faults(n, edges, idx)
@@ -98,13 +149,10 @@ def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
             }
         return None
 
-    hit = smec_violation(engine)
+    hit = smec_witness(engine)
     if hit is None:
         return None
-    u, v, paths, req = hit
-    value, cut = engine.min_cut(u, v)
-    if value != paths:
-        raise RuntimeError("flow tree and direct max-flow disagree")
+    u, v, paths, req, cut = hit
     return {
         "fault_edges": [list(edges[k]) for k in idx],
         "pair": [u, v],

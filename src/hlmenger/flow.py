@@ -10,14 +10,24 @@ Internal module. Two solvers live here:
 * DirectedFlow: small generic directed solver used only by the
   vertex-splitting reduction for vertex connectivity.
 
-UnitFlowEngine also builds a Gusfield (Gomory-Hu style) equivalent-flow tree,
-giving all-pairs minimum edge cut values from n-1 max-flow runs. Property
-tests cross-check the tree against direct per-pair flow.
+UnitFlowEngine serves the SMEC hub check (see _campaign_exec.smec_holds).
+It picks a few hubs of maximum degree and lazily stores, per hub and per
+vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph.
+A query may start from any feasible flow (`start`), such as the stored
+paths that avoid the installed faults: augmenting from a feasible flow is
+exact, so only the missing units cost a BFS. The engine also builds a
+Gusfield (Gomory-Hu style) equivalent-flow tree; it only picks the witness
+of a failing fault set, and property tests cross-check it against direct
+per-pair flow.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterator
+
+# hubs per engine; a fault set must touch all of them to force cold flows
+_HUBS = 3
 
 
 class UnitFlowEngine:
@@ -26,6 +36,7 @@ class UnitFlowEngine:
     Edge k of the canonical edge list becomes the twin arcs 2k (u->v) and
     2k+1 (v->u); the tail of arc a is head[a ^ 1]. Faulted edges keep their
     slots but carry capacity 0, so edge indices stay stable across queries.
+    Paths into a hub are stored on first use, never here.
     """
 
     def __init__(self, n_vertices: int, edges):
@@ -43,18 +54,25 @@ class UnitFlowEngine:
         self._ones = [1] * (2 * m)
         self._template = self._ones[:]  # capacities with faults zeroed
         self._cap = self._ones[:]       # working residual capacities
-        self._fault: tuple[int, ...] = ()
+        self.fault: tuple[int, ...] = ()  # installed fault edge indices
         self.degrees = self.base_degrees[:]
+        # up to _HUBS vertices of maximum degree, spread over the id range:
+        # in a line graph nearby ids tend to share a base vertex, so faults
+        # bunched around one vertex seldom touch two hubs
+        top = max(self.base_degrees, default=0)
+        tops = [v for v, d in enumerate(self.base_degrees) if d == top]
+        self.hubs = tops[::max(1, len(tops) // _HUBS)][:_HUBS]
+        self._paths: dict[int, list[list[tuple[int, ...]]]] = {}
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
         tpl = self._template
-        for k in self._fault:
+        for k in self.fault:
             tpl[2 * k] = 1
             tpl[2 * k + 1] = 1
-        self._fault = tuple(edge_indices)
+        self.fault = tuple(edge_indices)
         deg = self.base_degrees[:]
-        for k in self._fault:
+        for k in self.fault:
             tpl[2 * k] = 0
             tpl[2 * k + 1] = 0
             u, v = self.edges[k]
@@ -62,9 +80,14 @@ class UnitFlowEngine:
             deg[v] -= 1
         self.degrees = deg
 
-    def max_flow(self, s: int, t: int, cutoff: int | None = None) -> int:
-        """Exact max number of edge-disjoint s-t paths, capped at cutoff."""
-        flow, _ = self._run(s, t, cutoff)
+    def max_flow(self, s: int, t: int, cutoff: int | None = None,
+                 start=()) -> int:
+        """Exact max number of edge-disjoint s-t paths, capped at cutoff.
+
+        `start` is a list of edge-disjoint s-t arc paths avoiding the
+        installed faults; augmentation continues from that flow.
+        """
+        flow, _ = self._run(s, t, cutoff, start)
         return flow
 
     def max_flow_with_side(self, s: int, t: int) -> tuple[int, list[bool]]:
@@ -77,7 +100,7 @@ class UnitFlowEngine:
         The returned edges exclude faulted ones and |cut| equals the value.
         """
         flow, side = self._run(s, t, None)
-        faulted = set(self._fault)
+        faulted = set(self.fault)
         cut = [
             (u, v)
             for k, (u, v) in enumerate(self.edges)
@@ -85,13 +108,18 @@ class UnitFlowEngine:
         ]
         return flow, cut
 
-    def _run(self, s: int, t: int, cutoff: int | None) -> tuple[int, list[bool]]:
+    def _run(self, s: int, t: int, cutoff: int | None,
+             start=()) -> tuple[int, list[bool]]:
         cap = self._cap
         cap[:] = self._template
+        for path in start:
+            for a in path:
+                cap[a] -= 1
+                cap[a ^ 1] += 1
         head = self.head
         adj = self.adj
         n = self.n
-        flow = 0
+        flow = len(start)
         side = [False] * n
         while cutoff is None or flow < cutoff:
             parent = [-1] * n
@@ -122,6 +150,46 @@ class UnitFlowEngine:
             flow += 1
         return flow, side
 
+    def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
+        """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
+
+        Paths are arc tuples in the fault-free graph (none for the hub
+        itself), computed on the first call for each hub.
+        """
+        paths = self._paths.get(hub)
+        if paths is None:
+            fault = self.fault
+            self.set_fault_indices(())
+            paths = [self._route(u, hub) if u != hub else []
+                     for u in range(self.n)]
+            self.set_fault_indices(fault)
+            self._paths[hub] = paths
+        return paths
+
+    def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
+        """Max s-t flow capped at deg(s), split into arc paths; no faults."""
+        self.max_flow(s, t, self.base_degrees[s])
+        cap = self._cap
+        adj = self.adj
+        head = self.head
+        paths = []
+        # with no faults an arc carries flow iff its residual is 0; no flow
+        # enters s or leaves t, so every walk from s ends at t
+        for first in adj[s]:
+            if cap[first]:
+                continue
+            path = []
+            a = first
+            while True:
+                cap[a] = cap[a ^ 1] = 1       # consume the unit
+                path.append(a)
+                v = head[a]
+                if v == t:
+                    break
+                a = next(b for b in adj[v] if not cap[b])
+            paths.append(tuple(path))
+        return paths
+
     def gusfield_tree(self) -> tuple[list[int], list[int]]:
         """Equivalent-flow tree: (parent, weight) arrays, vertex 0 is the root.
 
@@ -140,8 +208,9 @@ class UnitFlowEngine:
                     parent[j] = i
         return parent, weight
 
-    def all_pairs_min_cut(self) -> list[list[int]]:
-        """Matrix of min cut values for all pairs, via the Gusfield tree."""
+    def min_cut_rows(self) -> Iterator[list[int]]:
+        """Rows 0, 1, ... of the all-pairs min cut matrix, via the Gusfield
+        tree; each row is one tree walk, made only when it is requested."""
         n = self.n
         parent, weight = self.gusfield_tree()
         tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -149,9 +218,8 @@ class UnitFlowEngine:
             tree[i].append((parent[i], weight[i]))
             tree[parent[i]].append((i, weight[i]))
         inf = float("inf")
-        out = [[0] * n for _ in range(n)]
         for root in range(n):
-            row = out[root]
+            row = [0] * n
             seen = [False] * n
             seen[root] = True
             stack = [(root, inf)]
@@ -163,7 +231,11 @@ class UnitFlowEngine:
                         m = running if running < w else w
                         row[v] = m
                         stack.append((v, m))
-        return out
+            yield row
+
+    def all_pairs_min_cut(self) -> list[list[int]]:
+        """Matrix of min cut values for all pairs, via the Gusfield tree."""
+        return list(self.min_cut_rows())
 
 
 class DirectedFlow:

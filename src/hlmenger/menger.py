@@ -8,10 +8,16 @@ sampling, in unconditional or conditional (min degree >= 2 after faults)
 mode. Two explicit fault constructions certify that the fault-tolerance
 bounds are tight.
 
-All pairwise path counts are exact: per fault set the engine builds a
-Gusfield equivalent-flow tree (n-1 max-flows) giving every pair's minimum
-edge cut, and any violation is re-verified by a direct max-flow that also
-extracts the cut certificate. Campaign enumeration order is canonical
+All path counts are exact. Per fault set F the verdict comes from the hub
+check: with r a vertex of maximum degree in H = G - F, H is SMEC iff every
+u != r has deg_H(u) edge-disjoint u-r paths, so V-1 capped max-flows into
+r decide it. The flow engine stores fault-free paths into a few hubs on
+first use; a flow into an untouched hub starts from the stored paths that
+avoid F and augments only the missing units, and when F touches every
+stored hub the flows run cold into a maximum-degree vertex. Only a failing
+set builds a Gusfield equivalent-flow tree (n-1 max-flows), which picks the
+first violating pair in ascending order; a direct max-flow re-verifies it
+and extracts the cut certificate. Campaign enumeration order is canonical
 (sizes ascending, then lexicographic by edge index) and sampled mode is
 reproducible from its seed, so reports are byte-identical across runs and
 worker counts.
@@ -31,7 +37,7 @@ from .linegraph import LineGraph, vertex_side
 from .report import VerificationReport
 from .rng import PRNG_NAME, SplitMix64
 from . import _campaign_exec as _exec
-from ._campaign_exec import smec_violation
+from ._campaign_exec import smec_witness
 
 
 @dataclass(frozen=True)
@@ -110,14 +116,10 @@ def is_smec(g: Graph) -> SmecVerdict:
     Early-exits at the first violating pair in ascending (u, v) order and
     returns it with a minimum-cut certificate of the deficient path count.
     """
-    engine = UnitFlowEngine(g.n_vertices, g.edges)
-    hit = smec_violation(engine)
+    hit = smec_witness(UnitFlowEngine(g.n_vertices, g.edges))
     if hit is None:
         return SmecVerdict(holds=True)
-    u, v, paths, req = hit
-    value, cut = engine.min_cut(u, v)
-    if value != paths:
-        raise RuntimeError("flow tree and direct max-flow disagree")
+    u, v, paths, req, cut = hit
     return SmecVerdict(
         holds=False,
         witness=SmecWitness(u, v, paths, req, tuple(sorted(cut))),

@@ -20,8 +20,11 @@ from hlmenger import (
     tightness_conditional,
     tightness_unconditional,
 )
+from hlmenger._campaign_exec import smec_holds, smec_violation
+from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import adversarial_fault_indices
 from hlmenger.linegraph import line_graph_of_hl
+from hlmenger.rng import SplitMix64
 
 from util import cut_disconnects, lgraph, naive_is_smec, network, random_graph
 
@@ -58,14 +61,17 @@ class TestIsSmec:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63))
     def test_matches_naive_pairwise_check(self, seed):
+        # non-regular inputs: the hub is one of few maximum-degree vertices
         g = random_graph(seed)
         expected_holds, first_pair = naive_is_smec(g)
         verdict = is_smec(g)
         assert verdict.holds == expected_holds
         if not verdict.holds:
-            assert (verdict.witness.u, verdict.witness.v) == first_pair
-            assert cut_disconnects(g, verdict.witness.u, verdict.witness.v,
-                                   verdict.witness.cut)
+            w = verdict.witness
+            assert (w.u, w.v) == first_pair
+            assert w.path_count == max_edge_disjoint_paths(g, w.u, w.v).value
+            assert w.required == min(g.degree(w.u), g.degree(w.v))
+            assert cut_disconnects(g, w.u, w.v, w.cut)
 
 
 class TestRunCampaign:
@@ -170,6 +176,9 @@ class TestRunCampaign:
 
 
 class TestSmecUnderFaultsDifferential:
+    """The hub check's verdict and the tree scan's witness against the
+    naive pairwise check, on faulted line graphs."""
+
     def _naive_first_violation(self, faulty):
         for u in range(faulty.n_vertices):
             du = faulty.degree(u)
@@ -181,30 +190,96 @@ class TestSmecUnderFaultsDifferential:
                     return u, v
         return None
 
+    def _assert_matches_naive(self, g, engine, idx):
+        engine.set_fault_indices(idx)
+        faulty = remove_edges(g, [g.edges[i] for i in idx])
+        naive = self._naive_first_violation(faulty)
+        assert smec_holds(engine) == (naive is None), idx
+        fast = smec_violation(engine)
+        if naive is None:
+            assert fast is None, idx
+        else:
+            u, v = naive
+            assert fast == (u, v, max_edge_disjoint_paths(faulty, u, v).value,
+                            min(faulty.degree(u), faulty.degree(v))), idx
+
+    @staticmethod
+    def _engine(kind, n):
+        g = lgraph(kind, n, 1 if kind == "random" else None).graph
+        return g, UnitFlowEngine(g.n_vertices, g.edges)
+
     @pytest.mark.parametrize("kind,n,m,trials", [
         ("hypercube", 3, 5, 120),
         ("crossed", 4, 8, 50),
+        ("crossed", 3, 5, 40),
+        ("mobius1", 3, 5, 40),
+        ("random", 3, 5, 40),
+        ("hypercube", 4, 8, 12),
+        ("mobius1", 4, 8, 12),
+        ("random", 4, 8, 12),
+        ("hypercube", 5, 10, 2),
+        ("crossed", 5, 10, 2),
+        ("mobius1", 5, 10, 2),
+        ("random", 5, 10, 2),
     ])
     def test_tree_scan_matches_naive_on_faulted_line_graphs(self, kind, n, m,
                                                             trials):
-        from hlmenger.flow import UnitFlowEngine
-        from hlmenger._campaign_exec import smec_violation
-        from hlmenger.rng import SplitMix64
-
-        L = lgraph(kind, n)
-        g = L.graph
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        g, engine = self._engine(kind, n)
         rng = SplitMix64(1000 + n)
         for _ in range(trials):
             idx = tuple(rng.sample_indices(len(g.edges), rng.randbelow(m + 1)))
-            engine.set_fault_indices(idx)
-            fast = smec_violation(engine)
-            faulty = remove_edges(g, [g.edges[i] for i in idx])
-            naive = self._naive_first_violation(faulty)
-            if naive is None:
-                assert fast is None, idx
-            else:
-                assert fast is not None and fast[:2] == naive, idx
+            self._assert_matches_naive(g, engine, idx)
+
+    @pytest.mark.parametrize("kind,n", [("hypercube", 3), ("random", 4)])
+    def test_isolated_vertices_are_vacuous_under_faults(self, kind, n):
+        # unconditional sets: every edge at v (v drops to degree 0), alone
+        # and with one more fault at a neighbor, for an ordinary vertex
+        # and for the first hub
+        g, engine = self._engine(kind, n)
+        for v in (g.n_vertices - 1, engine.hubs[0]):
+            star = [i for i, e in enumerate(g.edges) if v in e]
+            w = g.neighbors(v)[0]
+            extra = next(i for i, e in enumerate(g.edges)
+                         if w in e and v not in e)
+            for idx in (star, sorted(star + [extra])):
+                self._assert_matches_naive(g, engine, tuple(idx))
+
+    @pytest.mark.parametrize("kind,n", [("crossed", 3), ("mobius1", 4)])
+    def test_faults_touching_every_hub_run_cold(self, kind, n, monkeypatch):
+        g, engine = self._engine(kind, n)
+        hubs = engine.hubs
+        assert len(hubs) == 3
+
+        def stored_paths(hub):
+            raise AssertionError("a touched hub was used")
+
+        monkeypatch.setattr(engine, "stored_paths", stored_paths)
+        incident = [[i for i, e in enumerate(g.edges) if h in e] for h in hubs]
+        one_each = sorted({edges[0] for edges in incident})
+        # strip the first hub to a single edge: its neighbor there loses
+        # a path, a violation found cold
+        split = sorted({*incident[0][1:], incident[1][0], incident[2][0]})
+        for idx in (one_each, split):
+            assert all(any(h in g.edges[i] for i in idx) for h in hubs)
+            self._assert_matches_naive(g, engine, tuple(idx))
+        assert not smec_holds(engine)
+
+    def test_paths_are_stored_only_for_fault_set_checks(self, monkeypatch):
+        # building an engine, a campaign over zero fault sets and a
+        # component-floor campaign never store hub paths
+        def stored_paths(self, hub):
+            raise AssertionError("hub paths stored")
+
+        monkeypatch.setattr(UnitFlowEngine, "stored_paths", stored_paths)
+        L = lgraph("crossed", 4)
+        report = run_campaign(L, FaultCampaign(mode="sampled", m=6,
+                                               samples=0, seed=1))
+        assert report.counts["visited"] == 0
+        for conditional in (False, True):
+            report = check_component_lemma(
+                L, 2, 31, FaultCampaign(mode="exhaustive", m=2,
+                                        conditional=conditional))
+            assert report.passed
 
     def test_conditional_classification_matches_recomputation(self):
         from itertools import combinations
