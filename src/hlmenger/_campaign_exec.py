@@ -1,7 +1,8 @@
-"""Fault-campaign evaluation loop, inline or across worker processes.
+"""Fault-campaign evaluation loop, in process or across worker processes.
 
 Fault sets are consumed from the caller's stream in canonical order and
-evaluated in fixed-size chunks, so the merged counts and the first-in-order
+evaluated in fixed-size chunks by one chunk runner, in process for one job
+and in a pool otherwise, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. Workers share
 nothing: each builds its own flow engine from the (n, edges) layout once.
 
@@ -195,31 +196,26 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
 def evaluate_stream(g, stream, kind: str, floor: int, conditional: bool,
                     counters: dict, jobs: int) -> Optional[dict]:
     """Evaluate every fault set; returns the first-in-order failure witness."""
-    n = g.n_vertices
-    edges = g.edges
-    first_witness = None
-
+    global _WORKER_STATE
+    initargs = (g.n_vertices, g.edges, kind, floor, conditional)
+    chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:
-        engine = UnitFlowEngine(n, edges)
-        for idx in stream:
-            out = _evaluate_one(engine, n, edges, idx, kind, floor, conditional)
-            if out is _SKIP:
-                counters["skipped_conditional"] += 1
-                continue
-            counters["visited"] += 1
-            if out is not None:
-                counters["failures"] += 1
-                if first_witness is None:
-                    first_witness = out
-        return first_witness
+        _init_worker(*initargs)
+        try:
+            return _merge(map(_run_chunk, chunks), counters)
+        finally:
+            _WORKER_STATE = None
+    with Pool(jobs, initializer=_init_worker, initargs=initargs) as pool:
+        return _merge(pool.imap(_run_chunk, chunks), counters)
 
-    with Pool(jobs, initializer=_init_worker,
-              initargs=(n, edges, kind, floor, conditional)) as pool:
-        for visited, skipped, failures, first in pool.imap(
-                _run_chunk, _chunks(stream, _CHUNK_SIZE)):
-            counters["visited"] += visited
-            counters["skipped_conditional"] += skipped
-            counters["failures"] += failures
-            if first is not None and first_witness is None:
-                first_witness = first
+
+def _merge(results, counters: dict) -> Optional[dict]:
+    """Add per-chunk tallies into counters; keep the first failure witness."""
+    first_witness = None
+    for visited, skipped, failures, first in results:
+        counters["visited"] += visited
+        counters["skipped_conditional"] += skipped
+        counters["failures"] += failures
+        if first_witness is None:
+            first_witness = first
     return first_witness

@@ -18,13 +18,12 @@ from typing import Optional
 from . import edgelist
 from .graph import BudgetExceeded, Graph
 from .linegraph import LineGraph, bcdc, line_graph, line_graph_of_hl
-from .menger import FaultCampaign, check_component_lemma, check_tightness, \
-    run_campaign
+from .menger import BOUNDS, FaultCampaign, check_component_lemma, \
+    check_tightness, require_dimension, run_campaign
 from .topologies import NAMED_FAMILIES, construction_record, generate, \
     hl_from_graph
 
-CHECKS = ("smec", "ft-smec", "cond-ft-smec", "lemma32", "lemma41",
-          "appendixA", "tight-uncond", "tight-cond")
+CHECKS = ("smec", *BOUNDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,14 +170,6 @@ def cmd_verify(args) -> int:
     L = line_graph_of_hl(network)
     n = network.dimension
     target = _verify_target(args, network.graph)
-    mode = "sampled" if args.mode == "sample" else "exhaustive"
-
-    def campaign(m: int, conditional: bool) -> FaultCampaign:
-        return FaultCampaign(
-            mode=mode, m=m, conditional=conditional,
-            samples=args.samples if mode == "sampled" else 0,
-            seed=args.seed, adversarial=args.adversarial,
-            budget=args.budget)
 
     check = args.check
     if check == "smec":
@@ -186,39 +177,25 @@ def cmd_verify(args) -> int:
             L, FaultCampaign(mode="exhaustive", m=0, budget=args.budget),
             jobs=args.jobs, target=target)
         report.check_name = "smec"
-    elif check == "ft-smec":
-        m = args.m if args.m is not None else max(2 * n - 4, 0)
-        report = run_campaign(L, campaign(m, False), jobs=args.jobs,
-                              target=target)
-    elif check == "cond-ft-smec":
-        m = args.m if args.m is not None else max(4 * n - 10, 0)
-        report = run_campaign(L, campaign(m, True), jobs=args.jobs,
-                              target=target)
-    elif check in ("lemma32", "lemma41", "appendixA"):
-        if check == "lemma32":
-            if n < 3:
-                raise ValueError("lemma32 requires dimension >= 3")
-            budget, floor = 4 * n - 7, n * (1 << (n - 1)) - 1
-        elif check == "lemma41":
-            if n < 4:
-                raise ValueError("lemma41 requires dimension >= 4")
-            budget, floor = 6 * n - 13, n * (1 << (n - 1)) - 2
-        else:
-            if n != 4:
-                raise ValueError("appendixA is the n=4 case")
-            budget, floor = 11, 30
-        if args.m is not None:
-            budget = args.m
-        report = check_component_lemma(
-            L, budget, floor, campaign(budget, False), jobs=args.jobs,
-            target=target)
-        report.check_name = check
     elif check in ("tight-uncond", "tight-cond"):
         report = check_tightness(L, conditional=(check == "tight-cond"),
                                  all_witnesses=args.all_witnesses,
                                  target=target)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown check {check}")
+    else:
+        bound = require_dimension(check, n)
+        m = args.m if args.m is not None else bound.faults(n)
+        mode = "sampled" if args.mode == "sample" else "exhaustive"
+        c = FaultCampaign(
+            mode=mode, m=m, conditional=(check == "cond-ft-smec"),
+            samples=args.samples if mode == "sampled" else 0,
+            seed=args.seed, adversarial=args.adversarial,
+            budget=args.budget)
+        if bound.floor is None:
+            report = run_campaign(L, c, jobs=args.jobs, target=target)
+        else:
+            report = check_component_lemma(
+                L, m, bound.floor(n), c, jobs=args.jobs, target=target)
+            report.check_name = check
 
     text = report.to_json() + "\n"
     if args.out:

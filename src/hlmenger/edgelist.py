@@ -39,19 +39,19 @@ def loads(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: duplicate p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
-            n_vertices, declared_edges = int(parts[1]), int(parts[2])
+            n_vertices, declared_edges = _ints(parts, lineno)
         elif kind == "e":
             if n_vertices is None:
                 raise ValueError(f"line {lineno}: e line before p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'e <u> <v>'")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append(tuple(_ints(parts, lineno)))
         elif kind == "l":
             if n_vertices is None:
                 raise ValueError(f"line {lineno}: l line before p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'l <v> <label>'")
-            labels[int(parts[1])] = parts[2]
+            labels[_ints(parts[:2], lineno)[0]] = parts[2]
         else:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")
     if n_vertices is None:
@@ -60,6 +60,15 @@ def loads(text: str) -> Graph:
         raise ValueError(
             f"p line declares {declared_edges} edges but {len(edges)} found")
     return build_graph(n_vertices, edges, labels or None)
+
+
+def _ints(parts: list[str], lineno: int) -> list[int]:
+    """The integer fields after the record type, naming the line on error."""
+    try:
+        return [int(p) for p in parts[1:]]
+    except ValueError:
+        raise ValueError(f"line {lineno}: non-integer field in {parts[0]!r} "
+                         f"record: {' '.join(parts[1:])!r}") from None
 
 
 def write_file(path, g: Graph) -> None:

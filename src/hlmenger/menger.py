@@ -6,7 +6,9 @@ checks here inject edge fault sets into a line graph and verify either the
 SMEC predicate or the giant-component floor, exhaustively or by seeded
 sampling, in unconditional or conditional (min degree >= 2 after faults)
 mode. Two explicit fault constructions certify that the fault-tolerance
-bounds are tight.
+bounds are tight. `BOUNDS` is the one table of the paper's numeric claims:
+each check's fault budget or construction size, component floor and the
+dimensions it holds for; the CLI, the constructions and the tests read it.
 
 All path counts are exact. Per fault set F the verdict comes from the hub
 check: with r a vertex of maximum degree in H = G - F, H is SMEC iff every
@@ -29,7 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .flow import UnitFlowEngine
 from .graph import BudgetExceeded, Edge, FaultSet, Graph, canonical_edge
@@ -38,6 +40,44 @@ from .report import VerificationReport
 from .rng import PRNG_NAME, SplitMix64
 from . import _campaign_exec as _exec
 from ._campaign_exec import smec_witness
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One numeric claim of the paper about L(HL_n), for min_n <= n <= max_n.
+
+    `faults` is the campaign's fault budget, or the size of a tightness
+    construction; `floor`, when set, is the component floor under it.
+    """
+
+    min_n: int
+    faults: Callable[[int], int]
+    floor: Optional[Callable[[int], int]] = None
+    max_n: Optional[int] = None
+
+
+BOUNDS: dict[str, Bound] = {
+    "ft-smec": Bound(2, lambda n: 2 * n - 4),
+    "cond-ft-smec": Bound(3, lambda n: 4 * n - 10),
+    "lemma32": Bound(3, lambda n: 4 * n - 7, lambda n: n * (1 << (n - 1)) - 1),
+    "lemma41": Bound(4, lambda n: 6 * n - 13, lambda n: n * (1 << (n - 1)) - 2),
+    "appendixA": Bound(4, lambda n: 11, lambda n: 30, max_n=4),
+    "tight-uncond": Bound(3, lambda n: 2 * n - 3),
+    "tight-cond": Bound(4, lambda n: 4 * n - 9),
+}
+
+
+def require_dimension(check: str, n: Optional[int]) -> Bound:
+    """The bound of `check`, or ValueError when it does not cover dimension n."""
+    bound = BOUNDS[check]
+    if n is None:
+        raise ValueError(f"{check} requires a line graph built from a "
+                         "hypercube-like network")
+    if n < bound.min_n or bound.max_n is not None and n > bound.max_n:
+        if bound.max_n == bound.min_n:
+            raise ValueError(f"{check} is the n={bound.min_n} case, got n={n}")
+        raise ValueError(f"{check} requires dimension >= {bound.min_n}, got {n}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -81,7 +121,6 @@ class FaultCampaign:
     conditional: bool = False
     samples: int = 0
     seed: int = 0
-    sizes_policy: str = "default"
     adversarial: bool = False
     budget: int = 10_000_000
 
@@ -103,6 +142,7 @@ class TightnessWitness:
     u: int
     v: int
     expected_max_paths: int
+    core: tuple[int, ...]          # (u0,) or the triangle (u, u1, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +318,10 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
            extra_params: Optional[dict] = None) -> VerificationReport:
     g = L.graph
     n_edges = len(g.edges)
+    if c.m < 0:
+        raise ValueError(f"m={c.m} must be >= 0")
+    if c.samples < 0:
+        raise ValueError(f"samples={c.samples} must be >= 0")
     if c.m > n_edges:
         raise ValueError(f"m={c.m} exceeds the {n_edges} available edges")
     if c.mode not in ("exhaustive", "sampled"):
@@ -316,7 +360,7 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         "conditional": c.conditional,
         "samples": c.samples if c.mode == "sampled" else None,
         "seed": c.seed if c.mode == "sampled" else None,
-        "sizes_policy": c.sizes_policy,
+        "sizes_policy": "default",
         "adversarial": c.adversarial,
         "adversarial_count": len(adversarial),
         "prng": PRNG_NAME,
@@ -325,7 +369,7 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
     }
     if extra_params:
         params.update(extra_params)
-    report = VerificationReport(
+    return VerificationReport(
         check_name=check_name,
         target=target,
         mode=c.mode,
@@ -334,7 +378,6 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         witness=witness,
         timing_seconds=time.perf_counter() - started,
     )
-    return report
 
 
 def run_campaign(L: LineGraph, c: FaultCampaign, jobs: int = 1,
@@ -360,14 +403,12 @@ def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
 # ---------------------------------------------------------------------------
 
 
-def _require_dimension(L: LineGraph, minimum: int, what: str) -> int:
-    n = L.base_dimension
-    if n is None:
-        raise ValueError(f"{what} requires a line graph built from a "
-                         "hypercube-like network")
-    if n < minimum:
-        raise ValueError(f"{what} requires dimension >= {minimum}, got {n}")
-    return n
+def _far_vertices(g: Graph, core: tuple[int, ...]) -> Iterator[int]:
+    """Vertices outside the closed neighbourhood of `core`, ascending."""
+    blocked = set(core)
+    for t in core:
+        blocked.update(g.neighbors(t))
+    return (w for w in range(g.n_vertices) if w not in blocked)
 
 
 def tightness_unconditional(L: LineGraph) -> TightnessWitness:
@@ -378,19 +419,15 @@ def tightness_unconditional(L: LineGraph) -> TightnessWitness:
     faults remove every edge at u0 except the one to u, leaving u0 a dead
     end, so at most 2n-3 of u's 2n-2 edges can start disjoint u-v paths.
     """
-    n = _require_dimension(L, 3, "the unconditional tightness construction")
+    n = L.base_dimension
+    size = require_dimension("tight-uncond", n).faults(n)
     g = L.graph
     u0 = 0
     nbrs = g.neighbors(u0)
     u = min(nbrs)
-    closed = set(nbrs) | {u0}
-    v = min(w for w in range(g.n_vertices) if w not in closed)
     faults = tuple(sorted(
         canonical_edge(u0, w) for w in nbrs if w != u))
-    if len(faults) != 2 * n - 3:
-        raise RuntimeError("construction size mismatch; line graph is not "
-                           f"{2 * n - 2}-regular")
-    return TightnessWitness(faults, u, v, expected_max_paths=2 * n - 3)
+    return _tightness_witness(g, faults, size, u, (u0,))
 
 
 def tightness_conditional(L: LineGraph) -> TightnessWitness:
@@ -402,7 +439,8 @@ def tightness_conditional(L: LineGraph) -> TightnessWitness:
     set {u, u1, u2} has only 2n-3 outgoing edges and any v outside its
     neighborhood is reachable by at most 2n-3 disjoint paths.
     """
-    n = _require_dimension(L, 4, "the conditional tightness construction")
+    n = L.base_dimension
+    size = require_dimension("tight-cond", n).faults(n)
     g = L.graph
     base_x = 0  # base graph is n-regular with n >= 4, so degree >= 3 holds
     clique = sorted(
@@ -423,14 +461,18 @@ def tightness_conditional(L: LineGraph) -> TightnessWitness:
     for w in g.neighbors(u1):
         if w not in keep_u1:
             faults.add(canonical_edge(u1, w))
-    if len(faults) != 4 * n - 9:
+    return _tightness_witness(g, tuple(sorted(faults)), size, u, (u, u1, u2))
+
+
+def _tightness_witness(g: Graph, faults: tuple[Edge, ...], size: int, u: int,
+                       core: tuple[int, ...]) -> TightnessWitness:
+    """Both constructions leave the core deg(u) - 1 = 2n-3 live edges to the
+    rest of the graph, which bounds the u-v paths for any far vertex v."""
+    if len(faults) != size:
         raise RuntimeError("construction size mismatch; line graph is not "
-                           f"{2 * n - 2}-regular")
-    blocked = set(g.neighbors(u)) | set(g.neighbors(u1)) | set(g.neighbors(u2))
-    blocked |= {u, u1, u2}
-    v = min(w for w in range(g.n_vertices) if w not in blocked)
-    return TightnessWitness(tuple(sorted(faults)), u, v,
-                            expected_max_paths=2 * n - 3)
+                           "regular of the expected degree")
+    v = next(_far_vertices(g, core))
+    return TightnessWitness(faults, u, v, g.degree(u) - 1, core)
 
 
 def check_tightness(L: LineGraph, conditional: bool,
@@ -445,7 +487,6 @@ def check_tightness(L: LineGraph, conditional: bool,
     deterministic lowest one.
     """
     started = time.perf_counter()
-    n = L.base_dimension
     g = L.graph
     witness = (tightness_conditional(L) if conditional
                else tightness_unconditional(L))
@@ -453,18 +494,9 @@ def check_tightness(L: LineGraph, conditional: bool,
     edge_index = {e: i for i, e in enumerate(g.edges)}
     engine.set_fault_indices([edge_index[e] for e in witness.fault_set])
     deg = engine.degrees
-    min_deg_after = min(deg)
 
-    candidates = [witness.v]
-    if all_witnesses:
-        if conditional:
-            tri = _triangle_of_conditional(L, witness)
-            blocked = set(tri)
-            for t in tri:
-                blocked.update(g.neighbors(t))
-        else:
-            blocked = set(g.neighbors(0)) | {0}
-        candidates = [w for w in range(g.n_vertices) if w not in blocked]
+    candidates = (list(_far_vertices(g, witness.core)) if all_witnesses
+                  else [witness.v])
 
     confirmed = []
     for v in candidates:
@@ -479,30 +511,29 @@ def check_tightness(L: LineGraph, conditional: bool,
                 "cut": sorted([list(e) for e in cut]),
             })
 
-    first = confirmed[0] if confirmed else None
     result_witness = None
-    if first is not None:
+    if confirmed:
         result_witness = {
             "fault_edges": [list(e) for e in witness.fault_set],
             "fault_size": len(witness.fault_set),
             "expected_max_paths": witness.expected_max_paths,
-            "min_degree_after": min_deg_after,
-            **first,
+            "min_degree_after": min(deg),
+            **confirmed[0],
         }
         if conditional:
-            tri = _triangle_of_conditional(L, witness)
-            result_witness["triangle"] = list(tri)
-            result_witness["deg_u1_after"] = deg[tri[1]]
-            result_witness["deg_u2_after"] = deg[tri[2]]
-    report = VerificationReport(
+            _, u1, u2 = witness.core
+            result_witness["triangle"] = list(witness.core)
+            result_witness["deg_u1_after"] = deg[u1]
+            result_witness["deg_u2_after"] = deg[u2]
+    return VerificationReport(
         check_name="tight-cond" if conditional else "tight-uncond",
         target=target or {"line_vertices": g.n_vertices,
-                          "base_dimension": n},
+                          "base_dimension": L.base_dimension},
         mode="direct",
         parameters={
             "conditional": conditional,
             "all_witnesses": all_witnesses,
-            "expected_fault_size": (4 * n - 9) if conditional else (2 * n - 3),
+            "expected_fault_size": len(witness.fault_set),
         },
         counts={"visited": len(candidates), "skipped_conditional": 0,
                 "failures": len(confirmed)},
@@ -510,12 +541,6 @@ def check_tightness(L: LineGraph, conditional: bool,
         details=confirmed if all_witnesses else [],
         timing_seconds=time.perf_counter() - started,
     )
-    return report
-
-
-def _triangle_of_conditional(L: LineGraph, w: TightnessWitness) -> tuple[int, int, int]:
-    clique = sorted(i for i, e in enumerate(L.edge_of_vertex) if 0 in e)
-    return clique[0], clique[1], clique[2]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hlmenger import edgelist
 from hlmenger.cli import main
 
@@ -198,6 +200,27 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--check", "appendixA",
                            "--family", "crossed", "--n", "3")
         assert code == 2 and "n=4" in err
+
+    @pytest.mark.parametrize("check,n", [
+        ("ft-smec", 1), ("cond-ft-smec", 2), ("lemma32", 2), ("lemma41", 3),
+        ("appendixA", 3), ("appendixA", 5), ("tight-uncond", 2),
+        ("tight-cond", 3),
+    ])
+    def test_bounded_checks_exit_2_below_minimum_dimension(self, capsys,
+                                                           check, n):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", str(n))
+        assert code == 2 and out == "" and f"error: {check} " in err
+
+    @pytest.mark.parametrize("argv", [
+        ("ft-smec", "--m", "-1"),
+        ("lemma32", "--m", "-2"),
+        ("cond-ft-smec", "--mode", "sample", "--samples", "-5"),
+    ])
+    def test_negative_sizes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--check", argv[0],
+                             "--family", "hypercube", "--n", "3", *argv[1:])
+        assert code == 2 and out == "" and "must be >= 0" in err
 
     def test_usage_errors_exit_2(self, capsys):
         assert run(capsys, "verify", "--check", "nonsense")[0] == 2

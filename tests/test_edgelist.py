@@ -1,6 +1,7 @@
 """Edge-list text format round-trips and parse diagnostics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hlmenger import build_graph, edgelist
 
@@ -43,10 +44,29 @@ def test_comments_and_blank_lines_ignored():
     ("p 2 1\ne 0 1 7\n", "expected 'e <u> <v>'"),
     ("p 2 1\nz 0 1\n", "unknown record"),
     ("", "missing p"),
+    ("p 2 q\n", "line 1: non-integer field in 'p' record"),
+    ("p 2 1\ne 0 q\n", "line 2: non-integer field in 'e' record"),
+    ("p 2 0\n\nl q lab\n", "line 3: non-integer field in 'l' record"),
 ])
 def test_malformed_inputs(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         edgelist.loads(text)
+
+
+# small integers only: loads allocates a vertex list of the declared size
+_TOKENS = st.sampled_from(
+    ["p", "e", "l", "#", "0", "1", "2", "3", "5", "-1", "q", "1.5", "lab"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8)
+       .map("\n".join))
+def test_token_soup_loads_or_raises_value_error(text):
+    try:
+        g = edgelist.loads(text)
+    except ValueError:
+        return
+    assert edgelist.loads(edgelist.dumps(g)) == g
 
 
 def test_file_round_trip(tmp_path):

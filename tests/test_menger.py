@@ -20,13 +20,52 @@ from hlmenger import (
     tightness_conditional,
     tightness_unconditional,
 )
+from hlmenger import _campaign_exec
 from hlmenger._campaign_exec import smec_holds, smec_violation
 from hlmenger.flow import UnitFlowEngine
-from hlmenger.menger import adversarial_fault_indices
+from hlmenger.menger import BOUNDS, adversarial_fault_indices, \
+    require_dimension
 from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
 from util import cut_disconnects, lgraph, naive_is_smec, network, random_graph
+
+
+class TestBounds:
+    # (faults, floor) as the paper states them, at n = 4, 5, 7
+    PAPER = {
+        "ft-smec": {4: (4, None), 5: (6, None), 7: (10, None)},
+        "cond-ft-smec": {4: (6, None), 5: (10, None), 7: (18, None)},
+        "lemma32": {4: (9, 31), 5: (13, 79), 7: (21, 447)},
+        "lemma41": {4: (11, 30), 5: (17, 78), 7: (29, 446)},
+        "appendixA": {4: (11, 30)},
+        "tight-uncond": {4: (5, None), 5: (7, None), 7: (11, None)},
+        "tight-cond": {4: (7, None), 5: (11, None), 7: (19, None)},
+    }
+    MIN_N = {"ft-smec": 2, "cond-ft-smec": 3, "lemma32": 3, "lemma41": 4,
+             "appendixA": 4, "tight-uncond": 3, "tight-cond": 4}
+
+    def test_values_match_the_paper(self):
+        assert set(BOUNDS) == set(self.PAPER)
+        for check, rows in self.PAPER.items():
+            for n, (faults, floor) in rows.items():
+                bound = require_dimension(check, n)
+                assert bound.faults(n) == faults
+                assert (bound.floor(n) if bound.floor else None) == floor
+
+    def test_minimum_dimensions(self):
+        for check, lowest in self.MIN_N.items():
+            assert require_dimension(check, lowest) is BOUNDS[check]
+            with pytest.raises(ValueError, match=f">= {lowest}|n=4"):
+                require_dimension(check, lowest - 1)
+
+    def test_appendix_a_is_only_n4(self):
+        with pytest.raises(ValueError, match="n=4"):
+            require_dimension("appendixA", 5)
+
+    def test_needs_a_base_dimension(self):
+        with pytest.raises(ValueError, match="hypercube-like"):
+            require_dimension("lemma32", None)
 
 
 class TestIsSmec:
@@ -152,8 +191,17 @@ class TestRunCampaign:
         L = lgraph("ltq", 3)
         c = FaultCampaign(mode="exhaustive", m=2)
         solo = run_campaign(L, c, jobs=1)
+        assert _campaign_exec._WORKER_STATE is None
         parallel = run_campaign(L, c, jobs=2)
         assert solo.canonical_json() == parallel.canonical_json()
+
+    @pytest.mark.parametrize("c", [
+        FaultCampaign(mode="exhaustive", m=-1),
+        FaultCampaign(mode="sampled", m=2, samples=-5),
+    ])
+    def test_negative_sizes_rejected(self, c):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_campaign(lgraph("hypercube", 3), c)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -342,6 +390,11 @@ class TestComponentLemma:
                           adversarial=True))
         assert report.passed
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            check_component_lemma(lgraph("crossed", 3), -2, 11,
+                                  FaultCampaign(mode="exhaustive", m=0))
+
     def test_floor_above_vertex_count_rejected(self):
         with pytest.raises(ValueError):
             check_component_lemma(lgraph("hypercube", 3), 1, 13,
@@ -400,6 +453,9 @@ class TestTightnessUnconditional:
         with pytest.raises(ValueError, match=">= 3"):
             tightness_unconditional(lgraph("hypercube", 2))
 
+    def test_core_is_the_dead_end_vertex(self):
+        assert tightness_unconditional(lgraph("crossed", 3)).core == (0,)
+
     def test_all_witnesses_flag(self):
         L = lgraph("crossed", 3)
         report = check_tightness(L, conditional=False, all_witnesses=True)
@@ -429,11 +485,26 @@ class TestTightnessConditional:
         with pytest.raises(ValueError, match=">= 4"):
             tightness_conditional(lgraph("crossed", 3))
 
+    def test_core_is_the_triangle(self):
+        L = lgraph("crossed", 4)
+        tw = tightness_conditional(L)
+        at_base_0 = [i for i, e in enumerate(L.edge_of_vertex) if 0 in e]
+        assert tw.core == tuple(sorted(at_base_0)[:3])
+        report = check_tightness(L, conditional=True)
+        assert report.witness["triangle"] == list(tw.core)
+
     def test_all_witnesses_flag(self):
-        report = check_tightness(lgraph("crossed", 4), conditional=True,
-                                 all_witnesses=True)
-        assert report.counts["visited"] >= 1
-        assert report.counts["failures"] == report.counts["visited"]
+        L = lgraph("crossed", 4)
+        report = check_tightness(L, conditional=True, all_witnesses=True)
+        # line vertices are adjacent iff their base edges meet, so the
+        # closed neighbourhood of the triangle is every line vertex whose
+        # base edge meets one of the triangle's base edges
+        at_base_0 = [i for i, e in enumerate(L.edge_of_vertex) if 0 in e]
+        ends = {x for t in sorted(at_base_0)[:3] for x in L.edge_of_vertex[t]}
+        far = [i for i, e in enumerate(L.edge_of_vertex) if not ends & set(e)]
+        assert far
+        assert [d["pair"][1] for d in report.details] == far
+        assert report.counts["visited"] == report.counts["failures"] == len(far)
 
 
 class TestPartitionFaults:
