@@ -6,17 +6,19 @@ and in a pool otherwise, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. Workers share
 nothing: each builds its own flow engine from the (n, edges) layout once.
 
-Per fault set F the SMEC decision is the hub check (smec_holds): V-1
-capped max-flows into one vertex of maximum degree in G-F, warm-started
+Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
+capped max-flows into one vertex r of maximum degree in G-F, warm-started
 from the engine's stored fault-free paths that avoid F, with cold flows
-when F touches every stored hub. Only a failing set builds a Gusfield
-tree, whose rows are scanned in ascending pair order to pick the same
-witness pair as a full pairwise scan; a direct max-flow then extracts the
-witness cut.
+when F touches every stored hub. A pass needs nothing more. A failing set
+runs the hub check to the end to find every deficient vertex, and only
+pairs with a deficient endpoint can violate, so the witness scan, in
+ascending pair order, runs a capped direct max-flow on those pairs alone;
+a min cut on the first violating pair is the certificate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterator, Optional
@@ -29,19 +31,21 @@ _SKIP = "skip"
 _WORKER_STATE = None
 
 
-def smec_holds(engine: UnitFlowEngine) -> bool:
-    """Is H = G - F SMEC, for the faults F installed in the engine?
+def hub_deficits(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
+    """Yield (u, lambda_H(u, r)) for each u != r with lambda_H(u, r) < deg_H u,
+    where H = G - F for the faults F installed in the engine.
 
     Hub lemma: for r of maximum degree in H, H is SMEC iff
     lambda_H(u, r) >= deg_H(u) for every u != r. A violating pair (u, v)
     has a cut delta(S) with u in S, v outside, smaller than deg u and
     deg v; if r is outside S then (u, r) violates, as deg r >= deg v,
-    else (v, r) does. So the check is V-1 flows into r, each capped at
-    deg_H(u). A stored hub that F leaves untouched keeps its maximum base
-    degree; its stored paths that avoid F start each flow, so only the
-    missing units are augmented. When F touches every stored hub, flows
-    into the lowest vertex of maximum degree in H run cold. Vertices F
-    touches go first, so failing sets exit after a few flows.
+    else (v, r) does. So V-1 flows into r, each capped at deg_H(u),
+    find every deficient u, and a capped flow that falls short is exact.
+    A stored hub that F leaves untouched keeps its maximum base degree;
+    its stored paths that avoid F start each flow, so only the missing
+    units are augmented. When F touches every stored hub, flows into the
+    lowest vertex of maximum degree in H run cold. Vertices F touches go
+    first, so a failing set yields after a few flows.
     """
     deg = engine.degrees
     edges = engine.edges
@@ -62,43 +66,58 @@ def smec_holds(engine: UnitFlowEngine) -> bool:
             start = [p for p in paths[u] if dead.isdisjoint(p)]
             if len(start) >= need:
                 continue
-        if engine.max_flow(u, hub, need, start) < need:
-            return False
-    return True
+        flow = engine.max_flow(u, hub, need, start)
+        if flow < need:
+            yield u, flow
+
+
+def smec_holds(engine: UnitFlowEngine) -> bool:
+    """Is H = G - F SMEC, for the faults F installed in the engine? Stops
+    at the first deficient vertex."""
+    return next(hub_deficits(engine), None) is None
 
 
 def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
     """First (u, v, paths, required) in ascending pair order, or None.
 
-    Pair values come from the engine's Gusfield tree, one row at a time,
-    so the scan stops in the first row holding a violation; pairs whose
-    smaller endpoint degree is 0 are vacuous.
+    With B the deficient vertices of hub_deficits and f_x = lambda(x, r)
+    for x in B, deg x otherwise, lambda(u, v) >= min(f_u, f_v) for every
+    pair. So a pair can violate only if min(f_u, f_v) < min(deg u, deg v),
+    which needs an endpoint in B; only such pairs get a direct max-flow,
+    capped at the requirement. Pairs whose smaller endpoint degree is 0
+    are vacuous.
     """
+    deficits = dict(hub_deficits(engine))
+    if not deficits:
+        return None
     deg = engine.degrees
-    n = engine.n
-    for u, row in enumerate(engine.min_cut_rows()):
-        du = deg[u]
-        if du == 0:
+    f = [deficits.get(x, d) for x, d in enumerate(deg)]
+    deficient = sorted(deficits)
+    for u in range(engine.n):
+        if not deg[u]:
             continue
-        for v in range(u + 1, n):
-            req = du if du < deg[v] else deg[v]
-            if req and row[v] < req:
-                return u, v, row[v], req
-    return None
+        partners = (range(u + 1, engine.n) if f[u] < deg[u]
+                    else deficient[bisect_right(deficient, u):])
+        for v in partners:
+            req = deg[u] if deg[u] < deg[v] else deg[v]
+            if min(f[u], f[v]) >= req:
+                continue
+            paths = engine.max_flow(u, v, req)
+            if paths < req:
+                return u, v, paths, req
+    raise RuntimeError("hub check and pair scan disagree")
 
 
 def smec_witness(engine: UnitFlowEngine) -> Optional[tuple]:
     """None if G - F is SMEC, else (u, v, paths, required, cut) for the
     first violating pair in ascending order, with a minimum u-v cut."""
-    if smec_holds(engine):
-        return None
     hit = smec_violation(engine)
     if hit is None:
-        raise RuntimeError("hub check and flow tree disagree")
+        return None
     u, v, paths, req = hit
     value, cut = engine.min_cut(u, v)
     if value != paths:
-        raise RuntimeError("flow tree and direct max-flow disagree")
+        raise RuntimeError("pair scan and direct max-flow disagree")
     return u, v, paths, req, cut
 
 

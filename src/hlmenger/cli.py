@@ -17,13 +17,20 @@ from typing import Optional
 
 from . import edgelist
 from .graph import BudgetExceeded, Graph
-from .linegraph import LineGraph, bcdc, line_graph, line_graph_of_hl
+from .linegraph import bcdc, line_graph, line_graph_of_hl
 from .menger import BOUNDS, FaultCampaign, check_component_lemma, \
     check_tightness, require_dimension, run_campaign
 from .topologies import NAMED_FAMILIES, construction_record, generate, \
     hl_from_graph
 
 CHECKS = ("smec", *BOUNDS)
+TIGHTNESS_CHECKS = ("tight-uncond", "tight-cond")
+
+# verify flags that only some checks read, with their defaults; each is
+# parsed as None when absent, so a check can reject one it would ignore
+CAMPAIGN_FLAGS = {"m": None, "mode": "exhaustive", "samples": 10000,
+                  "adversarial": False}
+TIGHTNESS_FLAGS = {"all_witnesses": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed for random family and sampling (default 0)")
     ver.add_argument("--m", type=int, help="maximum fault-set size")
     ver.add_argument("--mode", choices=("exhaustive", "sample"),
-                     default="exhaustive")
-    ver.add_argument("--samples", type=int, default=10000,
+                     help="fault-set sweep (default exhaustive)")
+    ver.add_argument("--samples", type=int,
                      help="sample count in sample mode (default 10000)")
-    ver.add_argument("--adversarial", action="store_true",
+    ver.add_argument("--adversarial", action="store_true", default=None,
                      help="prepend the deterministic adversarial suite")
     ver.add_argument("--all-witnesses", dest="all_witnesses",
-                     action="store_true",
+                     action="store_true", default=None,
                      help="tightness checks: test every admissible far "
                           "vertex, not only the lowest")
     ver.add_argument("--budget", type=int, default=10_000_000,
@@ -108,13 +115,15 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_line_graph(args) -> LineGraph:
+def _load_network(args, hl: bool):
+    """The --in graph, or the HL network of --family and --n. With `hl`
+    an --in graph must pass hl_from_graph and comes back as a network."""
     if args.infile:
         base = edgelist.read_file(args.infile)
-        return line_graph(base)
+        return hl_from_graph(base) if hl else base
     if not args.family or args.n is None:
         raise ValueError("need --in or --family plus --n")
-    return line_graph_of_hl(generate(args.family, args.n, args.seed))
+    return generate(args.family, args.n, args.seed)
 
 
 def cmd_linegraph(args) -> int:
@@ -134,7 +143,8 @@ def cmd_linegraph(args) -> int:
             sys.stdout.write(edgelist.dumps(pair.logical.graph))
         lg = pair.logical
     else:
-        lg = _load_line_graph(args)
+        network = _load_network(args, hl=False)
+        lg = line_graph(network) if args.infile else line_graph_of_hl(network)
         _emit(edgelist.dumps(lg.graph), args.out)
     if args.provenance:
         record = {
@@ -160,13 +170,28 @@ def _verify_target(args, base: Graph) -> dict:
     return target
 
 
-def cmd_verify(args) -> int:
-    if args.infile:
-        network = hl_from_graph(edgelist.read_file(args.infile))
+def _resolve_flags(args) -> None:
+    """Reject --jobs < 1 and any flag the check ignores, then fill in the
+    defaults of the check-specific flags."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.check == "smec":
+        used = {}
+    elif args.check in TIGHTNESS_CHECKS:
+        used = TIGHTNESS_FLAGS
     else:
-        if not args.family or args.n is None:
-            raise ValueError("need --in or --family plus --n")
-        network = generate(args.family, args.n, args.seed)
+        used = CAMPAIGN_FLAGS
+    for name, default in {**CAMPAIGN_FLAGS, **TIGHTNESS_FLAGS}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in used:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --check {args.check}")
+
+
+def cmd_verify(args) -> int:
+    _resolve_flags(args)
+    network = _load_network(args, hl=True)
     L = line_graph_of_hl(network)
     n = network.dimension
     target = _verify_target(args, network.graph)
@@ -177,7 +202,7 @@ def cmd_verify(args) -> int:
             L, FaultCampaign(mode="exhaustive", m=0, budget=args.budget),
             jobs=args.jobs, target=target)
         report.check_name = "smec"
-    elif check in ("tight-uncond", "tight-cond"):
+    elif check in TIGHTNESS_CHECKS:
         report = check_tightness(L, conditional=(check == "tight-cond"),
                                  all_witnesses=args.all_witnesses,
                                  target=target)
@@ -197,12 +222,7 @@ def cmd_verify(args) -> int:
                 L, m, bound.floor(n), c, jobs=args.jobs, target=target)
             report.check_name = check
 
-    text = report.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json() + "\n", args.out)
     return 1 if report.counts.get("failures", 0) else 0
 
 

@@ -10,21 +10,20 @@ Internal module. Two solvers live here:
 * DirectedFlow: small generic directed solver used only by the
   vertex-splitting reduction for vertex connectivity.
 
-UnitFlowEngine serves the SMEC hub check (see _campaign_exec.smec_holds).
+UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
 It picks a few hubs of maximum degree and lazily stores, per hub and per
 vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph.
 A query may start from any feasible flow (`start`), such as the stored
 paths that avoid the installed faults: augmenting from a feasible flow is
-exact, so only the missing units cost a BFS. The engine also builds a
-Gusfield (Gomory-Hu style) equivalent-flow tree; it only picks the witness
-of a failing fault set, and property tests cross-check it against direct
-per-pair flow.
+exact, so only the missing units cost a BFS. A failing fault set's witness
+comes from the hub check's deficient vertices and capped single-pair
+flows. The engine also builds a Gusfield (Gomory-Hu style) equivalent-flow
+tree, which no campaign uses: tests take it as an all-pairs oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
 
 # hubs per engine; a fault set must touch all of them to force cold flows
 _HUBS = 3
@@ -208,9 +207,8 @@ class UnitFlowEngine:
                     parent[j] = i
         return parent, weight
 
-    def min_cut_rows(self) -> Iterator[list[int]]:
-        """Rows 0, 1, ... of the all-pairs min cut matrix, via the Gusfield
-        tree; each row is one tree walk, made only when it is requested."""
+    def all_pairs_min_cut(self) -> list[list[int]]:
+        """Matrix of min cut values for all pairs, via the Gusfield tree."""
         n = self.n
         parent, weight = self.gusfield_tree()
         tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -218,6 +216,7 @@ class UnitFlowEngine:
             tree[i].append((parent[i], weight[i]))
             tree[parent[i]].append((i, weight[i]))
         inf = float("inf")
+        rows = []
         for root in range(n):
             row = [0] * n
             seen = [False] * n
@@ -231,11 +230,8 @@ class UnitFlowEngine:
                         m = running if running < w else w
                         row[v] = m
                         stack.append((v, m))
-            yield row
-
-    def all_pairs_min_cut(self) -> list[list[int]]:
-        """Matrix of min cut values for all pairs, via the Gusfield tree."""
-        return list(self.min_cut_rows())
+            rows.append(row)
+        return rows
 
 
 class DirectedFlow:

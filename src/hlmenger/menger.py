@@ -16,10 +16,11 @@ u != r has deg_H(u) edge-disjoint u-r paths, so V-1 capped max-flows into
 r decide it. The flow engine stores fault-free paths into a few hubs on
 first use; a flow into an untouched hub starts from the stored paths that
 avoid F and augments only the missing units, and when F touches every
-stored hub the flows run cold into a maximum-degree vertex. Only a failing
-set builds a Gusfield equivalent-flow tree (n-1 max-flows), which picks the
-first violating pair in ascending order; a direct max-flow re-verifies it
-and extracts the cut certificate. Campaign enumeration order is canonical
+stored hub the flows run cold into a maximum-degree vertex. A failing set
+runs the hub check to the end: only pairs with a deficient endpoint (fewer
+than deg u paths into r) can violate, so capped direct max-flows over those
+pairs alone, in ascending order, pick the first violating pair, and a min
+cut on it is the certificate. Campaign enumeration order is canonical
 (sizes ascending, then lexicographic by edge index) and sampled mode is
 reproducible from its seed, so reports are byte-identical across runs and
 worker counts.
@@ -153,8 +154,10 @@ class TightnessWitness:
 def is_smec(g: Graph) -> SmecVerdict:
     """Does every distinct pair have min(deg u, deg v) edge-disjoint paths?
 
-    Early-exits at the first violating pair in ascending (u, v) order and
-    returns it with a minimum-cut certificate of the deficient path count.
+    Decided by the hub check. On failure returns the first violating pair
+    in ascending (u, v) order, found by direct flows over the pairs with an
+    endpoint the hub check found deficient, with a minimum-cut certificate
+    of the deficient path count.
     """
     hit = smec_witness(UnitFlowEngine(g.n_vertices, g.edges))
     if hit is None:

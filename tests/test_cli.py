@@ -226,3 +226,27 @@ class TestVerify:
         assert run(capsys, "verify", "--check", "nonsense")[0] == 2
         assert run(capsys, "verify", "--check", "smec")[0] == 2  # no target
         assert run(capsys, "gen", "--family", "hypercube")[0] == 2  # no --n
+        code, _, err = run(capsys, "linegraph", "--family", "hypercube")
+        assert code == 2 and "need --in or --family plus --n" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--check", "ft-smec",
+                             "--family", "hypercube", "--n", "3",
+                             "--jobs", jobs)
+        assert code == 2 and out == "" and "--jobs must be >= 1" in err
+
+    @pytest.mark.parametrize("check,flag", [
+        *((check, flag)
+          for check in ("smec", "tight-uncond", "tight-cond")
+          for flag in (("--m", "5"), ("--mode", "sample"),
+                       ("--samples", "5"), ("--adversarial",))),
+        *((check, ("--all-witnesses",))
+          for check in ("smec", "ft-smec", "cond-ft-smec", "lemma32",
+                        "lemma41", "appendixA")),
+    ])
+    def test_flag_the_check_ignores_exit_2(self, capsys, check, flag):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", "4", *flag)
+        assert code == 2 and out == ""
+        assert f"error: {flag[0]} does not apply to --check {check}" in err

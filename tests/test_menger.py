@@ -21,7 +21,8 @@ from hlmenger import (
     tightness_unconditional,
 )
 from hlmenger import _campaign_exec
-from hlmenger._campaign_exec import smec_holds, smec_violation
+from hlmenger._campaign_exec import hub_deficits, smec_holds, \
+    smec_violation
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, adversarial_fault_indices, \
     require_dimension
@@ -224,8 +225,8 @@ class TestRunCampaign:
 
 
 class TestSmecUnderFaultsDifferential:
-    """The hub check's verdict and the tree scan's witness against the
-    naive pairwise check, on faulted line graphs."""
+    """The hub check's verdict and the witness scan against the naive
+    pairwise check, on faulted line graphs."""
 
     def _naive_first_violation(self, faulty):
         for u in range(faulty.n_vertices):
@@ -342,6 +343,84 @@ class TestSmecUnderFaultsDifferential:
         assert report.counts["visited"] == admissible
         total = sum(1 for k in range(4) for _ in combinations(range(24), k))
         assert report.counts["skipped_conditional"] == total - admissible
+
+
+class TestWitnessScanAgainstTree:
+    """The deficient-set witness scan against the Gusfield-tree row scan it
+    replaced, on faulted L(HL_n): same (u, v, paths, required) per set."""
+
+    @staticmethod
+    def _tree_first_violation(engine):
+        deg = engine.degrees
+        cuts = engine.all_pairs_min_cut()
+        for u in range(engine.n):
+            for v in range(u + 1, engine.n):
+                req = min(deg[u], deg[v])
+                if req and cuts[u][v] < req:
+                    return u, v, cuts[u][v], req
+        return None
+
+    @staticmethod
+    def _fault_sets(L, engine, n):
+        """Adversarial sets one fault past the budget and random sets, then
+        some of the adversarial sets plus one edge at every hub, or plus
+        every edge at one vertex."""
+        g = L.graph
+        m = len(g.edges)
+        rng = SplitMix64(7000 + n)
+        suite = adversarial_fault_indices(L, 2 * n - 3)
+        sets = suite[::max(1, len(suite) // 60)]
+        sets += [tuple(rng.sample_indices(m, 2 * n - 3 + rng.randbelow(3)))
+                 for _ in range(20)]
+        incident = [[i for i, e in enumerate(g.edges) if x in e]
+                    for x in range(g.n_vertices)]
+        for _ in range(20):
+            base = suite[rng.randbelow(len(suite))]
+            hubs = [incident[h][rng.randbelow(len(incident[h]))]
+                    for h in engine.hubs]
+            sets.append(tuple(sorted({*base, *hubs})))
+        for v in (0, g.n_vertices // 2, engine.hubs[0]):
+            for _ in range(3):
+                base = suite[rng.randbelow(len(suite))]
+                sets.append(tuple(sorted({*base, *incident[v]})))
+        return sets
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 1), (4, 3),
+                                        (5, 1)])
+    def test_scan_matches_tree_on_faulted_random_hl(self, n, seed):
+        L = lgraph("random", n, seed)
+        engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
+        seen = {"violating": 0, "several_deficient": 0, "mixed_witness": 0,
+                "every_hub_touched": 0, "isolated": 0}
+        for idx in self._fault_sets(L, engine, n):
+            engine.set_fault_indices(idx)
+            deficient = dict(hub_deficits(engine))
+            expected = self._tree_first_violation(engine)
+            assert smec_violation(engine) == expected, idx
+            assert smec_holds(engine) == (expected is None), idx
+            assert bool(deficient) == (expected is not None), idx
+            touched = {x for k in idx for x in L.graph.edges[k]}
+            if expected is None:
+                continue
+            seen["violating"] += 1
+            seen["several_deficient"] += len(deficient) >= 2
+            u, v = expected[:2]
+            seen["mixed_witness"] += u not in deficient and v in deficient
+            seen["every_hub_touched"] += touched.issuperset(engine.hubs)
+            seen["isolated"] += 0 in engine.degrees
+        assert all(seen.values()), seen
+
+    def test_violating_campaign_builds_no_flow_tree(self, monkeypatch):
+        def gusfield_tree(self):
+            raise AssertionError("a flow tree was built")
+
+        monkeypatch.setattr(UnitFlowEngine, "gusfield_tree", gusfield_tree)
+        L = lgraph("random", 4, 1)
+        report = run_campaign(L, FaultCampaign(mode="sampled", m=5,
+                                               samples=20, seed=1,
+                                               adversarial=True))
+        assert report.counts["failures"] > report.counts["visited"] // 2
+        assert is_smec(remove_edges(L.graph, L.graph.edges[:5])).witness
 
 
 class TestDegenerateSizes:
