@@ -11,9 +11,10 @@ capped max-flows into one vertex r of maximum degree in G-F, warm-started
 from the engine's stored fault-free paths that avoid F, with cold flows
 when F touches every stored hub. A pass needs nothing more. A failing set
 runs the hub check to the end to find every deficient vertex, and only
-pairs with a deficient endpoint can violate, so the witness scan, in
-ascending pair order, runs a capped direct max-flow on those pairs alone;
-a min cut on the first violating pair is the certificate.
+pairs with a deficient endpoint can violate. The witness scan goes over
+those pairs in ascending order: the hub flows already fix the value of a
+pair with one deficient endpoint, and a pair with two gets a capped direct
+max-flow; a min cut on the first violating pair is the certificate.
 """
 
 from __future__ import annotations
@@ -83,9 +84,12 @@ def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]
     With B the deficient vertices of hub_deficits and f_x = lambda(x, r)
     for x in B, deg x otherwise, lambda(u, v) >= min(f_u, f_v) for every
     pair. So a pair can violate only if min(f_u, f_v) < min(deg u, deg v),
-    which needs an endpoint in B; only such pairs get a direct max-flow,
-    capped at the requirement. Pairs whose smaller endpoint degree is 0
-    are vacuous.
+    which needs an endpoint in B. If exactly one endpoint x is in B, the
+    test leaves deg y > f_x for the other, y, and the hub flows fix
+    lambda(x, y) = f_x: it is >= min(f_x, deg y) = f_x, and a larger
+    value would give lambda(x, r) >= min(lambda(x, y), lambda(y, r)) > f_x.
+    Only pairs with both endpoints in B get a direct max-flow, capped at
+    the requirement. Pairs whose smaller endpoint degree is 0 are vacuous.
     """
     deficits = dict(hub_deficits(engine))
     if not deficits:
@@ -102,6 +106,8 @@ def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]
             req = deg[u] if deg[u] < deg[v] else deg[v]
             if min(f[u], f[v]) >= req:
                 continue
+            if (f[u] < deg[u]) != (f[v] < deg[v]):
+                return u, v, min(f[u], f[v]), req
             paths = engine.max_flow(u, v, req)
             if paths < req:
                 return u, v, paths, req

@@ -28,9 +28,10 @@ TIGHTNESS_CHECKS = ("tight-uncond", "tight-cond")
 
 # verify flags that only some checks read, with their defaults; each is
 # parsed as None when absent, so a check can reject one it would ignore
-CAMPAIGN_FLAGS = {"m": None, "mode": "exhaustive", "samples": 10000,
-                  "adversarial": False}
-TIGHTNESS_FLAGS = {"all_witnesses": False}
+FLAG_DEFAULTS = {"m": None, "mode": "exhaustive", "samples": 10000,
+                 "adversarial": False, "budget": 10_000_000,
+                 "all_witnesses": False}
+CAMPAIGN_FLAGS = ("m", "mode", "samples", "adversarial", "budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true", default=None,
                      help="tightness checks: test every admissible far "
                           "vertex, not only the lowest")
-    ver.add_argument("--budget", type=int, default=10_000_000,
-                     help="max fault sets an exhaustive sweep may visit")
+    ver.add_argument("--budget", type=int,
+                     help="max fault sets an exhaustive sweep may visit "
+                          "(default 10000000)")
     ver.add_argument("--jobs", type=int, default=1,
                      help="worker processes for campaign evaluation")
     ver.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -171,22 +173,28 @@ def _verify_target(args, base: Graph) -> dict:
 
 
 def _resolve_flags(args) -> None:
-    """Reject --jobs < 1 and any flag the check ignores, then fill in the
-    defaults of the check-specific flags."""
+    """Reject --jobs < 1 and any flag the check or the sweep mode ignores,
+    then fill in the defaults of the check-specific flags."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.check == "smec":
-        used = {}
+        used = ("budget",)
     elif args.check in TIGHTNESS_CHECKS:
-        used = TIGHTNESS_FLAGS
+        used = ("all_witnesses",)
     else:
         used = CAMPAIGN_FLAGS
-    for name, default in {**CAMPAIGN_FLAGS, **TIGHTNESS_FLAGS}.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif name not in used:
+    given = [name for name in FLAG_DEFAULTS if getattr(args, name) is not None]
+    for name in given:
+        if name not in used:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} does not apply to --check {args.check}")
+    if "samples" in given and args.mode != "sample":
+        raise ValueError("--samples applies only with --mode sample")
+    if "budget" in given and args.mode == "sample":
+        raise ValueError("--budget does not apply to --mode sample")
+    for name, default in FLAG_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def cmd_verify(args) -> int:

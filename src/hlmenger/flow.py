@@ -17,8 +17,13 @@ A query may start from any feasible flow (`start`), such as the stored
 paths that avoid the installed faults: augmenting from a feasible flow is
 exact, so only the missing units cost a BFS. A failing fault set's witness
 comes from the hub check's deficient vertices and capped single-pair
-flows. The engine also builds a Gusfield (Gomory-Hu style) equivalent-flow
-tree, which no campaign uses: tests take it as an all-pairs oracle.
+flows. `min_cuts(s, targets)` returns the minimum cut from one source to
+each of many targets, as min_cut would, but confirms a target that shares
+the first target's cut with a capped flow from a neighbouring target
+(lambda(x, y) >= min(lambda(x, w), lambda(w, y)), Gomory and Hu 1961); the
+tightness checks use it. The engine also builds a Gusfield (Gomory-Hu
+style) equivalent-flow tree, which no campaign uses: tests take it as an
+all-pairs oracle.
 """
 
 from __future__ import annotations
@@ -99,13 +104,60 @@ class UnitFlowEngine:
         The returned edges exclude faulted ones and |cut| equals the value.
         """
         flow, side = self._run(s, t, None)
+        return flow, self._cut(side)
+
+    def _cut(self, side: list[bool]) -> list[tuple[int, int]]:
+        """Live edges with one end in `side`, in canonical order."""
         faulted = set(self.fault)
-        cut = [
+        return [
             (u, v)
             for k, (u, v) in enumerate(self.edges)
             if k not in faulted and side[u] != side[v]
         ]
-        return flow, cut
+
+    def min_cuts(self, s: int,
+                 targets: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Exactly [self.min_cut(s, t) for t in targets], with cheaper flows.
+
+        One flow from s to t0 = targets[0] gives k = lambda(s, t0) and the
+        residual s-side R, whose cut is t0's result. A BFS from t0 over
+        edges between targets then grows a tree of targets that share it:
+        a target w next to a tree vertex p joins when w is not in R and a
+        flow from p to w, capped at k, reaches k. Every other target gets
+        its own min_cut(s, w). A flow between neighbours finds its k short
+        augmenting paths fast, where a flow from s to a far target is cold
+        and long.
+
+        Exactness: lambda(s, w) >= min(lambda(s, p), lambda(p, w)) >= k
+        by induction down the tree, and w outside R makes the cut of R an
+        s-w cut of size k, so lambda(s, w) = k. The residual s-side of any
+        maximum flow is the smallest s-side of a minimum cut. R is a
+        minimum s-w cut, so R_w, the s-side min_cut(s, w) would find, is
+        inside R; then R_w is also a minimum s-t0 cut, so R is inside R_w.
+        Hence R_w = R and the cut edges are the same list. Only public
+        flow methods run here, so wrappers of them see every flow.
+        """
+        if not targets:
+            return []
+        t0 = targets[0]
+        k, side = self.max_flow_with_side(s, t0)
+        cut = self._cut(side)
+        untried = set(targets)
+        untried.discard(t0)
+        same = {t0}           # targets whose result is (k, cut)
+        head = self.head
+        queue = deque((t0,))
+        while queue:
+            p = queue.popleft()
+            for a in self.adj[p]:
+                w = head[a]
+                if w in untried:
+                    untried.remove(w)
+                    if not side[w] and self.max_flow(p, w, k) >= k:
+                        same.add(w)
+                        queue.append(w)
+        return [(k, cut[:]) if t in same else self.min_cut(s, t)
+                for t in targets]
 
     def _run(self, s: int, t: int, cutoff: int | None,
              start=()) -> tuple[int, list[bool]]:

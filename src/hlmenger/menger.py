@@ -18,9 +18,13 @@ first use; a flow into an untouched hub starts from the stored paths that
 avoid F and augments only the missing units, and when F touches every
 stored hub the flows run cold into a maximum-degree vertex. A failing set
 runs the hub check to the end: only pairs with a deficient endpoint (fewer
-than deg u paths into r) can violate, so capped direct max-flows over those
-pairs alone, in ascending order, pick the first violating pair, and a min
-cut on it is the certificate. Campaign enumeration order is canonical
+than deg u paths into r) can violate. Over those pairs, in ascending order,
+the hub flows fix the value of a pair with one deficient endpoint and a
+capped direct max-flow decides a pair with two; the first violating pair
+is the witness, and a min cut on it is the certificate. The tightness
+checks confirm their far vertices with UnitFlowEngine.min_cuts: one cold
+flow from u, then capped flows between neighbouring far vertices confirm
+that they share its cut. Campaign enumeration order is canonical
 (sizes ascending, then lexicographic by edge index) and sampled mode is
 reproducible from its seed, so reports are byte-identical across runs and
 worker counts.
@@ -155,9 +159,9 @@ def is_smec(g: Graph) -> SmecVerdict:
     """Does every distinct pair have min(deg u, deg v) edge-disjoint paths?
 
     Decided by the hub check. On failure returns the first violating pair
-    in ascending (u, v) order, found by direct flows over the pairs with an
-    endpoint the hub check found deficient, with a minimum-cut certificate
-    of the deficient path count.
+    in ascending (u, v) order among the pairs with an endpoint the hub
+    check found deficient, with a minimum-cut certificate of the deficient
+    path count.
     """
     hit = smec_witness(UnitFlowEngine(g.n_vertices, g.edges))
     if hit is None:
@@ -487,7 +491,10 @@ def check_tightness(L: LineGraph, conditional: bool,
     pairs (1 when the construction works, more under all_witnesses), so a
     working construction yields a counterexample report. With
     all_witnesses=True every admissible v is checked, not only the
-    deterministic lowest one.
+    deterministic lowest one. engine.min_cuts gives each candidate its
+    exact path count and minimum cut: one flow from u to the first
+    candidate, then for each other one a capped flow from a neighbouring
+    candidate that confirms it shares that cut.
     """
     started = time.perf_counter()
     g = L.graph
@@ -502,11 +509,10 @@ def check_tightness(L: LineGraph, conditional: bool,
                   else [witness.v])
 
     confirmed = []
-    for v in candidates:
-        paths = engine.max_flow(witness.u, v)
+    cuts = engine.min_cuts(witness.u, candidates)
+    for v, (paths, cut) in zip(candidates, cuts):
         required = min(deg[witness.u], deg[v])
         if paths < required:
-            _, cut = engine.min_cut(witness.u, v)
             confirmed.append({
                 "pair": [witness.u, v],
                 "path_count": paths,

@@ -250,3 +250,43 @@ class TestVerify:
                              "--family", "hypercube", "--n", "4", *flag)
         assert code == 2 and out == ""
         assert f"error: {flag[0]} does not apply to --check {check}" in err
+
+    @pytest.mark.parametrize("check", ["ft-smec", "cond-ft-smec", "lemma32",
+                                       "lemma41", "appendixA"])
+    @pytest.mark.parametrize("mode", [(), ("--mode", "exhaustive")])
+    def test_samples_without_sample_mode_exit_2(self, capsys, check, mode):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", "3", *mode,
+                             "--samples", "5")
+        assert code == 2 and out == ""
+        assert "error: --samples applies only with --mode sample" in err
+
+    @pytest.mark.parametrize("check", ["tight-uncond", "tight-cond"])
+    def test_budget_with_a_tightness_check_exit_2(self, capsys, check):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", "3",
+                             "--budget", "5")
+        assert code == 2 and out == ""
+        assert f"error: --budget does not apply to --check {check}" in err
+
+    @pytest.mark.parametrize("check", ["ft-smec", "cond-ft-smec", "lemma32",
+                                       "lemma41", "appendixA"])
+    def test_budget_with_sample_mode_exit_2(self, capsys, check):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", "3",
+                             "--mode", "sample", "--budget", "5")
+        assert code == 2 and out == ""
+        assert "error: --budget does not apply to --mode sample" in err
+
+    def test_budget_applies_to_smec(self, capsys):
+        code, _, err = run(capsys, "verify", "--check", "smec", "--family",
+                           "hypercube", "--n", "3", "--budget", "0")
+        assert code == 2 and "exceeds budget 0" in err
+
+    @pytest.mark.parametrize("check,expect", [
+        ("smec", 0), ("tight-uncond", 1), ("tight-cond", 1),
+    ])
+    def test_jobs_applies_to_every_check(self, capsys, check, expect):
+        code, out, _ = run(capsys, "verify", "--check", check, "--family",
+                           "hypercube", "--n", "4", "--jobs", "2")
+        assert code == expect and json.loads(out)["check_name"] == check

@@ -17,6 +17,7 @@ from hlmenger import (
     vertex_connectivity,
 )
 from hlmenger.flow import UnitFlowEngine
+from hlmenger.rng import SplitMix64
 
 from util import lgraph, random_graph
 
@@ -259,6 +260,31 @@ def test_gusfield_tree_matches_direct_flow(seed):
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
             assert cuts[u][v] == max_edge_disjoint_paths(g, u, v).value
+
+
+def test_min_cuts_matches_per_target_min_cut():
+    """min_cuts(s, targets) against one min_cut per target, on seeded
+    random graphs with random faults, sources and target orders. Both the
+    shared result and the per-target fallback must occur."""
+    shared = fallback = 0
+    for seed in range(300):
+        g = random_graph(seed, max_vertices=10, max_edges=24)
+        rng = SplitMix64(seed)
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        m = len(g.edges)
+        engine.set_fault_indices(rng.sample_indices(m, rng.randbelow(m // 3 + 1)))
+        s = rng.randbelow(g.n_vertices)
+        targets = [v for v in range(g.n_vertices) if v != s]
+        rng.shuffle(targets)
+        targets = targets[:1 + rng.randbelow(len(targets))]
+        expected = [engine.min_cut(s, t) for t in targets]
+        direct = []
+        engine.min_cut = lambda a, b: direct.append(b) or \
+            UnitFlowEngine.min_cut(engine, a, b)
+        assert engine.min_cuts(s, targets) == expected, seed
+        fallback += len(direct)
+        shared += len(targets) - 1 - len(direct)
+    assert shared and fallback, (shared, fallback)
 
 
 def _naive_vertex_connectivity(g):

@@ -24,8 +24,8 @@ from hlmenger import _campaign_exec
 from hlmenger._campaign_exec import hub_deficits, smec_holds, \
     smec_violation
 from hlmenger.flow import UnitFlowEngine
-from hlmenger.menger import BOUNDS, adversarial_fault_indices, \
-    require_dimension
+from hlmenger.menger import BOUNDS, SmecWitness, \
+    adversarial_fault_indices, require_dimension
 from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
@@ -97,6 +97,21 @@ class TestIsSmec:
     def test_isolated_vertices_are_vacuous(self):
         g = build_graph(3, [(1, 2)])
         assert is_smec(g).holds
+
+    def test_witness_with_both_endpoints_deficient(self):
+        # K5, K5 and K6 on ids 0-4, 5-9 and 10-15, bridged by 4-10 and
+        # 9-11: the hub is 10, every vertex of both K5s is deficient, and
+        # the first violating pair (0, 5) is decided by a direct flow
+        from itertools import combinations
+        g = build_graph(16, [*combinations(range(5), 2),
+                             *combinations(range(5, 10), 2),
+                             *combinations(range(10, 16), 2),
+                             (4, 10), (9, 11)])
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        deficient = dict(hub_deficits(engine))
+        assert {0, 5} <= deficient.keys()
+        assert naive_is_smec(g) == (False, (0, 5))
+        assert is_smec(g).witness == SmecWitness(0, 5, 1, 4, ((4, 10),))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2**63))
@@ -392,11 +407,21 @@ class TestWitnessScanAgainstTree:
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "several_deficient": 0, "mixed_witness": 0,
                 "every_hub_touched": 0, "isolated": 0}
+        for hub in engine.hubs:   # store hub paths before counting flows
+            engine.stored_paths(hub)
+        flows = []
+        engine.max_flow = lambda s, t, cutoff=None, start=(): \
+            flows.append((s, t)) or \
+            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
         for idx in self._fault_sets(L, engine, n):
             engine.set_fault_indices(idx)
+            flows.clear()
             deficient = dict(hub_deficits(engine))
+            hub_flows = len(flows)
             expected = self._tree_first_violation(engine)
+            flows.clear()
             assert smec_violation(engine) == expected, idx
+            direct = flows[hub_flows:]
             assert smec_holds(engine) == (expected is None), idx
             assert bool(deficient) == (expected is not None), idx
             touched = {x for k in idx for x in L.graph.edges[k]}
@@ -405,6 +430,9 @@ class TestWitnessScanAgainstTree:
             seen["violating"] += 1
             seen["several_deficient"] += len(deficient) >= 2
             u, v = expected[:2]
+            if (u in deficient) != (v in deficient):
+                # the hub flows fix the pair's value: no direct flow
+                assert (u, v) not in direct, idx
             seen["mixed_witness"] += u not in deficient and v in deficient
             seen["every_hub_touched"] += touched.issuperset(engine.hubs)
             seen["isolated"] += 0 in engine.degrees
@@ -584,6 +612,38 @@ class TestTightnessConditional:
         assert far
         assert [d["pair"][1] for d in report.details] == far
         assert report.counts["visited"] == report.counts["failures"] == len(far)
+
+
+class TestTightnessAllWitnessesAgainstDirectCuts:
+    """--all-witnesses details, which share one cut among far vertices,
+    against a separate minimum cut per candidate on the faulted graph."""
+
+    @pytest.mark.parametrize("kind,seed", [("hypercube", None),
+                                           ("crossed", None),
+                                           ("mobius1", None), ("ltq", None),
+                                           ("random", 3)])
+    @pytest.mark.parametrize("conditional,n", [(False, 3), (False, 4),
+                                               (False, 5), (True, 4),
+                                               (True, 5)])
+    def test_details_equal_per_candidate_min_cut(self, kind, seed,
+                                                  conditional, n):
+        L = lgraph(kind, n, seed)
+        tw = (tightness_conditional(L) if conditional
+              else tightness_unconditional(L))
+        faulty = remove_edges(L.graph, tw.fault_set)
+        report = check_tightness(L, conditional, all_witnesses=True)
+        expected = []
+        for v in range(faulty.n_vertices):
+            if any(v == t or L.graph.has_edge(v, t) for t in tw.core):
+                continue
+            flow = max_edge_disjoint_paths(faulty, tw.u, v)
+            required = min(faulty.degree(tw.u), faulty.degree(v))
+            assert flow.value < required
+            expected.append({"pair": [tw.u, v], "path_count": flow.value,
+                             "required": required,
+                             "cut": [list(e) for e in flow.cut]})
+        assert expected and report.details == expected
+        assert report.counts["failures"] == report.counts["visited"]
 
 
 class TestPartitionFaults:
