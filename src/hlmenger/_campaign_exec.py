@@ -8,12 +8,12 @@ nothing: each builds its own flow engine from the (n, edges) layout once.
 
 Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
 capped max-flows into one vertex r of maximum degree in G-F, warm-started
-from the engine's stored fault-free paths that avoid F, with cold flows
-when F touches every stored hub. A pass needs nothing more. A failing set
-runs the hub check to the end to find every deficient vertex, and only
-pairs with a deficient endpoint can violate. The witness scan goes over
-those pairs in ascending order: the hub flows already fix the value of a
-pair with one deficient endpoint, and a pair with two gets a capped direct
+from the stored fault-free paths that avoid F, which the engine hands out
+(live_paths), with cold flows when F touches every stored hub. It returns
+every deficient vertex, and the set passes when there is none. Only pairs
+with a deficient endpoint can violate. The witness scan goes over those
+pairs in ascending order: the hub flows already fix the value of a pair
+with one deficient endpoint, and a pair with two gets a capped direct
 max-flow; a min cut on the first violating pair is the certificate.
 """
 
@@ -32,8 +32,8 @@ _SKIP = "skip"
 _WORKER_STATE = None
 
 
-def hub_deficits(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
-    """Yield (u, lambda_H(u, r)) for each u != r with lambda_H(u, r) < deg_H u,
+def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
+    """{u: lambda_H(u, r)} over the u != r with lambda_H(u, r) < deg_H u,
     where H = G - F for the faults F installed in the engine.
 
     Hub lemma: for r of maximum degree in H, H is SMEC iff
@@ -45,37 +45,26 @@ def hub_deficits(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     A stored hub that F leaves untouched keeps its maximum base degree;
     its stored paths that avoid F start each flow, so only the missing
     units are augmented. When F touches every stored hub, flows into the
-    lowest vertex of maximum degree in H run cold. Vertices F touches go
-    first, so a failing set yields after a few flows.
+    lowest vertex of maximum degree in H run cold. Vertices are visited
+    in id order.
     """
     deg = engine.degrees
-    edges = engine.edges
-    touched = sorted({x for k in engine.fault for x in edges[k]})
-    untouched = set(range(engine.n)).difference(touched)
-    order = touched + sorted(untouched)
-    hub = next((h for h in engine.hubs if h in untouched), None)
-    paths = None if hub is None else engine.stored_paths(hub)
+    base = engine.base_degrees
+    hub = next((h for h in engine.hubs if deg[h] == base[h]), None)
     if hub is None:
         hub = max(range(engine.n), key=deg.__getitem__, default=None)
-    dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
-    for u in order:
+        starts = [()] * engine.n
+    else:
+        starts = engine.live_paths(hub)
+    deficits = {}
+    for u in range(engine.n):
         need = deg[u]
-        if u == hub or not need:
+        if u == hub or len(starts[u]) >= need:
             continue
-        start = ()
-        if paths is not None:
-            start = [p for p in paths[u] if dead.isdisjoint(p)]
-            if len(start) >= need:
-                continue
-        flow = engine.max_flow(u, hub, need, start)
+        flow = engine.max_flow(u, hub, need, starts[u])
         if flow < need:
-            yield u, flow
-
-
-def smec_holds(engine: UnitFlowEngine) -> bool:
-    """Is H = G - F SMEC, for the faults F installed in the engine? Stops
-    at the first deficient vertex."""
-    return next(hub_deficits(engine), None) is None
+            deficits[u] = flow
+    return deficits
 
 
 def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
@@ -91,7 +80,7 @@ def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]
     Only pairs with both endpoints in B get a direct max-flow, capped at
     the requirement. Pairs whose smaller endpoint degree is 0 are vacuous.
     """
-    deficits = dict(hub_deficits(engine))
+    deficits = hub_deficits(engine)
     if not deficits:
         return None
     deg = engine.degrees

@@ -1,29 +1,30 @@
 """Max-flow workhorses for exact connectivity computation.
 
-Internal module. Two solvers live here:
+Internal module. One BFS augmenting loop (Edmonds-Karp, `_augment`) runs
+over unit arcs, where arc a's twin is a ^ 1, for two network layouts:
 
 * UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
   with a mutable fault mask so campaigns can re-query thousands of fault sets
-  without rebuilding anything. Augmentation is BFS (Edmonds-Karp), which is
-  exact and more than fast enough for the sizes this package handles
-  (worst case ~192 vertices / ~640 edges).
-* DirectedFlow: small generic directed solver used only by the
+  without rebuilding anything. BFS augmentation is exact and more than fast
+  enough for the sizes this package handles (worst case ~192 vertices /
+  ~640 edges).
+* DirectedFlow: a directed network of unit arcs, used only by the
   vertex-splitting reduction for vertex connectivity.
 
 UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
 It picks a few hubs of maximum degree and lazily stores, per hub and per
-vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph.
-A query may start from any feasible flow (`start`), such as the stored
-paths that avoid the installed faults: augmenting from a feasible flow is
-exact, so only the missing units cost a BFS. A failing fault set's witness
-comes from the hub check's deficient vertices and capped single-pair
-flows. `min_cuts(s, targets)` returns the minimum cut from one source to
-each of many targets, as min_cut would, but confirms a target that shares
-the first target's cut with a capped flow from a neighbouring target
-(lambda(x, y) >= min(lambda(x, w), lambda(w, y)), Gomory and Hu 1961); the
-tightness checks use it. The engine also builds a Gusfield (Gomory-Hu
-style) equivalent-flow tree, which no campaign uses: tests take it as an
-all-pairs oracle.
+vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph;
+`live_paths` hands out those that avoid the installed faults. A query may
+start from any feasible flow (`start`), such as those paths: augmenting
+from a feasible flow is exact, so only the missing units cost a BFS. A
+failing fault set's witness comes from the hub check's deficient vertices
+and capped single-pair flows. `min_cuts(s, targets)` returns the minimum
+cut from one source to each of many targets, as min_cut would, but
+confirms a target that shares the first target's cut with a capped flow
+from a neighbouring target (lambda(x, y) >= min(lambda(x, w),
+lambda(w, y)), Gomory and Hu 1961); the tightness checks use it. The
+engine also builds a Gusfield (Gomory-Hu style) equivalent-flow tree,
+which no campaign uses: tests take it as an all-pairs oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +33,49 @@ from collections import deque
 
 # hubs per engine; a fault set must touch all of them to force cold flows
 _HUBS = 3
+
+
+def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
+             start) -> tuple[int, list[bool] | None]:
+    """Push the s-t arc paths `start` through the residual capacities
+    `cap`, then augment unit s-t paths until none is left or the flow
+    reaches cutoff. Arc a runs to head[a] and its twin a ^ 1 back to its
+    tail. Returns the flow and the source side of the final residual, or
+    None for the side when the cutoff stopped the loop.
+    """
+    for path in start:
+        for a in path:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    flow = len(start)
+    n = len(adj)
+    while cutoff is None or flow < cutoff:
+        parent = [-1] * n
+        parent[s] = -2
+        queue = deque((s,))
+        reached = False
+        while queue:
+            u = queue.popleft()
+            for a in adj[u]:
+                if cap[a]:
+                    v = head[a]
+                    if parent[v] == -1:
+                        parent[v] = a
+                        if v == t:
+                            reached = True
+                            queue.clear()
+                            break
+                        queue.append(v)
+        if not reached:
+            return flow, [p != -1 for p in parent]
+        v = t
+        while v != s:
+            a = parent[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a ^ 1]
+        flow += 1
+    return flow, None
 
 
 class UnitFlowEngine:
@@ -55,9 +99,7 @@ class UnitFlowEngine:
             self.adj[u].append(2 * k)
             self.adj[v].append(2 * k + 1)
         self.base_degrees = [len(a) for a in self.adj]
-        self._ones = [1] * (2 * m)
-        self._template = self._ones[:]  # capacities with faults zeroed
-        self._cap = self._ones[:]       # working residual capacities
+        self._template = [1] * (2 * m)  # capacities with faults zeroed
         self.fault: tuple[int, ...] = ()  # installed fault edge indices
         self.degrees = self.base_degrees[:]
         # up to _HUBS vertices of maximum degree, spread over the id range:
@@ -91,8 +133,7 @@ class UnitFlowEngine:
         `start` is a list of edge-disjoint s-t arc paths avoiding the
         installed faults; augmentation continues from that flow.
         """
-        flow, _ = self._run(s, t, cutoff, start)
-        return flow
+        return self._run(s, t, cutoff, start)[0]
 
     def max_flow_with_side(self, s: int, t: int) -> tuple[int, list[bool]]:
         """Max flow plus the source-side reachable set of the final residual."""
@@ -160,46 +201,9 @@ class UnitFlowEngine:
                 for t in targets]
 
     def _run(self, s: int, t: int, cutoff: int | None,
-             start=()) -> tuple[int, list[bool]]:
-        cap = self._cap
-        cap[:] = self._template
-        for path in start:
-            for a in path:
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-        head = self.head
-        adj = self.adj
-        n = self.n
-        flow = len(start)
-        side = [False] * n
-        while cutoff is None or flow < cutoff:
-            parent = [-1] * n
-            parent[s] = -2
-            queue = deque((s,))
-            reached = False
-            while queue:
-                u = queue.popleft()
-                for a in adj[u]:
-                    if cap[a]:
-                        v = head[a]
-                        if parent[v] == -1:
-                            parent[v] = a
-                            if v == t:
-                                reached = True
-                                queue.clear()
-                                break
-                            queue.append(v)
-            if not reached:
-                side = [p != -1 for p in parent]
-                break
-            v = t
-            while v != s:
-                a = parent[v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                v = head[a ^ 1]
-            flow += 1
-        return flow, side
+             start=()) -> tuple[int, list[bool] | None]:
+        self._cap = cap = self._template[:]  # residual, read by _route
+        return _augment(self.adj, self.head, cap, s, t, cutoff, start)
 
     def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
         """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
@@ -216,6 +220,13 @@ class UnitFlowEngine:
             self.set_fault_indices(fault)
             self._paths[hub] = paths
         return paths
+
+    def live_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
+        """Per vertex u, the stored u->hub paths that avoid the installed
+        faults: a feasible start for a flow from u into the hub."""
+        dead = {a for k in self.fault for a in (2 * k, 2 * k + 1)}
+        return [[p for p in paths if dead.isdisjoint(p)]
+                for paths in self.stored_paths(hub)]
 
     def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
         """Max s-t flow capped at deg(s), split into arc paths; no faults."""
@@ -287,62 +298,21 @@ class UnitFlowEngine:
 
 
 class DirectedFlow:
-    """Plain BFS-augmenting max flow on a directed graph with integer caps."""
+    """Directed network of unit arcs; arc 2k+1 is the residual twin of 2k."""
 
     def __init__(self, n_nodes: int):
-        self.n = n_nodes
         self.head: list[int] = []
-        self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        self._template: list[int] = []
 
-    def add_arc(self, u: int, v: int, capacity: int) -> None:
+    def add_arc(self, u: int, v: int) -> None:
         self.adj[u].append(len(self.head))
         self.head.append(v)
-        self.cap.append(capacity)
         self.adj[v].append(len(self.head))
         self.head.append(u)
-        self.cap.append(0)
+        self._template += (1, 0)
 
-    def max_flow(self, s: int, t: int, snapshot: list[int] | None = None) -> int:
-        """Run to completion; `snapshot` restores capacities first if given."""
-        cap = self.cap
-        if snapshot is not None:
-            cap[:] = snapshot
-        head = self.head
-        adj = self.adj
-        n = self.n
-        flow = 0
-        while True:
-            parent = [-1] * n
-            parent[s] = -2
-            queue = deque((s,))
-            reached = False
-            while queue:
-                u = queue.popleft()
-                for a in adj[u]:
-                    if cap[a]:
-                        v = head[a]
-                        if parent[v] == -1:
-                            parent[v] = a
-                            if v == t:
-                                reached = True
-                                queue.clear()
-                                break
-                            queue.append(v)
-            if not reached:
-                return flow
-            # bottleneck along the path
-            bottleneck = None
-            v = t
-            while v != s:
-                a = parent[v]
-                if bottleneck is None or cap[a] < bottleneck:
-                    bottleneck = cap[a]
-                v = head[a ^ 1]
-            v = t
-            while v != s:
-                a = parent[v]
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-                v = head[a ^ 1]
-            flow += bottleneck
+    def max_flow(self, s: int, t: int) -> int:
+        """Maximum number of arc-disjoint s-t paths, from zero flow."""
+        return _augment(self.adj, self.head, self._template[:], s, t, None,
+                        ())[0]

@@ -5,8 +5,9 @@ and every operation here is a pure function of its inputs. Connectivity
 quantities are exact integers: edge-disjoint path counts come from
 unit-capacity max-flow, edge connectivity from capped flows along the
 edges of a BFS spanning tree, vertex connectivity from a vertex-splitting
-reduction, and a brute-force subset-enumeration oracle is provided as an
-independent cross-check of the flow results.
+reduction to a directed network of unit arcs, and a brute-force
+subset-enumeration oracle is provided as an independent cross-check of the
+flow results.
 """
 
 from __future__ import annotations
@@ -292,15 +293,35 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
+def split_network(g: Graph) -> DirectedFlow:
+    """Vertex splitting on unit arcs: w_in = w -> w_out = w + n for each
+    vertex w, and a_out -> b_in, b_out -> a_in for each edge {a, b}."""
+    n = g.n_vertices
+    net = DirectedFlow(2 * n)
+    for w in range(n):
+        net.add_arc(w, w + n)
+    for a, b in g.edges:
+        net.add_arc(a + n, b)
+        net.add_arc(b + n, a)
+    return net
+
+
 def vertex_connectivity(g: Graph) -> int:
     """Exact kappa(G) via vertex splitting; 0 for disconnected graphs.
 
     Local vertex connectivity between non-adjacent u, v is the max flow
-    from u_out to v_in in the directed auxiliary graph where each vertex
-    w becomes an arc w_in -> w_out of capacity 1 and each edge becomes two
-    uncapped arcs. The global value is the minimum over v0's non-neighbors
-    and over non-adjacent pairs of v0's neighbors, v0 a minimum-degree
-    vertex (a minimum cut either avoids v0 or splits its neighborhood).
+    from u_out to v_in in split_network(g) (Even and Tarjan 1975). Its
+    edge arcs have unit capacity, and uncapped ones would give the same
+    maximum. An edge arc a_out -> b_in enters b_in, whose only out-arc is
+    the unit arc b_in -> b_out, and leaves a_out, whose only in-arc is the
+    unit arc a_in -> a_out. Flow is conserved everywhere but at the
+    source u_out and the sink v_in, so no feasible flow puts more than one
+    unit on the arc unless it runs from u_out into v_in, and that arc
+    would need the edge {u, v}, which non-adjacency excludes.
+
+    The global value is the minimum over v0's non-neighbors and over
+    non-adjacent pairs of v0's neighbors, v0 a minimum-degree vertex (a
+    minimum cut either avoids v0 or splits its neighborhood).
     """
     n = g.n_vertices
     if n <= 1 or not is_connected(g):
@@ -308,25 +329,14 @@ def vertex_connectivity(g: Graph) -> int:
     if len(g.edges) == n * (n - 1) // 2:
         return n - 1
 
-    inf = n  # larger than any possible vertex cut
-    net = DirectedFlow(2 * n)
-    for w in range(n):
-        net.add_arc(w, w + n, 1)  # w_in -> w_out
-    for a, b in g.edges:
-        net.add_arc(a + n, b, inf)
-        net.add_arc(b + n, a, inf)
-    snapshot = net.cap[:]
-
-    def local(u: int, v: int) -> int:
-        return net.max_flow(u + n, v, snapshot)
-
+    net = split_network(g)
     v0 = min(range(n), key=g.degree)
     best = g.degree(v0)
     closed = set(g.neighbors(v0)) | {v0}
     for v in range(n):
         if v not in closed:
-            best = min(best, local(v0, v))
+            best = min(best, net.max_flow(v0 + n, v))
     for x, y in combinations(g.neighbors(v0), 2):
         if not g.has_edge(x, y):
-            best = min(best, local(x, y))
+            best = min(best, net.max_flow(x + n, y))
     return best

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .graph import Graph, build_graph, canonical_edge, components, \
-    edge_connectivity, largest_component_size, remove_edges, vertex_connectivity
+from .graph import Graph, build_graph, canonical_edge, edge_connectivity, \
+    largest_component_size, vertex_connectivity
 from .report import VerificationReport
 from .rng import PRNG_NAME, SplitMix64, mix_seed
 
@@ -222,14 +222,29 @@ def generate(kind: str, n: int, seed: Optional[int] = None) -> HLNetwork:
     return gen_family(kind, n)
 
 
+def _off_coding(g: Graph, n: int) -> Optional[tuple[int, list[int]]]:
+    """(v, sorted levels (v ^ w).bit_length() of v's neighbours w) for the
+    first v without exactly one neighbour at each level 1..n, else None.
+
+    None means that in every aligned block of 2^l ids the edges across
+    the middle match its halves perfectly and no other edge leaves it, so
+    by induction on l each block codes an HL_l. Takes O(n 2^n).
+    """
+    want = list(range(1, n + 1))
+    for v in range(g.n_vertices):
+        levels = sorted((v ^ w).bit_length() for w in g.neighbors(v))
+        if levels != want:
+            return v, levels
+    return None
+
+
 def hl_from_graph(g: Graph) -> HLNetwork:
     """Reinterpret a bare graph as a hypercube-like network.
 
-    Recovers the dimension from the vertex count and the f-edges as the
-    edges crossing the half boundary, then checks they form a perfect
-    matching and that the counts and regularity fit. Used to verify
-    edge-list files that were produced elsewhere; the construction record
-    is unavailable and left empty.
+    Recovers the dimension from the vertex count and checks the coding at
+    every bit level (_off_coding); the f-edges are the edges crossing the
+    half boundary. Used to verify edge-list files that were produced
+    elsewhere; the construction record is unavailable and left empty.
     """
     n = (g.n_vertices - 1).bit_length()
     if g.n_vertices != 1 << n or n < 1:
@@ -239,18 +254,15 @@ def hl_from_graph(g: Graph) -> HLNetwork:
         raise ValueError(
             f"expected {n * (1 << (n - 1))} edges for dimension {n}, "
             f"got {len(g.edges)}")
-    bad = next((v for v in range(g.n_vertices) if g.degree(v) != n), None)
-    if bad is not None:
-        raise ValueError(f"vertex {bad} has degree {g.degree(bad)}, expected {n}")
+    off = _off_coding(g, n)
+    if off is not None:
+        raise ValueError(f"vertex {off[0]} has neighbours at bit levels "
+                         f"{off[1]}, not one per level 1..{n}: not a perfect "
+                         "matching at each level; not a hypercube-like coding")
     if n == 1:
         return _k2()
     half = 1 << (n - 1)
-    cross = frozenset(e for e in g.edges if (e[0] < half) != (e[1] < half))
-    if (len(cross) != half
-            or sorted(u for u, _ in cross) != list(range(half))
-            or len({v for _, v in cross}) != half):
-        raise ValueError("edges crossing the half boundary do not form a "
-                         "perfect matching; not a hypercube-like coding")
+    cross = frozenset(e for e in g.edges if e[0] < half <= e[1])
     labels = g.labels or _bit_labels(n)
     graph = g if g.labels else build_graph(g.n_vertices, g.edges, labels)
     return HLNetwork(graph=graph, dimension=n, construction=None,
@@ -302,23 +314,17 @@ def validate_hl(h: HLNetwork) -> VerificationReport:
         record("f_edge_count", len(h.f_edges) == half,
                {"expected": half, "actual": len(h.f_edges)})
         lefts = sorted(u for u, _ in h.f_edges)
-        rights = sorted(v for _, v in h.f_edges)
+        rights = [v for _, v in h.f_edges]
         matching = (lefts == list(range(half))
-                    and rights == sorted(rights)
                     and len(set(rights)) == len(rights)
                     and all(v >= half for v in rights))
         record("f_edges_perfect_matching", matching, {"f_edges": sorted(h.f_edges)})
         in_graph = all(g.has_edge(u, v) for u, v in h.f_edges)
         record("f_edges_in_graph", in_graph, {})
 
-        if in_graph:
-            split = remove_edges(g, h.f_edges)
-            comps = components(split)
-            two_halves = (len(comps) == 2
-                          and comps[0] == list(range(half))
-                          and comps[1] == list(range(half, 2 * half)))
-            record("f_edge_removal_splits_halves", two_halves,
-                   {"component_count": len(comps)})
+    off = _off_coding(g, n)
+    record("coding_at_every_bit_level", off is None,
+           {"vertex": off[0], "levels": off[1]} if off else None)
 
     if n <= 6:
         lam = edge_connectivity(g)

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from hlmenger import edgelist
+from hlmenger import build_graph, edgelist
 from hlmenger.cli import main
 
-from util import cut_disconnects, lgraph, network
+from util import NOT_HL4_EDGES, cut_disconnects, lgraph, network
 
 
 def run(capsys, *argv):
@@ -163,6 +163,14 @@ class TestVerify:
                            "--in", str(path))
         assert code == 1
         assert json.loads(out)["witness"]["fault_size"] == 7
+
+    def test_non_hl_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "net.txt"
+        path.write_text(edgelist.dumps(build_graph(16, NOT_HL4_EDGES)))
+        code, out, err = run(capsys, "verify", "--check", "tight-uncond",
+                             "--in", str(path))
+        assert code == 2 and out == ""
+        assert "not a hypercube-like coding" in err
 
     def test_report_bytes_deterministic(self, tmp_path, capsys):
         argv = ("verify", "--check", "cond-ft-smec", "--family", "crossed",

@@ -21,8 +21,7 @@ from hlmenger import (
     tightness_unconditional,
 )
 from hlmenger import _campaign_exec
-from hlmenger._campaign_exec import hub_deficits, smec_holds, \
-    smec_violation
+from hlmenger._campaign_exec import hub_deficits, smec_violation
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
@@ -108,7 +107,7 @@ class TestIsSmec:
                              *combinations(range(10, 16), 2),
                              (4, 10), (9, 11)])
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        deficient = dict(hub_deficits(engine))
+        deficient = hub_deficits(engine)
         assert {0, 5} <= deficient.keys()
         assert naive_is_smec(g) == (False, (0, 5))
         assert is_smec(g).witness == SmecWitness(0, 5, 1, 4, ((4, 10),))
@@ -258,7 +257,7 @@ class TestSmecUnderFaultsDifferential:
         engine.set_fault_indices(idx)
         faulty = remove_edges(g, [g.edges[i] for i in idx])
         naive = self._naive_first_violation(faulty)
-        assert smec_holds(engine) == (naive is None), idx
+        assert (not hub_deficits(engine)) == (naive is None), idx
         fast = smec_violation(engine)
         if naive is None:
             assert fast is None, idx
@@ -326,7 +325,7 @@ class TestSmecUnderFaultsDifferential:
         for idx in (one_each, split):
             assert all(any(h in g.edges[i] for i in idx) for h in hubs)
             self._assert_matches_naive(g, engine, tuple(idx))
-        assert not smec_holds(engine)
+        assert hub_deficits(engine)
 
     def test_paths_are_stored_only_for_fault_set_checks(self, monkeypatch):
         # building an engine, a campaign over zero fault sets and a
@@ -416,13 +415,12 @@ class TestWitnessScanAgainstTree:
         for idx in self._fault_sets(L, engine, n):
             engine.set_fault_indices(idx)
             flows.clear()
-            deficient = dict(hub_deficits(engine))
+            deficient = hub_deficits(engine)
             hub_flows = len(flows)
             expected = self._tree_first_violation(engine)
             flows.clear()
             assert smec_violation(engine) == expected, idx
             direct = flows[hub_flows:]
-            assert smec_holds(engine) == (expected is None), idx
             assert bool(deficient) == (expected is not None), idx
             touched = {x for k in idx for x in L.graph.edges[k]}
             if expected is None:

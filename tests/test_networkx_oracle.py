@@ -13,11 +13,13 @@ from hlmenger import (
     tightness_conditional,
     vertex_connectivity,
 )
+from hlmenger.graph import split_network
 
 from util import lgraph, random_graph
 
 nx = pytest.importorskip("networkx")
 local_edge_connectivity = nx.connectivity.local_edge_connectivity
+local_node_connectivity = nx.connectivity.local_node_connectivity
 
 
 def to_nx(g):
@@ -37,6 +39,33 @@ def test_random_graphs_match_networkx(seed):
         for v in range(u + 1, g.n_vertices):
             assert max_edge_disjoint_paths(g, u, v).value == \
                 local_edge_connectivity(h, u, v), (u, v)
+
+
+def assert_local_vertex_connectivity_matches(g):
+    """Every non-adjacent pair's flow in the unit-arc split network of
+    vertex_connectivity equals networkx's local node connectivity."""
+    h = to_nx(g)
+    aux = nx.connectivity.build_auxiliary_node_connectivity(h)
+    residual = nx.algorithms.flow.build_residual_network(aux, "capacity")
+    net = split_network(g)
+    n = g.n_vertices
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v):
+                assert net.max_flow(u + n, v) == local_node_connectivity(
+                    h, u, v, auxiliary=aux, residual=residual), (u, v)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_local_vertex_connectivity_on_random_graphs(seed):
+    assert_local_vertex_connectivity_matches(
+        random_graph(seed, max_vertices=9, max_edges=20))
+
+
+def test_local_vertex_connectivity_on_faulted_line_graph():
+    L = lgraph("crossed", 4)
+    faulty = remove_edges(L.graph, tightness_conditional(L).fault_set)
+    assert_local_vertex_connectivity_matches(faulty)
 
 
 @pytest.mark.parametrize("kind,seed", [("hypercube", None),

@@ -14,10 +14,11 @@ from hlmenger import (
     validate_hl,
     vertex_connectivity,
 )
-from hlmenger.topologies import HLNetwork, _k2, family_bijection, hl_from_graph
+from hlmenger.topologies import HLNetwork, _bit_labels, _k2, \
+    family_bijection, hl_from_graph
 from hlmenger.rng import mix_seed
 
-from util import corpus, network
+from util import NOT_HL4_EDGES, corpus, network
 
 
 def cross_labels(h):
@@ -196,6 +197,17 @@ class TestValidateHl:
         assert "n_regular" in failed
         assert "f_edges_in_graph" in failed
 
+    def test_coding_below_the_top_level_is_checked(self):
+        g = build_graph(16, NOT_HL4_EDGES, _bit_labels(4))
+        cross = frozenset(e for e in g.edges if e[0] < 8 <= e[1])
+        report = validate_hl(HLNetwork(graph=g, dimension=4,
+                                       construction=None, f_edges=cross))
+        assert not report.passed
+        assert report.witness == {"check": "coding_at_every_bit_level",
+                                  "vertex": 1, "levels": [1, 3, 3, 4]}
+        failed = [d["check"] for d in report.details if not d["passed"]]
+        assert failed == ["coding_at_every_bit_level"]
+
 
 class TestHlFromGraph:
     def test_round_trip(self):
@@ -221,6 +233,17 @@ class TestHlFromGraph:
         bad = build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(ValueError, match="perfect matching"):
             hl_from_graph(bad)
+
+    def test_rejects_non_hl_coding_below_the_top_level(self):
+        g = build_graph(16, NOT_HL4_EDGES)
+        with pytest.raises(ValueError, match=r"vertex 1 has neighbours at "
+                           r"bit levels \[1, 3, 3, 4\].*perfect matching"):
+            hl_from_graph(g)
+
+    def test_accepts_every_generated_coding(self):
+        for n in (1, 2, 3, 4, 5):
+            for _, h in corpus(n):
+                assert hl_from_graph(h.graph).f_edges == h.f_edges
 
 
 def test_network_cache_consistency():

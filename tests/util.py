@@ -21,6 +21,16 @@ from hlmenger.rng import SplitMix64
 
 RANDOM_SEEDS = (1, 2, 3, 4, 5)
 
+# 16 vertices, 4-regular, with a perfect matching across the top half
+# boundary, kappa = lambda = 4; but the left half holds the triangle
+# 0-2-6, so the coding is not HL_4 below the top bit level
+NOT_HL4_EDGES = (
+    (0, 1), (0, 2), (0, 6), (1, 5), (1, 7), (2, 4), (2, 6), (3, 4), (3, 6),
+    (3, 7), (4, 5), (5, 7), (8, 10), (8, 12), (8, 13), (9, 10), (9, 14),
+    (9, 15), (10, 11), (11, 12), (11, 13), (12, 14), (13, 15), (14, 15),
+    (0, 8), (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 15),
+)
+
 
 @lru_cache(maxsize=None)
 def network(kind: str, n: int, seed: int | None = None) -> HLNetwork:
