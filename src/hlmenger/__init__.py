@@ -3,7 +3,6 @@ fault-tolerance verification."""
 
 from .graph import (
     BudgetExceeded,
-    FaultSet,
     FlowResult,
     Graph,
     brute_force_min_cut,
@@ -23,7 +22,6 @@ from .menger import (
     SmecVerdict,
     SmecWitness,
     TightnessWitness,
-    adversarial_fault_sets,
     check_component_lemma,
     check_tightness,
     is_smec,

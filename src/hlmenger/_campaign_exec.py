@@ -5,6 +5,9 @@ evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. Workers share
 nothing: each builds its own flow engine from the (n, edges) layout once.
+The stream holds only sets to evaluate: the conditional mode's
+minimum-degree admission happens where the sets are produced, so every
+set here is visited.
 
 Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
 capped max-flows into one vertex r of maximum degree in G-F, warm-started
@@ -14,20 +17,22 @@ every deficient vertex, and the set passes when there is none. Only pairs
 with a deficient endpoint can violate. The witness scan goes over those
 pairs in ascending order: the hub flows already fix the value of a pair
 with one deficient endpoint, and a pair with two gets a capped direct
-max-flow; a min cut on the first violating pair is the certificate.
+max-flow; a min cut on the first violating pair is the certificate
+(SmecWitness).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .flow import UnitFlowEngine
+from .graph import Edge
 
 _CHUNK_SIZE = 512
-_SKIP = "skip"
 
 _WORKER_STATE = None
 
@@ -103,9 +108,29 @@ def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]
     raise RuntimeError("hub check and pair scan disagree")
 
 
-def smec_witness(engine: UnitFlowEngine) -> Optional[tuple]:
-    """None if G - F is SMEC, else (u, v, paths, required, cut) for the
-    first violating pair in ascending order, with a minimum u-v cut."""
+@dataclass(frozen=True)
+class SmecWitness:
+    """A pair with fewer edge-disjoint paths than required, and a minimum
+    cut of that size separating it, in ascending edge order."""
+
+    u: int
+    v: int
+    path_count: int
+    required: int
+    cut: tuple[Edge, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "pair": [self.u, self.v],
+            "path_count": self.path_count,
+            "required": self.required,
+            "cut": [list(e) for e in self.cut],
+        }
+
+
+def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
+    """None if G - F is SMEC, else the first violating pair in ascending
+    order with a minimum cut of it."""
     hit = smec_violation(engine)
     if hit is None:
         return None
@@ -113,7 +138,7 @@ def smec_witness(engine: UnitFlowEngine) -> Optional[tuple]:
     value, cut = engine.min_cut(u, v)
     if value != paths:
         raise RuntimeError("pair scan and direct max-flow disagree")
-    return u, v, paths, req, cut
+    return SmecWitness(u, v, paths, req, tuple(sorted(cut)))
 
 
 def largest_component_under_faults(n: int, edges, fault_idx) -> int:
@@ -147,13 +172,8 @@ def largest_component_under_faults(n: int, edges, fault_idx) -> int:
 
 
 def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
-                  kind: str, floor: int, conditional: bool):
-    """Returns None (pass), a witness dict (fail) or _SKIP (inadmissible)."""
-    if kind == "smec" or conditional:
-        engine.set_fault_indices(idx)
-        if conditional and min(engine.degrees) < 2:
-            return _SKIP
-
+                  kind: str, floor: int) -> Optional[dict]:
+    """None when the fault set passes, else its failure witness."""
     if kind == "component":
         size = largest_component_under_faults(n, edges, idx)
         if size < floor:
@@ -164,39 +184,29 @@ def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
             }
         return None
 
-    hit = smec_witness(engine)
-    if hit is None:
+    engine.set_fault_indices(idx)
+    w = smec_witness(engine)
+    if w is None:
         return None
-    u, v, paths, req, cut = hit
-    return {
-        "fault_edges": [list(edges[k]) for k in idx],
-        "pair": [u, v],
-        "path_count": paths,
-        "required": req,
-        "cut": sorted([list(e) for e in cut]),
-    }
+    return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
 
-def _init_worker(n, edges, kind, floor, conditional):
+def _init_worker(n, edges, kind, floor):
     global _WORKER_STATE
-    _WORKER_STATE = (UnitFlowEngine(n, edges), n, edges, kind, floor, conditional)
+    _WORKER_STATE = (UnitFlowEngine(n, edges), n, edges, kind, floor)
 
 
 def _run_chunk(chunk):
-    engine, n, edges, kind, floor, conditional = _WORKER_STATE
-    visited = skipped = failures = 0
+    engine, n, edges, kind, floor = _WORKER_STATE
+    failures = 0
     first = None
     for idx in chunk:
-        out = _evaluate_one(engine, n, edges, idx, kind, floor, conditional)
-        if out is _SKIP:
-            skipped += 1
-            continue
-        visited += 1
+        out = _evaluate_one(engine, n, edges, idx, kind, floor)
         if out is not None:
             failures += 1
             if first is None:
                 first = out
-    return visited, skipped, failures, first
+    return len(chunk), failures, first
 
 
 def _chunks(stream: Iterator, size: int) -> Iterator[list]:
@@ -207,11 +217,11 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
         yield block
 
 
-def evaluate_stream(g, stream, kind: str, floor: int, conditional: bool,
-                    counters: dict, jobs: int) -> Optional[dict]:
+def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
+                    jobs: int) -> Optional[dict]:
     """Evaluate every fault set; returns the first-in-order failure witness."""
     global _WORKER_STATE
-    initargs = (g.n_vertices, g.edges, kind, floor, conditional)
+    initargs = (g.n_vertices, g.edges, kind, floor)
     chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:
         _init_worker(*initargs)
@@ -226,9 +236,8 @@ def evaluate_stream(g, stream, kind: str, floor: int, conditional: bool,
 def _merge(results, counters: dict) -> Optional[dict]:
     """Add per-chunk tallies into counters; keep the first failure witness."""
     first_witness = None
-    for visited, skipped, failures, first in results:
+    for visited, failures, first in results:
         counters["visited"] += visited
-        counters["skipped_conditional"] += skipped
         counters["failures"] += failures
         if first_witness is None:
             first_witness = first

@@ -93,7 +93,8 @@ def build_graph(n_vertices: int, edges: Iterable[Edge],
     """Validate and build an immutable graph.
 
     Rejects out-of-range ids, self-loops and duplicate edges (after
-    canonicalization to (min, max)), naming the offending pair.
+    canonicalization to (min, max)), naming the offending pair. Labels,
+    when given, must cover every vertex; the first unlabeled one is named.
     """
     if n_vertices < 0:
         raise ValueError("n_vertices must be non-negative")
@@ -119,29 +120,14 @@ def build_graph(n_vertices: int, edges: Iterable[Edge],
         for v in labels:
             if not 0 <= v < n_vertices:
                 raise ValueError(f"label for out-of-range vertex {v}")
+        unlabeled = next((v for v in range(n_vertices) if v not in labels),
+                         None)
+        if unlabeled is not None:
+            raise ValueError(f"vertex {unlabeled} has no label; label every "
+                             "vertex or none")
         label_map = dict(labels)
     return Graph(n_vertices, tuple(canon), label_map,
                  tuple(tuple(a) for a in adj))
-
-
-@dataclass(frozen=True)
-class FaultSet:
-    """A set of edges of a specific host graph, marked as faulty."""
-
-    host: Graph
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if canonical_edge(u, v) not in self.host._edge_set:
-                raise ValueError(f"fault edge ({u}, {v}) not in host graph")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    @staticmethod
-    def of(host: Graph, edges: Iterable[Edge]) -> "FaultSet":
-        return FaultSet(host, frozenset(canonical_edge(u, v) for u, v in edges))
 
 
 @dataclass(frozen=True)
@@ -152,17 +138,12 @@ class FlowResult:
     cut: tuple[Edge, ...]
 
 
-def remove_edges(g: Graph, faults: FaultSet | Iterable[Edge]) -> Graph:
+def remove_edges(g: Graph, faults: Iterable[Edge]) -> Graph:
     """New graph on the same vertex set with the fault edges deleted."""
-    if isinstance(faults, FaultSet):
-        if faults.host is not g and faults.host != g:
-            raise ValueError("fault set is hosted by a different graph")
-        drop = faults.edges
-    else:
-        drop = frozenset(canonical_edge(u, v) for u, v in faults)
-        foreign = drop - g._edge_set
-        if foreign:
-            raise ValueError(f"edge {sorted(foreign)[0]} not in graph")
+    drop = frozenset(canonical_edge(u, v) for u, v in faults)
+    foreign = drop - g._edge_set
+    if foreign:
+        raise ValueError(f"edge {sorted(foreign)[0]} not in graph")
     return build_graph(g.n_vertices, [e for e in g.edges if e not in drop], g.labels)
 
 

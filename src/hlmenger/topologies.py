@@ -238,12 +238,20 @@ def _off_coding(g: Graph, n: int) -> Optional[tuple[int, list[int]]]:
     return None
 
 
+def _off_label(g: Graph, n: int) -> Optional[int]:
+    """The first vertex whose label is not its id's n-bit string, else
+    None; the graph must be labeled."""
+    return next((v for v in range(g.n_vertices)
+                 if g.labels[v] != format(v, f"0{n}b")), None)
+
+
 def hl_from_graph(g: Graph) -> HLNetwork:
     """Reinterpret a bare graph as a hypercube-like network.
 
     Recovers the dimension from the vertex count and checks the coding at
-    every bit level (_off_coding); the f-edges are the edges crossing the
-    half boundary. Used to verify edge-list files that were produced
+    every bit level (_off_coding) and any labels against the ids' bit
+    strings (_off_label); the f-edges are the edges crossing the half
+    boundary. Used to verify edge-list files that were produced
     elsewhere; the construction record is unavailable and left empty.
     """
     n = (g.n_vertices - 1).bit_length()
@@ -259,6 +267,10 @@ def hl_from_graph(g: Graph) -> HLNetwork:
         raise ValueError(f"vertex {off[0]} has neighbours at bit levels "
                          f"{off[1]}, not one per level 1..{n}: not a perfect "
                          "matching at each level; not a hypercube-like coding")
+    bad = _off_label(g, n) if g.labels else None
+    if bad is not None:
+        raise ValueError(f"vertex {bad} is labeled {g.labels[bad]!r}, not "
+                         f"its {n}-bit id {format(bad, f'0{n}b')!r}")
     if n == 1:
         return _k2()
     half = 1 << (n - 1)
@@ -305,8 +317,7 @@ def validate_hl(h: HLNetwork) -> VerificationReport:
            {"vertex": bad_degree,
             "degree": g.degree(bad_degree) if bad_degree is not None else None})
 
-    labels_ok = bool(g.labels) and all(
-        g.labels.get(v) == format(v, f"0{n}b") for v in range(g.n_vertices))
+    labels_ok = bool(g.labels) and _off_label(g, n) is None
     record("labels_match_ids", labels_ok, {"labels": "id/label mismatch"})
 
     if n >= 2:

@@ -103,6 +103,34 @@ class TestLinegraph:
         assert code == 2 and "error" in err
 
 
+def crossed3_file(tmp_path, capsys, edit):
+    """CQ_3's edge list from `gen`, with its lines passed through edit."""
+    path = tmp_path / "cq3.txt"
+    run(capsys, "gen", "--family", "crossed", "--n", "3", "--out", str(path))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path
+
+
+class TestInputLabels:
+    @pytest.mark.parametrize("argv", [("linegraph",),
+                                      ("verify", "--check", "smec")])
+    def test_partial_labels_exit_2(self, tmp_path, capsys, argv):
+        path = crossed3_file(tmp_path, capsys, lambda lines: [
+            line for line in lines
+            if not line.startswith("l ") or line == "l 0 000"])
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == ""
+        assert "vertex 1 has no label" in err
+
+    def test_label_not_the_id_bits_exit_2(self, tmp_path, capsys):
+        path = crossed3_file(tmp_path, capsys, lambda lines: [
+            "l 0 hello" if line == "l 0 000" else line for line in lines])
+        code, out, err = run(capsys, "verify", "--check", "smec",
+                             "--in", str(path))
+        assert code == 2 and out == ""
+        assert "vertex 0 is labeled 'hello'" in err
+
+
 class TestVerify:
     def test_ft_smec_exhaustive_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "ft-smec",

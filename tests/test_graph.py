@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from hlmenger import (
     BudgetExceeded,
-    FaultSet,
     brute_force_min_cut,
     build_graph,
     components,
@@ -95,13 +94,6 @@ class TestRemoveEdges:
     def test_foreign_edge_rejected(self):
         with pytest.raises(ValueError):
             remove_edges(c4(), [(0, 2)])
-
-    def test_fault_set_host_checked(self):
-        fs = FaultSet.of(c4(), [(0, 1)])
-        other = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert len(remove_edges(other, fs).edges) == 3  # equal host ok
-        with pytest.raises(ValueError):
-            FaultSet.of(c4(), [(0, 2)])
 
 
 class TestComponents:

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hlmenger import (
     BudgetExceeded,
     FaultCampaign,
-    FaultSet,
-    adversarial_fault_sets,
     build_graph,
     check_component_lemma,
     check_tightness,
@@ -202,13 +200,21 @@ class TestRunCampaign:
                              samples=150, seed=100))
         assert different.parameters["seed"] != a.parameters["seed"]
 
-    def test_jobs_do_not_change_the_report(self):
-        L = lgraph("ltq", 3)
-        c = FaultCampaign(mode="exhaustive", m=2)
+    @pytest.mark.parametrize("kind, n, c", [
+        ("ltq", 3, FaultCampaign(mode="exhaustive", m=2)),
+        # skips are counted where sets are drawn, failures in the workers
+        ("mobius1", 4, FaultCampaign(mode="sampled", m=7, conditional=True,
+                                     samples=30, seed=2, adversarial=True)),
+    ], ids=["exhaustive", "conditional-sampled"])
+    def test_jobs_do_not_change_the_report(self, kind, n, c):
+        L = lgraph(kind, n)
         solo = run_campaign(L, c, jobs=1)
         assert _campaign_exec._WORKER_STATE is None
         parallel = run_campaign(L, c, jobs=2)
         assert solo.canonical_json() == parallel.canonical_json()
+        if c.conditional:
+            assert solo.counts["skipped_conditional"] == 228
+            assert solo.counts["failures"] == 384
 
     @pytest.mark.parametrize("c", [
         FaultCampaign(mode="exhaustive", m=-1),
@@ -508,14 +514,13 @@ class TestComponentLemma:
 
 class TestAdversarialFaultSets:
     def test_budget_zero_is_empty_set_only(self):
-        sets = adversarial_fault_sets(lgraph("hypercube", 3), 0)
-        assert len(sets) == 1
-        assert len(sets[0]) == 0
+        assert adversarial_fault_indices(lgraph("hypercube", 3), 0) == [()]
 
     def test_contains_near_isolating_splits(self):
         L = lgraph("hypercube", 3)
-        found = {frozenset(s.edges) for s in adversarial_fault_sets(L, 3)}
         g = L.graph
+        found = {frozenset(g.edges[i] for i in s)
+                 for s in adversarial_fault_indices(L, 3)}
         for u0 in range(g.n_vertices):
             for u in g.neighbors(u0):
                 split = frozenset(
@@ -526,14 +531,15 @@ class TestAdversarialFaultSets:
     def test_contains_conditional_tightness_set_at_budget_7(self):
         L = lgraph("crossed", 4)
         tw = tightness_conditional(L)
-        found = {frozenset(s.edges) for s in adversarial_fault_sets(L, 7)}
+        found = {frozenset(L.graph.edges[i] for i in s)
+                 for s in adversarial_fault_indices(L, 7)}
         assert frozenset(tw.fault_set) in found
 
     def test_sets_respect_budget_and_host(self):
         L = lgraph("ltq", 3)
-        for s in adversarial_fault_sets(L, 4):
+        for s in adversarial_fault_indices(L, 4):
             assert len(s) <= 4
-            assert s.host is L.graph
+            assert all(0 <= i < len(L.graph.edges) for i in s)
 
     def test_budget_above_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -664,10 +670,10 @@ class TestPartitionFaults:
 
     def test_partition_sums(self):
         L = lgraph("crossed", 4)
-        fs = FaultSet.of(L.graph, L.graph.edges[7:18])
-        p = partition_faults(L, fs)
+        faults = L.graph.edges[7:18]
+        p = partition_faults(L, faults)
         assert len(p.s1) + len(p.s2) + len(p.sf) == 11
-        assert p.s1 | p.s2 | p.sf == fs.edges
+        assert p.s1 | p.s2 | p.sf == frozenset(faults)
 
     def test_requires_f_structure(self):
         from hlmenger import line_graph
