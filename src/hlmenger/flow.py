@@ -1,13 +1,19 @@
 """Max-flow workhorses for exact connectivity computation.
 
-Internal module. One BFS augmenting loop (Edmonds-Karp, `_augment`) runs
-over unit arcs, where arc a's twin is a ^ 1, for two network layouts:
+Internal module. One augmenting loop (`_augment`) runs over unit arcs,
+where arc a's twin is a ^ 1, for two network layouts. It finds each unit
+s-t path by a bidirectional search of the residual network (Pohl 1971):
+a tree grows from s along residual arcs and another grows into t along
+residual arcs read backwards, one level at a time on the smaller frontier,
+until they meet. On these expander-like line graphs a search from s alone
+floods most of the network before it reaches t; the two trees meet after
+a small fraction of that. With no path left, the loop returns the residual
+s-side, the smallest s-side of a minimum cut, which min_cut, min_cuts and
+the Gusfield tree read.
 
 * UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
   with a mutable fault mask so campaigns can re-query thousands of fault sets
-  without rebuilding anything. BFS augmentation is exact and more than fast
-  enough for the sizes this package handles (worst case ~192 vertices /
-  ~640 edges).
+  without rebuilding anything.
 * DirectedFlow: a directed network of unit arcs, used only by the
   vertex-splitting reduction for vertex connectivity.
 
@@ -16,7 +22,7 @@ It picks a few hubs of maximum degree and lazily stores, per hub and per
 vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph;
 `live_paths` hands out those that avoid the installed faults. A query may
 start from any feasible flow (`start`), such as those paths: augmenting
-from a feasible flow is exact, so only the missing units cost a BFS. A
+from a feasible flow is exact, so only the missing units cost a search. A
 failing fault set's witness comes from the hub check's deficient vertices
 and capped single-pair flows. `min_cuts(s, targets)` returns the minimum
 cut from one source to each of many targets, as min_cut would, but
@@ -41,8 +47,26 @@ def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
     `cap`, then augment unit s-t paths until none is left or the flow
     reaches cutoff. Arc a runs to head[a] and its twin a ^ 1 back to its
     tail. Returns the flow and the source side of the final residual, or
-    None for the side when the cutoff stopped the loop.
+    None for the side when the cutoff stopped the loop. Raises ValueError
+    when s == t: the two searches would close cycles through s forever.
+
+    Each path comes from a level-synchronous bidirectional search. The
+    forward side grows a tree from s over arcs a with cap[a]; the
+    backward side grows a tree into t: at x it scans each b in adj[x],
+    whose twin b ^ 1 runs from head[b] into x. Each step expands the
+    smaller frontier by one whole level. The first vertex both trees
+    mark closes a simple s-t path, and both halves are augmented. With
+    no path left, one side runs dry. If it is the forward side, every
+    vertex it marked was expanded, so the marks are exactly the vertices
+    reachable from s in the residual. If the backward side runs dry
+    first, the forward search finishes from its frontier before the side
+    is read; it cannot meet the backward marks, which are every vertex
+    that reaches t. Either way the side is the residual s-side of a
+    maximum flow, the smallest s-side of a minimum cut, whichever
+    maximum flow was found.
     """
+    if s == t:
+        raise ValueError(f"source and sink are both {s}")
     for path in start:
         for a in path:
             cap[a] -= 1
@@ -50,30 +74,65 @@ def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
     flow = len(start)
     n = len(adj)
     while cutoff is None or flow < cutoff:
-        parent = [-1] * n
-        parent[s] = -2
-        queue = deque((s,))
-        reached = False
-        while queue:
-            u = queue.popleft()
-            for a in adj[u]:
-                if cap[a]:
-                    v = head[a]
-                    if parent[v] == -1:
-                        parent[v] = a
-                        if v == t:
-                            reached = True
-                            queue.clear()
-                            break
-                        queue.append(v)
-        if not reached:
-            return flow, [p != -1 for p in parent]
-        v = t
+        fwd = [-1] * n     # tree arc into v from s's side; -2 at s
+        bwd = [-1] * n     # tree arc out of v toward t; -2 at t
+        fwd[s] = -2
+        bwd[t] = -2
+        front = [s]
+        back = [t]
+        meet = -1
+        while front and back and meet == -1:
+            level = []
+            if len(front) <= len(back):
+                for u in front:
+                    for a in adj[u]:
+                        if cap[a]:
+                            v = head[a]
+                            if fwd[v] == -1:
+                                fwd[v] = a
+                                if bwd[v] != -1:
+                                    meet = v
+                                    break
+                                level.append(v)
+                    if meet != -1:
+                        break
+                front = level
+            else:
+                for x in back:
+                    for b in adj[x]:
+                        if cap[b ^ 1]:
+                            v = head[b]
+                            if bwd[v] == -1:
+                                bwd[v] = b ^ 1
+                                if fwd[v] != -1:
+                                    meet = v
+                                    break
+                                level.append(v)
+                    if meet != -1:
+                        break
+                back = level
+        if meet == -1:
+            while front:           # a no-op when the forward side ran dry
+                u = front.pop()
+                for a in adj[u]:
+                    if cap[a]:
+                        v = head[a]
+                        if fwd[v] == -1:
+                            fwd[v] = a
+                            front.append(v)
+            return flow, [p != -1 for p in fwd]
+        v = meet
         while v != s:
-            a = parent[v]
+            a = fwd[v]
             cap[a] -= 1
             cap[a ^ 1] += 1
             v = head[a ^ 1]
+        v = meet
+        while v != t:
+            a = bwd[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a]
         flow += 1
     return flow, None
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .graph import Graph, build_graph, canonical_edge
 from .report import VerificationReport
-from .topologies import HLNetwork, gen_family
+from .topologies import HLNetwork, check_size, gen_family
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,12 @@ def bcdc(n: int) -> BCDCPair:
 
     The original graph subdivides every edge of the crossed cube; the
     logical graph is the crossed cube's line graph. Server labels are the
-    ordered pair of their two switch codes.
+    ordered pair of their two switch codes. Refuses a dimension whose
+    line graph check_size rejects.
     """
     if n < 2:
         raise ValueError("requires dimension >= 2")
+    check_size(n)
     cq = gen_family("crossed", n)
     base = cq.graph
     n_switch = base.n_vertices

@@ -45,6 +45,10 @@ NAMED_FAMILIES = ("hypercube", "crossed", "mobius0", "mobius1", "ltq")
 # 01->11, 11->01
 _PAIR_RELATED = (0, 3, 2, 1)
 
+# largest line graph a request may build, in edges: L(HL_n) has
+# n(n-1) 2^(n-1) of them, so n <= 13 passes and n >= 14 is refused
+MAX_LINE_EDGES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Construction:
@@ -213,8 +217,30 @@ def gen_random_hl(n: int, seed: int) -> HLNetwork:
     return hl_join(left, right, f)
 
 
+def check_size(n: int) -> None:
+    """Raise ValueError, before anything is allocated, when the line graph
+    of an n-dimensional network would have more than MAX_LINE_EDGES edges.
+
+    HL_n has 2^n vertices of degree n, so L(HL_n) has V = n 2^(n-1)
+    vertices and E = n(n-1) 2^(n-1) edges, C(n, 2) at each vertex of
+    HL_n. Dimensions below 1 are left to the generators' own checks.
+    """
+    if n < 1 or n <= 64 and n * (n - 1) << (n - 1) <= MAX_LINE_EDGES:
+        return
+
+    def count(k: int) -> str:  # k 2^(n-1), in digits while that is short
+        return str(k << (n - 1)) if n <= 64 else f"{k}*2^{n - 1}"
+
+    raise ValueError(
+        f"dimension {n} is too large: L(HL_{n}) would have V = n*2^(n-1) = "
+        f"{count(n)} vertices and E = n(n-1)*2^(n-1) = {count(n * (n - 1))} "
+        f"edges, more than MAX_LINE_EDGES = {MAX_LINE_EDGES}")
+
+
 def generate(kind: str, n: int, seed: Optional[int] = None) -> HLNetwork:
-    """Dispatch helper: named family, or 'random' with a mandatory seed."""
+    """Dispatch helper: named family, or 'random' with a mandatory seed.
+    Refuses a dimension whose line graph check_size rejects."""
+    check_size(n)
     if kind == "random":
         if seed is None:
             raise ValueError("family 'random' requires a seed")

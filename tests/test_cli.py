@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hlmenger import build_graph, edgelist
+from hlmenger import bcdc, build_graph, edgelist, generate, linegraph, \
+    topologies
 from hlmenger.cli import main
 
 from util import NOT_HL4_EDGES, cut_disconnects, lgraph, network
@@ -326,3 +327,57 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", check, "--family",
                            "hypercube", "--n", "4", "--jobs", "2")
         assert code == expect and json.loads(out)["check_name"] == check
+
+
+class Generated(Exception):
+    """Raised by the patched generators: the request got past the preflight."""
+
+
+@pytest.fixture
+def no_generation(monkeypatch):
+    """Make every network generator raise Generated at once, so a missing
+    preflight fails fast instead of allocating a huge network."""
+    def refuse(*args, **kwargs):
+        raise Generated(args)
+    monkeypatch.setattr(topologies, "_gen_named_recursive", refuse)
+    monkeypatch.setattr(topologies, "gen_random_hl", refuse)
+    monkeypatch.setattr(linegraph, "gen_family", refuse)
+
+
+class TestSizePreflight:
+    # L(HL_14): V = 14 * 2^13, E = 14 * 13 * 2^13 > MAX_LINE_EDGES
+    V14, E14 = "114688", "1490944"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "crossed", "--n", "14"),
+        ("gen", "--family", "random", "--seed", "1", "--n", "14"),
+        ("linegraph", "--family", "ltq", "--n", "14"),
+        ("linegraph", "--bcdc", "--n", "14"),
+        ("verify", "--check", "smec", "--family", "hypercube", "--n", "14"),
+    ])
+    def test_line_graph_past_the_limit_exits_2(self, capsys, no_generation,
+                                               argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert self.V14 in err and self.E14 in err
+        assert "MAX_LINE_EDGES" in err
+
+    def test_api_refuses_before_generating(self, no_generation):
+        assert 14 * 13 << 13 > topologies.MAX_LINE_EDGES >= 13 * 12 << 12
+        for call in (lambda: generate("mobius1", 14),
+                     lambda: generate("random", 14, 3),
+                     lambda: bcdc(14)):
+            with pytest.raises(ValueError, match=self.E14):
+                call()
+
+    def test_huge_dimension_is_named_without_computing_it(self,
+                                                          no_generation):
+        with pytest.raises(ValueError, match=r"2\^999999999 edges"):
+            generate("hypercube", 10 ** 9)
+
+    def test_largest_allowed_dimension_reaches_the_generator(self,
+                                                             no_generation):
+        with pytest.raises(Generated):
+            generate("hypercube", 13)
+        with pytest.raises(Generated):
+            bcdc(13)

@@ -1,0 +1,254 @@
+"""Differential tests for flow._augment, the one augmenting loop.
+
+Each case runs the loop on a seeded network: an undirected random graph
+in UnitFlowEngine's layout, with and without faults, from stored start
+paths and under cutoffs, or a directed network of unit arcs (the vertex
+split network of graph.split_network, or random arcs). The value must
+equal that of a one-sided BFS augmenting loop kept here as the reference,
+and the returned side must equal the residual closure from s, computed
+here from the loop's final capacities and by the reference. networkx, when
+installed, checks the public methods that wrap the loop.
+"""
+
+from collections import Counter, deque
+
+import pytest
+
+from hlmenger.flow import DirectedFlow, UnitFlowEngine, _augment
+from hlmenger.graph import split_network
+from hlmenger.rng import SplitMix64
+
+from util import random_graph
+
+SEEDS = range(40)
+
+
+def reference(adj, head, cap, s, t, cutoff, start):
+    """The classical loop: each path from a BFS of the residual from s
+    alone. Returns the flow and the marked s-side, None under cutoff."""
+    for path in start:
+        for a in path:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    flow = len(start)
+    while cutoff is None or flow < cutoff:
+        parent = [-1] * len(adj)
+        parent[s] = -2
+        queue = deque((s,))
+        while queue and parent[t] == -1:
+            u = queue.popleft()
+            for a in adj[u]:
+                if cap[a] and parent[head[a]] == -1:
+                    parent[head[a]] = a
+                    queue.append(head[a])
+        if parent[t] == -1:
+            return flow, [p != -1 for p in parent]
+        v = t
+        while v != s:
+            a = parent[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a ^ 1]
+        flow += 1
+    return flow, None
+
+
+def closure(adj, head, cap, s):
+    """Vertices reachable from s over arcs with residual capacity."""
+    seen = [False] * len(adj)
+    seen[s] = True
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for a in adj[u]:
+            if cap[a] and not seen[head[a]]:
+                seen[head[a]] = True
+                stack.append(head[a])
+    return seen
+
+
+def level_sizes(adj, head, cap, root, backward):
+    """Sizes of the BFS levels from root over residual arcs; with
+    `backward`, over arcs into the level (b ^ 1 for b in adj[x])."""
+    seen = {root}
+    level = [root]
+    sizes = []
+    while level:
+        sizes.append(len(level))
+        nxt = []
+        for x in level:
+            for b in adj[x]:
+                if cap[b ^ 1 if backward else b] and head[b] not in seen:
+                    seen.add(head[b])
+                    nxt.append(head[b])
+        level = nxt
+    return sizes
+
+
+def exit_kind(adj, head, cap, s, t):
+    """Which frontier of the loop's last search ran dry, given the final
+    residual. With no s-t path left the two searches never meet, so their
+    frontiers are the BFS levels from s and into t; the loop expands the
+    smaller one, the forward one on ties."""
+    fwd = level_sizes(adj, head, cap, s, False)
+    bwd = level_sizes(adj, head, cap, t, True)
+    i = j = 0
+    while i < len(fwd) and j < len(bwd):
+        if fwd[i] <= bwd[j]:
+            i += 1
+        else:
+            j += 1
+    return "forward" if i == len(fwd) else "backward"
+
+
+def check(adj, head, cap, s, t, cutoff=None, start=()):
+    """Run the loop and the reference on copies of `cap`; return the exit
+    kind of the loop's last search, or None when the cutoff stopped it."""
+    ref_value, ref_side = reference(adj, head, cap[:], s, t, cutoff, start)
+    final = cap[:]
+    value, side = _augment(adj, head, final, s, t, cutoff, start)
+    assert value == ref_value, (s, t, cutoff)
+    if cutoff is not None and value >= cutoff:
+        assert side is ref_side is None
+        return None
+    assert side == closure(adj, head, final, s), (s, t)
+    assert side == ref_side, (s, t)
+    return exit_kind(adj, head, final, s, t)
+
+
+def unit_engine(seed):
+    """Engine on random graph `seed`; odd seeds fault a quarter of the
+    edges. Returns the engine and its capacities with the faults zeroed."""
+    g = random_graph(seed, max_vertices=12, max_edges=30)
+    engine = UnitFlowEngine(g.n_vertices, g.edges)
+    m = len(g.edges)
+    if seed % 2:
+        engine.set_fault_indices(SplitMix64(seed).sample_indices(m, m // 4))
+    cap = [1] * (2 * m)
+    for k in engine.fault:
+        cap[2 * k] = cap[2 * k + 1] = 0
+    return engine, cap
+
+
+def unit_cases(seed):
+    """Every ordered pair of the engine; flows into the first hub start
+    from its live stored paths, and every third pair gets a cutoff."""
+    engine, cap = unit_engine(seed)
+    rng = SplitMix64(seed + 1000)
+    hub = engine.hubs[0]
+    starts = engine.live_paths(hub)
+    for s in range(engine.n):
+        for t in range(engine.n):
+            if s == t:
+                continue
+            start = starts[s] if t == hub else ()
+            cutoff = (len(start) + 1 + rng.randbelow(3)
+                      if (s + t) % 3 == 0 else None)
+            yield engine, cap, s, t, cutoff, start
+
+
+def split_cases(seed):
+    """u_out -> v_in over every non-adjacent pair of random graph `seed`."""
+    g = random_graph(seed, max_vertices=10, max_edges=24)
+    net = split_network(g)
+    n = g.n_vertices
+    cap = [1, 0] * (len(net.head) // 2)
+    for u in range(n):
+        for v in range(n):
+            if u != v and not g.has_edge(u, v):
+                yield net, cap, u + n, v
+
+
+def directed_network(seed):
+    """Random directed network of unit arcs, no loops or parallel arcs."""
+    rng = SplitMix64(seed)
+    n = 3 + rng.randbelow(8)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = [pairs[i] for i in
+            rng.sample_indices(len(pairs), rng.randbelow(len(pairs) // 2 + 1))]
+    net = DirectedFlow(n)
+    for u, v in arcs:
+        net.add_arc(u, v)
+    return net, arcs
+
+
+def directed_cases(seed):
+    net, _ = directed_network(seed)
+    cap = [1, 0] * (len(net.head) // 2)
+    n = len(net.adj)
+    for s in range(n):
+        for t in range(n):
+            if s != t:
+                yield net, cap, s, t
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unit_engine_loop_matches_reference(seed):
+    for engine, cap, s, t, cutoff, start in unit_cases(seed):
+        check(engine.adj, engine.head, cap, s, t, cutoff, start)
+        assert engine.max_flow(s, t, cutoff, start) == reference(
+            engine.adj, engine.head, cap[:], s, t, cutoff, start)[0]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_split_network_loop_matches_reference(seed):
+    for net, cap, s, t in split_cases(seed):
+        check(net.adj, net.head, cap, s, t)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_directed_loop_matches_reference(seed):
+    for net, cap, s, t in directed_cases(seed):
+        check(net.adj, net.head, cap, s, t)
+        assert net.max_flow(s, t) == reference(
+            net.adj, net.head, cap[:], s, t, None, ())[0]
+
+
+def test_both_exits_occur():
+    """Among the cases, some last searches end with the forward frontier
+    dry and some with the backward one dry (the forward closure is then
+    finished before the side is read), in both network layouts."""
+    unit, directed = Counter(), Counter()
+    for seed in SEEDS:
+        for engine, cap, s, t, cutoff, start in unit_cases(seed):
+            unit[check(engine.adj, engine.head, cap, s, t, cutoff, start)] += 1
+        for net, cap, s, t in split_cases(seed):
+            directed[check(net.adj, net.head, cap, s, t)] += 1
+        for net, cap, s, t in directed_cases(seed):
+            directed[check(net.adj, net.head, cap, s, t)] += 1
+    for kinds in (unit, directed):
+        assert kinds["forward"] > 0 and kinds["backward"] > 0, kinds
+    assert unit[None] > 0
+
+
+def test_equal_endpoints_are_refused():
+    engine, _ = unit_engine(0)
+    net, _ = directed_network(0)
+    for run in (lambda: engine.max_flow(1, 1), lambda: engine.min_cut(0, 0),
+                lambda: net.max_flow(2, 2)):
+        with pytest.raises(ValueError, match="source and sink"):
+            run()
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_public_methods_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    engine, _ = unit_engine(seed)
+    dead = set(engine.fault)
+    h = nx.Graph()
+    h.add_nodes_from(range(engine.n))
+    h.add_edges_from(e for k, e in enumerate(engine.edges) if k not in dead)
+    for s in range(engine.n):
+        for t in range(s + 1, engine.n):
+            expected = nx.connectivity.local_edge_connectivity(h, s, t)
+            value, cut = engine.min_cut(s, t)
+            assert value == len(cut) == expected, (s, t)
+            assert engine.max_flow(s, t) == expected
+    net, arcs = directed_network(seed)
+    d = nx.DiGraph()
+    d.add_nodes_from(range(len(net.adj)))
+    d.add_edges_from(arcs, capacity=1)
+    for s in d:
+        for t in d:
+            if s != t:
+                assert net.max_flow(s, t) == nx.maximum_flow_value(d, s, t)

@@ -3,6 +3,7 @@
 import pytest
 
 from hlmenger import (
+    NAMED_FAMILIES,
     bcdc,
     build_graph,
     check_prop_3_1,
@@ -102,11 +103,13 @@ class TestFVertices:
             sides = {vertex_side(lg, v) for v in lg.f_vertices}
             assert sides == {-1}
 
-    def test_connectivity_matches_regularity(self):
-        for n in (2, 3, 4):
-            g = lgraph("crossed", n).graph
-            assert edge_connectivity(g) == 2 * n - 2
-            assert vertex_connectivity(g) == 2 * n - 2
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("kind,seed", [(kind, None) for kind in
+                                           NAMED_FAMILIES] + [("random", 1)])
+    def test_connectivity_is_2n_minus_2(self, kind, seed, n):
+        g = lgraph(kind, n, seed).graph
+        assert edge_connectivity(g) == 2 * n - 2
+        assert vertex_connectivity(g) == 2 * n - 2
 
     def test_counts_hold_up_to_dimension_6(self):
         for _, h in corpus(6):
