@@ -4,7 +4,8 @@ Fault sets are consumed from the caller's stream in canonical order and
 evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. Workers share
-nothing: each builds its own flow engine from the (n, edges) layout once.
+nothing: for SMEC checks each builds its own flow engine from the
+(n, edges) layout once; component checks build none.
 The stream holds only sets to evaluate: the conditional mode's
 minimum-degree admission happens where the sets are produced, so every
 set here is visited.
@@ -171,9 +172,10 @@ def largest_component_under_faults(n: int, edges, fault_idx) -> int:
     return best
 
 
-def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
+def _evaluate_one(engine: Optional[UnitFlowEngine], n: int, edges, idx,
                   kind: str, floor: int) -> Optional[dict]:
-    """None when the fault set passes, else its failure witness."""
+    """None when the fault set passes, else its failure witness. The
+    engine is None for component checks, which need no flow."""
     if kind == "component":
         size = largest_component_under_faults(n, edges, idx)
         if size < floor:
@@ -193,7 +195,8 @@ def _evaluate_one(engine: UnitFlowEngine, n: int, edges, idx,
 
 def _init_worker(n, edges, kind, floor):
     global _WORKER_STATE
-    _WORKER_STATE = (UnitFlowEngine(n, edges), n, edges, kind, floor)
+    engine = UnitFlowEngine(n, edges) if kind == "smec" else None
+    _WORKER_STATE = (engine, n, edges, kind, floor)
 
 
 def _run_chunk(chunk):

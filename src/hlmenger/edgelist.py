@@ -7,12 +7,14 @@ Layout::
     l <v> <label>        optional label lines, ascending by vertex
 
 Writers always emit the canonical ordering so identical graphs serialize to
-identical bytes.
+identical bytes. Readers refuse a p line that declares more than
+topologies.MAX_LINE_EDGES vertices or edges, before allocating anything.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, build_graph
+from .topologies import MAX_LINE_EDGES
 
 
 def dumps(g: Graph) -> str:
@@ -40,6 +42,11 @@ def loads(text: str) -> Graph:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'p <n> <m>'")
             n_vertices, declared_edges = _ints(parts, lineno)
+            if max(n_vertices, declared_edges) > MAX_LINE_EDGES:
+                raise ValueError(
+                    f"line {lineno}: p line declares {n_vertices} vertices "
+                    f"and {declared_edges} edges; more than MAX_LINE_EDGES "
+                    f"= {MAX_LINE_EDGES} of either is refused")
         elif kind == "e":
             if n_vertices is None:
                 raise ValueError(f"line {lineno}: e line before p line")

@@ -1,15 +1,19 @@
 """Max-flow workhorses for exact connectivity computation.
 
 Internal module. One augmenting loop (`_augment`) runs over unit arcs,
-where arc a's twin is a ^ 1, for two network layouts. It finds each unit
-s-t path by a bidirectional search of the residual network (Pohl 1971):
-a tree grows from s along residual arcs and another grows into t along
-residual arcs read backwards, one level at a time on the smaller frontier,
-until they meet. On these expander-like line graphs a search from s alone
-floods most of the network before it reaches t; the two trees meet after
-a small fraction of that. With no path left, the loop returns the residual
-s-side, the smallest s-side of a minimum cut, which min_cut, min_cuts and
-the Gusfield tree read.
+where arc a's twin is a ^ 1, for two network layouts. Each layout keeps
+both views of its arcs: adj and head for the arcs out of a vertex, radj
+and tail for the arcs into it. The loop finds each unit s-t path by a
+bidirectional search of the residual network (Pohl 1971): a tree grows
+from s along residual arcs out of its frontier and another grows into t
+along residual arcs into its frontier, one level at a time on the smaller
+frontier, until they meet. One scan loop serves both trees, and when the
+tree into t runs dry first, that same loop runs on over the tree from s
+until it is closed. On these expander-like line graphs a search from s
+alone floods most of the network before it reaches t; the two trees meet
+after a small fraction of that. With no path left, the loop returns the
+residual s-side, the smallest s-side of a minimum cut, which min_cut,
+min_cuts and the Gusfield tree read.
 
 * UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
   with a mutable fault mask so campaigns can re-query thousands of fault sets
@@ -28,9 +32,10 @@ and capped single-pair flows. `min_cuts(s, targets)` returns the minimum
 cut from one source to each of many targets, as min_cut would, but
 confirms a target that shares the first target's cut with a capped flow
 from a neighbouring target (lambda(x, y) >= min(lambda(x, w),
-lambda(w, y)), Gomory and Hu 1961); the tightness checks use it. The
-engine also builds a Gusfield (Gomory-Hu style) equivalent-flow tree,
-which no campaign uses: tests take it as an all-pairs oracle.
+lambda(w, y)), Gomory and Hu 1961); edge connectivity and the tightness
+checks use it. The engine also builds a Gusfield (Gomory-Hu style)
+equivalent-flow tree, which no campaign uses: tests take it as an
+all-pairs oracle.
 """
 
 from __future__ import annotations
@@ -41,28 +46,31 @@ from collections import deque
 _HUBS = 3
 
 
-def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
+def _augment(net, cap, s: int, t: int, cutoff: int | None,
              start) -> tuple[int, list[bool] | None]:
     """Push the s-t arc paths `start` through the residual capacities
     `cap`, then augment unit s-t paths until none is left or the flow
-    reaches cutoff. Arc a runs to head[a] and its twin a ^ 1 back to its
-    tail. Returns the flow and the source side of the final residual, or
-    None for the side when the cutoff stopped the loop. Raises ValueError
-    when s == t: the two searches would close cycles through s forever.
+    reaches cutoff. `net` holds the arcs: arc a runs from tail[a] to
+    head[a], its twin a ^ 1 runs back, adj[x] lists the arcs out of x and
+    radj[x] the arcs into x. Returns the flow and the source side of the
+    final residual, or None for the side when the cutoff stopped the
+    loop. Raises ValueError when s == t: the two searches would close
+    cycles through s forever.
 
-    Each path comes from a level-synchronous bidirectional search. The
-    forward side grows a tree from s over arcs a with cap[a]; the
-    backward side grows a tree into t: at x it scans each b in adj[x],
-    whose twin b ^ 1 runs from head[b] into x. Each step expands the
-    smaller frontier by one whole level. The first vertex both trees
-    mark closes a simple s-t path, and both halves are augmented. With
-    no path left, one side runs dry. If it is the forward side, every
-    vertex it marked was expanded, so the marks are exactly the vertices
-    reachable from s in the residual. If the backward side runs dry
-    first, the forward search finishes from its frontier before the side
-    is read; it cannot meet the backward marks, which are every vertex
-    that reaches t. Either way the side is the residual s-side of a
-    maximum flow, the smallest s-side of a minimum cut, whichever
+    Each path comes from a level-synchronous bidirectional search. One
+    scan loop grows both trees: a step expands one whole level of the
+    smaller frontier, the forward one on ties, through the arcs a with
+    cap[a] of adj (out of the frontier, from s) or of radj (into the
+    frontier, toward t), marking the far end. The first vertex both trees
+    mark closes a simple s-t path, and one walk loop augments its two
+    halves. With no path left, one side runs dry. If it is the forward
+    side, every vertex it marked was expanded, so the marks are exactly
+    the vertices reachable from s in the residual. If the backward side
+    runs dry first, the same loop keeps expanding the forward side until
+    its frontier is empty, and only then is the side read; it cannot
+    meet the backward marks, which are every vertex that reaches t, as s
+    would be one of them. Either way the side is the residual s-side of
+    a maximum flow, the smallest s-side of a minimum cut, whichever
     maximum flow was found.
     """
     if s == t:
@@ -72,6 +80,7 @@ def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
             cap[a] -= 1
             cap[a ^ 1] += 1
     flow = len(start)
+    adj, radj, head, tail = net.adj, net.radj, net.head, net.tail
     n = len(adj)
     while cutoff is None or flow < cutoff:
         fwd = [-1] * n     # tree arc into v from s's side; -2 at s
@@ -81,58 +90,37 @@ def _augment(adj, head, cap, s: int, t: int, cutoff: int | None,
         front = [s]
         back = [t]
         meet = -1
-        while front and back and meet == -1:
+        while front and meet == -1:
+            if back and len(back) < len(front):
+                frontier, arcs, ends, mine, other = back, radj, tail, bwd, fwd
+            else:
+                frontier, arcs, ends, mine, other = front, adj, head, fwd, bwd
             level = []
-            if len(front) <= len(back):
-                for u in front:
-                    for a in adj[u]:
-                        if cap[a]:
-                            v = head[a]
-                            if fwd[v] == -1:
-                                fwd[v] = a
-                                if bwd[v] != -1:
-                                    meet = v
-                                    break
-                                level.append(v)
-                    if meet != -1:
-                        break
+            for x in frontier:
+                for a in arcs[x]:
+                    if cap[a]:
+                        v = ends[a]
+                        if mine[v] == -1:
+                            mine[v] = a
+                            if other[v] != -1:
+                                meet = v
+                                break
+                            level.append(v)
+                if meet != -1:
+                    break
+            if mine is fwd:
                 front = level
             else:
-                for x in back:
-                    for b in adj[x]:
-                        if cap[b ^ 1]:
-                            v = head[b]
-                            if bwd[v] == -1:
-                                bwd[v] = b ^ 1
-                                if fwd[v] != -1:
-                                    meet = v
-                                    break
-                                level.append(v)
-                    if meet != -1:
-                        break
                 back = level
         if meet == -1:
-            while front:           # a no-op when the forward side ran dry
-                u = front.pop()
-                for a in adj[u]:
-                    if cap[a]:
-                        v = head[a]
-                        if fwd[v] == -1:
-                            fwd[v] = a
-                            front.append(v)
             return flow, [p != -1 for p in fwd]
-        v = meet
-        while v != s:
-            a = fwd[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = head[a ^ 1]
-        v = meet
-        while v != t:
-            a = bwd[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = head[a]
+        for marks, ends, root in ((fwd, tail, s), (bwd, head, t)):
+            v = meet
+            while v != root:
+                a = marks[v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                v = ends[a]
         flow += 1
     return flow, None
 
@@ -141,8 +129,9 @@ class UnitFlowEngine:
     """Reusable unit-capacity max-flow over an undirected edge list.
 
     Edge k of the canonical edge list becomes the twin arcs 2k (u->v) and
-    2k+1 (v->u); the tail of arc a is head[a ^ 1]. Faulted edges keep their
-    slots but carry capacity 0, so edge indices stay stable across queries.
+    2k+1 (v->u), so tail[a] = head[a ^ 1]; radj[x] lists b ^ 1 for each
+    b in adj[x], in that order. Faulted edges keep their slots but carry
+    capacity 0, so edge indices stay stable across queries.
     Paths into a hub are stored on first use, never here.
     """
 
@@ -150,13 +139,20 @@ class UnitFlowEngine:
         self.n = n_vertices
         self.edges = list(edges)
         m = len(self.edges)
-        self.head = [0] * (2 * m)
-        self.adj: list[list[int]] = [[] for _ in range(n_vertices)]
+        self.head = head = [0] * (2 * m)
+        self.adj = adj = [[] for _ in range(n_vertices)]
+        self.radj = radj = [[] for _ in range(n_vertices)]
         for k, (u, v) in enumerate(self.edges):
-            self.head[2 * k] = v
-            self.head[2 * k + 1] = u
-            self.adj[u].append(2 * k)
-            self.adj[v].append(2 * k + 1)
+            a = 2 * k
+            head[a] = v
+            head[a + 1] = u
+            adj[u].append(a)
+            radj[u].append(a + 1)
+            adj[v].append(a + 1)
+            radj[v].append(a)
+        self.tail = tail = [0] * (2 * m)
+        tail[::2] = head[1::2]
+        tail[1::2] = head[::2]
         self.base_degrees = [len(a) for a in self.adj]
         self._template = [1] * (2 * m)  # capacities with faults zeroed
         self.fault: tuple[int, ...] = ()  # installed fault edge indices
@@ -262,7 +258,7 @@ class UnitFlowEngine:
     def _run(self, s: int, t: int, cutoff: int | None,
              start=()) -> tuple[int, list[bool] | None]:
         self._cap = cap = self._template[:]  # residual, read by _route
-        return _augment(self.adj, self.head, cap, s, t, cutoff, start)
+        return _augment(self, cap, s, t, cutoff, start)
 
     def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
         """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
@@ -357,21 +353,26 @@ class UnitFlowEngine:
 
 
 class DirectedFlow:
-    """Directed network of unit arcs; arc 2k+1 is the residual twin of 2k."""
+    """Directed network of unit arcs; arc 2k+1 is the residual twin of 2k.
+    adj, radj, head and tail are laid out as in UnitFlowEngine."""
 
     def __init__(self, n_nodes: int):
         self.head: list[int] = []
+        self.tail: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        self.radj: list[list[int]] = [[] for _ in range(n_nodes)]
         self._template: list[int] = []
 
     def add_arc(self, u: int, v: int) -> None:
-        self.adj[u].append(len(self.head))
-        self.head.append(v)
-        self.adj[v].append(len(self.head))
-        self.head.append(u)
+        a = len(self.head)
+        self.adj[u].append(a)
+        self.radj[u].append(a + 1)
+        self.adj[v].append(a + 1)
+        self.radj[v].append(a)
+        self.head += (v, u)
+        self.tail += (u, v)
         self._template += (1, 0)
 
     def max_flow(self, s: int, t: int) -> int:
         """Maximum number of arc-disjoint s-t paths, from zero flow."""
-        return _augment(self.adj, self.head, self._template[:], s, t, None,
-                        ())[0]
+        return _augment(self, self._template[:], s, t, None, ())[0]

@@ -3,16 +3,16 @@
 Vertices are integers 0..n_vertices-1, edges are canonical (min, max) pairs,
 and every operation here is a pure function of its inputs. Connectivity
 quantities are exact integers: edge-disjoint path counts come from
-unit-capacity max-flow, edge connectivity from capped flows along the
-edges of a BFS spanning tree, vertex connectivity from a vertex-splitting
-reduction to a directed network of unit arcs, and a brute-force
-subset-enumeration oracle is provided as an independent cross-check of the
-flow results.
+unit-capacity max-flow, edge connectivity from the minimum cuts between
+vertex 0 and every other vertex (UnitFlowEngine.min_cuts, which confirms
+most of them with capped flows between neighbours), vertex connectivity
+from a vertex-splitting reduction to a directed network of unit arcs, and
+a brute-force subset-enumeration oracle is provided as an independent
+cross-check of the flow results.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -249,29 +249,13 @@ def brute_force_min_cut(g: Graph, u: int, v: int, limit: int,
 def edge_connectivity(g: Graph) -> int:
     """Exact lambda(G); 0 for disconnected or single-vertex graphs.
 
-    A minimum edge cut separates vertex 0 from some vertex v, so lambda(G)
-    is the minimum of lambda(0, v). By lambda(x, y) >= min(lambda(x, w),
-    lambda(w, y)), lambda(0, v) is at least the smallest lambda over the
-    edges of the path from 0 to v in any spanning tree, and every pair's
-    lambda is at least lambda(G). So the minimum over the (parent, child)
-    edges of a BFS tree from vertex 0 is exact, and a flow between
-    neighbours, capped at the running minimum, is short.
+    A minimum edge cut separates vertex 0 from some t, so lambda(G) is the
+    smallest lambda(0, t), which UnitFlowEngine.min_cuts gives exactly.
     """
     if g.n_vertices <= 1 or not is_connected(g):
         return 0
     engine = UnitFlowEngine(g.n_vertices, g.edges)
-    best = g.min_degree()
-    seen = [False] * g.n_vertices
-    seen[0] = True
-    queue = deque((0,))
-    while queue:
-        p = queue.popleft()
-        for c in g._adj[p]:
-            if not seen[c]:
-                seen[c] = True
-                queue.append(c)
-                best = min(best, engine.max_flow(p, c, cutoff=best))
-    return best
+    return min(k for k, _ in engine.min_cuts(0, list(range(1, g.n_vertices))))
 
 
 def split_network(g: Graph) -> DirectedFlow:

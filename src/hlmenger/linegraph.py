@@ -14,7 +14,7 @@ from typing import Optional
 
 from .graph import Graph, build_graph, canonical_edge
 from .report import VerificationReport
-from .topologies import HLNetwork, check_size, gen_family
+from .topologies import MAX_LINE_EDGES, HLNetwork, check_size, gen_family
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,21 @@ def line_graph(base: Graph) -> LineGraph:
     In a simple graph two distinct edges share at most one endpoint, so
     every adjacency in the line graph arises from exactly one base vertex
     and a single pass over the base vertices emits each line edge once.
+    Raises ValueError, before any line edge is built, when L(base) would
+    have more than MAX_LINE_EDGES edges: sum of C(deg v, 2) over the base.
     """
     base_edges = base.edges
-    index = {e: i for i, e in enumerate(base_edges)}
     incident: list[list[int]] = [[] for _ in range(base.n_vertices)]
     for i, (u, v) in enumerate(base_edges):
         incident[u].append(i)
         incident[v].append(i)
+    n_line_edges = sum(len(ids) * (len(ids) - 1) // 2 for ids in incident)
+    if n_line_edges > MAX_LINE_EDGES:
+        raise ValueError(
+            f"base graph is too large: its line graph would have "
+            f"V = {len(base_edges)} vertices and E = {n_line_edges} edges, "
+            f"more than MAX_LINE_EDGES = {MAX_LINE_EDGES}")
+    index = {e: i for i, e in enumerate(base_edges)}
     edges = []
     for ids in incident:
         for a in range(len(ids)):

@@ -9,7 +9,7 @@ round-trip losslessly through JSON, and two runs with identical inputs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 SCHEMA_VERSION = "1"
 
@@ -31,31 +31,16 @@ class VerificationReport:
         return self.counts.get("failures", 0) == 0
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "target": self.target,
-            "mode": self.mode,
-            "parameters": self.parameters,
-            "counts": self.counts,
-            "witness": self.witness,
-            "details": self.details,
-            "timing_seconds": self.timing_seconds,
-            "schema_version": self.schema_version,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def from_dict(data: dict) -> "VerificationReport":
-        return VerificationReport(
-            check_name=data["check_name"],
-            target=data["target"],
-            mode=data["mode"],
-            parameters=data["parameters"],
-            counts=data["counts"],
-            witness=data.get("witness"),
-            details=data.get("details", []),
-            timing_seconds=data.get("timing_seconds", 0.0),
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-        )
+    @classmethod
+    def from_dict(cls, data: dict) -> "VerificationReport":
+        """The report of a to_dict() record. Unknown keys are ignored,
+        missing optional ones take their defaults, and a missing required
+        one raises KeyError."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)
+                      if f.name in data or f.default is MISSING
+                      and f.default_factory is MISSING})
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -335,13 +335,30 @@ class Generated(Exception):
 
 @pytest.fixture
 def no_generation(monkeypatch):
-    """Make every network generator raise Generated at once, so a missing
-    preflight fails fast instead of allocating a huge network."""
+    """Make every network generator and the line-graph builder raise
+    Generated at once, so a missing preflight fails fast instead of
+    allocating a huge network or line graph."""
     def refuse(*args, **kwargs):
         raise Generated(args)
     monkeypatch.setattr(topologies, "_gen_named_recursive", refuse)
     monkeypatch.setattr(topologies, "gen_random_hl", refuse)
     monkeypatch.setattr(linegraph, "gen_family", refuse)
+    monkeypatch.setattr(linegraph, "canonical_edge", refuse)
+    monkeypatch.setattr(linegraph, "build_graph", refuse)
+
+
+def hypercube_edge_list(n):
+    """Edge-list text of Q_n, written without the generators."""
+    lines = [f"p {1 << n} {n << (n - 1)}"]
+    lines.extend(f"e {v} {v | 1 << i}" for v in range(1 << n)
+                 for i in range(n) if not v >> i & 1)
+    return "\n".join(lines) + "\n"
+
+
+def star_edge_list(leaves):
+    """Edge-list text of K_{1,leaves}, whose line graph is K_leaves."""
+    return f"p {leaves + 1} {leaves}\n" + "".join(
+        f"e 0 {v}\n" for v in range(1, leaves + 1))
 
 
 class TestSizePreflight:
@@ -381,3 +398,43 @@ class TestSizePreflight:
             generate("hypercube", 13)
         with pytest.raises(Generated):
             bcdc(13)
+
+    @pytest.mark.parametrize("argv", [("verify", "--check", "smec"),
+                                      ("linegraph",)])
+    def test_in_file_past_the_limit_exits_2(self, capsys, tmp_path,
+                                            no_generation, argv):
+        # an HL_14 file passes edgelist.loads and hl_from_graph
+        path = tmp_path / "q14.txt"
+        path.write_text(hypercube_edge_list(14))
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == ""
+        assert self.V14 in err and self.E14 in err
+        assert "MAX_LINE_EDGES" in err
+
+    def test_line_graph_size_is_summed_over_base_degrees(self, capsys,
+                                                         tmp_path,
+                                                         no_generation):
+        # L(K_{1,k}) = K_k: C(1415, 2) = 1000405 edges are refused, and
+        # C(1414, 2) = 998991 reach the builder
+        path = tmp_path / "star.txt"
+        path.write_text(star_edge_list(1415))
+        code, out, err = run(capsys, "linegraph", "--in", str(path))
+        assert code == 2 and out == ""
+        assert "V = 1415 vertices and E = 1000405 edges" in err
+        path.write_text(star_edge_list(1414))
+        with pytest.raises(Generated):
+            run(capsys, "linegraph", "--in", str(path))
+
+    @pytest.mark.parametrize("argv", [("verify", "--check", "smec"),
+                                      ("linegraph",)])
+    def test_in_file_p_line_past_the_limit_exits_2(self, capsys, tmp_path,
+                                                   monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise Generated(args[0])
+        monkeypatch.setattr(edgelist, "build_graph", refuse)
+        path = tmp_path / "huge.txt"
+        path.write_text("p 1000001 0\n")
+        code, out, err = run(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == ""
+        assert "p line declares 1000001 vertices" in err
+        assert "MAX_LINE_EDGES" in err

@@ -53,9 +53,39 @@ def test_malformed_inputs(text, fragment):
         edgelist.loads(text)
 
 
-# small integers only: loads allocates a vertex list of the declared size
+class Built(Exception):
+    """Raised by the patched graph builder: loads got past the p line."""
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Make edgelist's graph builder raise Built, so a p line the preflight
+    misses fails fast instead of allocating its declared vertices."""
+    def refuse(*args, **kwargs):
+        raise Built(args[0])
+    monkeypatch.setattr(edgelist, "build_graph", refuse)
+
+
+@pytest.mark.parametrize("text", [
+    "p 1000001 0\n",
+    "p 2 1000001\n",
+    "p 1000000000000 1000000000000\ne 0 1\n",
+])
+def test_p_line_past_the_limit_is_refused(no_build, text):
+    with pytest.raises(ValueError, match="line 1: .* MAX_LINE_EDGES"):
+        edgelist.loads(text)
+
+
+def test_largest_allowed_p_line_reaches_the_builder(no_build):
+    with pytest.raises(Built):
+        edgelist.loads("p 1000000 0\n")
+
+
+# past-the-limit integers test the preflight; none just under it, where
+# loads would allocate a vertex list of the declared size
 _TOKENS = st.sampled_from(
-    ["p", "e", "l", "#", "0", "1", "2", "3", "5", "-1", "q", "1.5", "lab"])
+    ["p", "e", "l", "#", "0", "1", "2", "3", "5", "-1", "q", "1.5", "lab",
+     "1000001", "1000000000000"])
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,7 +6,10 @@ paths and under cutoffs, or a directed network of unit arcs (the vertex
 split network of graph.split_network, or random arcs). The value must
 equal that of a one-sided BFS augmenting loop kept here as the reference,
 and the returned side must equal the residual closure from s, computed
-here from the loop's final capacities and by the reference. networkx, when
+here from the loop's final capacities and by the reference. The final
+capacities must equal those of a second reference, the same bidirectional
+search order written over the forward arcs alone, so the loop takes the
+same augmenting paths whichever arc view it scans. networkx, when
 installed, checks the public methods that wrap the loop.
 """
 
@@ -51,6 +54,60 @@ def reference(adj, head, cap, s, t, cutoff, start):
             v = head[a ^ 1]
         flow += 1
     return flow, None
+
+
+def expand(adj, head, cap, level, mine, other, backward):
+    """One level of a search tree: scan each arc b out of the level, or
+    its twin b ^ 1 into the level when `backward`, and mark far ends.
+    Returns the next level and the first vertex both trees mark, or -1."""
+    nxt = []
+    for x in level:
+        for b in adj[x]:
+            a = b ^ 1 if backward else b
+            v = head[b]
+            if cap[a] and mine[v] == -1:
+                mine[v] = a
+                if other[v] != -1:
+                    return nxt, v
+                nxt.append(v)
+    return nxt, -1
+
+
+def bidirectional(adj, head, cap, s, t, cutoff, start):
+    """The loop's search order written over adj and head alone: a level of
+    the smaller frontier per step, forward on ties. Augments `cap` in
+    place along the paths the loop must take; returns the flow."""
+    for path in start:
+        for a in path:
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+    flow = len(start)
+    while cutoff is None or flow < cutoff:
+        fwd = [-1] * len(adj)
+        bwd = [-1] * len(adj)
+        fwd[s] = bwd[t] = -2
+        front, back, meet = [s], [t], -1
+        while front and back and meet == -1:
+            if len(front) <= len(back):
+                front, meet = expand(adj, head, cap, front, fwd, bwd, False)
+            else:
+                back, meet = expand(adj, head, cap, back, bwd, fwd, True)
+        if meet == -1:
+            return flow
+        v = meet
+        while v != s:
+            a = fwd[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a ^ 1]
+        v = meet
+        while v != t:
+            a = bwd[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = head[a]
+        flow += 1
+    return flow
 
 
 def closure(adj, head, cap, s):
@@ -101,13 +158,19 @@ def exit_kind(adj, head, cap, s, t):
     return "forward" if i == len(fwd) else "backward"
 
 
-def check(adj, head, cap, s, t, cutoff=None, start=()):
-    """Run the loop and the reference on copies of `cap`; return the exit
-    kind of the loop's last search, or None when the cutoff stopped it."""
+def check(net, cap, s, t, cutoff=None, start=()):
+    """Run the loop on network `net`, which carries adj, radj, head and
+    tail, and the references on its adj and head, on copies of `cap`;
+    return the exit kind of the loop's last search, or None when the
+    cutoff stopped it."""
+    adj, head = net.adj, net.head
     ref_value, ref_side = reference(adj, head, cap[:], s, t, cutoff, start)
     final = cap[:]
-    value, side = _augment(adj, head, final, s, t, cutoff, start)
+    value, side = _augment(net, final, s, t, cutoff, start)
     assert value == ref_value, (s, t, cutoff)
+    paths = cap[:]
+    assert bidirectional(adj, head, paths, s, t, cutoff, start) == value
+    assert final == paths, (s, t, cutoff)
     if cutoff is not None and value >= cutoff:
         assert side is ref_side is None
         return None
@@ -182,10 +245,26 @@ def directed_cases(seed):
                 yield net, cap, s, t
 
 
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_reverse_arcs_mirror_forward_arcs(seed):
+    """tail[a] is head[a ^ 1], and radj[x] is exactly the arcs into x, the
+    twins of adj[x] in adj order, in both network layouts."""
+    nets = (unit_engine(seed)[0], directed_network(seed)[0],
+            split_network(random_graph(seed, max_vertices=10, max_edges=24)))
+    for net in nets:
+        arcs = range(len(net.head))
+        assert net.tail == [net.head[a ^ 1] for a in arcs]
+        for x in range(len(net.adj)):
+            assert all(net.tail[a] == x for a in net.adj[x])
+            assert all(net.head[a] == x for a in net.radj[x])
+            assert net.radj[x] == [a ^ 1 for a in net.adj[x]]
+        assert sorted(a for into in net.radj for a in into) == list(arcs)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_unit_engine_loop_matches_reference(seed):
     for engine, cap, s, t, cutoff, start in unit_cases(seed):
-        check(engine.adj, engine.head, cap, s, t, cutoff, start)
+        check(engine, cap, s, t, cutoff, start)
         assert engine.max_flow(s, t, cutoff, start) == reference(
             engine.adj, engine.head, cap[:], s, t, cutoff, start)[0]
 
@@ -193,29 +272,29 @@ def test_unit_engine_loop_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_split_network_loop_matches_reference(seed):
     for net, cap, s, t in split_cases(seed):
-        check(net.adj, net.head, cap, s, t)
+        check(net, cap, s, t)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_directed_loop_matches_reference(seed):
     for net, cap, s, t in directed_cases(seed):
-        check(net.adj, net.head, cap, s, t)
+        check(net, cap, s, t)
         assert net.max_flow(s, t) == reference(
             net.adj, net.head, cap[:], s, t, None, ())[0]
 
 
 def test_both_exits_occur():
     """Among the cases, some last searches end with the forward frontier
-    dry and some with the backward one dry (the forward closure is then
-    finished before the side is read), in both network layouts."""
+    dry and some with the backward one dry (the loop then runs on over
+    the forward side until it is closed), in both network layouts."""
     unit, directed = Counter(), Counter()
     for seed in SEEDS:
         for engine, cap, s, t, cutoff, start in unit_cases(seed):
-            unit[check(engine.adj, engine.head, cap, s, t, cutoff, start)] += 1
+            unit[check(engine, cap, s, t, cutoff, start)] += 1
         for net, cap, s, t in split_cases(seed):
-            directed[check(net.adj, net.head, cap, s, t)] += 1
+            directed[check(net, cap, s, t)] += 1
         for net, cap, s, t in directed_cases(seed):
-            directed[check(net.adj, net.head, cap, s, t)] += 1
+            directed[check(net, cap, s, t)] += 1
     for kinds in (unit, directed):
         assert kinds["forward"] > 0 and kinds["backward"] > 0, kinds
     assert unit[None] > 0

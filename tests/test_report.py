@@ -1,5 +1,7 @@
 """VerificationReport schema: round-trips and the witness/failures invariant."""
 
+import pytest
+
 from hlmenger import FaultCampaign, run_campaign, validate_hl
 from hlmenger.report import VerificationReport
 
@@ -39,3 +41,17 @@ def test_schema_version_present():
     report = validate_hl(network("hypercube", 2))
     assert report.schema_version == "1"
     assert report.to_dict()["schema_version"] == "1"
+
+
+def test_from_dict_ignores_unknown_keys_and_defaults_optional_ones():
+    required = {"check_name": "x", "target": {}, "mode": "direct",
+                "parameters": {}, "counts": {"failures": 0}}
+    report = VerificationReport.from_dict({**required, "extra": 1})
+    assert report == VerificationReport(**required)
+    assert report.details == [] and report.witness is None
+    assert list(report.to_dict()) == [*required, "witness", "details",
+                                      "timing_seconds", "schema_version"]
+    for key in required:
+        with pytest.raises(KeyError, match=key):
+            VerificationReport.from_dict(
+                {k: v for k, v in required.items() if k != key})

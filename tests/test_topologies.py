@@ -14,11 +14,30 @@ from hlmenger import (
     validate_hl,
     vertex_connectivity,
 )
-from hlmenger.topologies import HLNetwork, _bit_labels, _k2, \
-    family_bijection, hl_from_graph
+from hlmenger.topologies import HLNetwork, _PARTNER_RULES, _bit_labels, \
+    _k2, family_bijection, hl_from_graph
 from hlmenger.rng import mix_seed
 
 from util import NOT_HL4_EDGES, corpus, network
+
+
+def rule_direct_edges(kind, n):
+    """Edge set over {0,1}^n straight from the family's adjacency rule.
+
+    Two vertices are adjacent iff they agree above some bit position l,
+    differ at l, and their low l-1 bits satisfy the family rule for a
+    dimension-l join. Each edge is emitted once, from its endpoint with a
+    0 at the top differing bit.
+    """
+    rule = _PARTNER_RULES[kind]
+    edges = []
+    for v in range(1 << n):
+        for level in range(1, n + 1):
+            if not (v >> (level - 1)) & 1:
+                low = v & ((1 << (level - 1)) - 1)
+                w = (v - low) | (1 << (level - 1)) | rule(low, level)
+                edges.append((v, w))
+    return edges
 
 
 def cross_labels(h):
@@ -107,8 +126,12 @@ class TestGenFamily:
             gen_family("klein", 3)
 
     def test_recursive_equals_rule_direct(self):
-        # gen_family itself asserts this; rebuild one level by hand anyway
+        # every dimension a request may reach (check_size refuses n >= 14)
         for kind in NAMED_FAMILIES:
+            for n in range(1, 14):
+                edges = gen_family(kind, n).graph.edges
+                assert edges == tuple(sorted(rule_direct_edges(kind, n))), \
+                    (kind, n)
             for n in range(2, 7):
                 half = gen_family(kind, n - 1)
                 joined = hl_join(half, half, family_bijection(kind, n))
