@@ -3,12 +3,21 @@
 Fault sets are consumed from the caller's stream in canonical order and
 evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
-failure witness are identical whatever the worker count. Workers share
-nothing: for SMEC checks each builds its own flow engine from the
-(n, edges) layout once; component checks build none.
-The stream holds only sets to evaluate: the conditional mode's
-minimum-degree admission happens where the sets are produced, so every
-set here is visited.
+failure witness are identical whatever the worker count. For SMEC checks
+each worker builds its own flow engine from the (n, edges) layout once.
+For component checks the parent builds the fault-free component index
+(component_index) once per campaign and hands it to the workers, which
+inherit it when forked. The stream holds only sets to evaluate: the
+conditional mode's minimum-degree admission happens where the sets are
+produced, so every set here is visited.
+
+Per fault set F the component-floor check (largest_component_under_faults)
+searches only around F's edges: a bidirectional search between the ends
+of each F edge either joins them or closes a whole component of G - F,
+and a second pass between the live ends of F edges whose far end closed
+joins what is left of each component of G. So a set that splits nothing
+costs a few short searches, not a pass over every edge (Even and
+Shiloach 1981).
 
 Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
 capped max-flows into one vertex r of maximum degree in G-F, warm-started
@@ -28,10 +37,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import Pool
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .flow import UnitFlowEngine
-from .graph import Edge
+from .graph import Edge, Graph, components
 
 _CHUNK_SIZE = 512
 
@@ -142,42 +151,139 @@ def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
     return SmecWitness(u, v, paths, req, tuple(sorted(cut)))
 
 
-def largest_component_under_faults(n: int, edges, fault_idx) -> int:
-    """Largest component size after deleting the given (sorted) edge indices."""
-    parent = list(range(n))
-    k = 0
-    nf = len(fault_idx)
-    for i, (u, v) in enumerate(edges):
-        if k < nf and fault_idx[k] == i:
-            k += 1
-            continue
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u != v:
-            parent[u] = v
-    counts = [0] * n
-    best = 0
-    for x in range(n):
+def component_index(g: Graph) -> tuple:
+    """(edges, inc, comp, comp_size) of G, the fault-free state of
+    largest_component_under_faults: inc[x] lists (y, k) for each edge
+    k = (x, y), comp[x] is x's component in G and comp_size[c] the size
+    of component c."""
+    inc = [[] for _ in range(g.n_vertices)]
+    for k, (u, v) in enumerate(g.edges):
+        inc[u].append((v, k))
+        inc[v].append((u, k))
+    comp = [0] * g.n_vertices
+    comp_size = []
+    for c, members in enumerate(components(g)):
+        for x in members:
+            comp[x] = c
+        comp_size.append(len(members))
+    return g.edges, inc, comp, comp_size
+
+
+def largest_component_under_faults(index: tuple, fault_idx) -> int:
+    """Size of the largest component of G - F, F the given edge indices
+    and index = component_index(G), searching only around F's edges.
+
+    A search between a and b grows a tree from each in G - F, one whole
+    level of the smaller frontier at a time. Either the trees meet, and
+    every F endpoint either tree marked joins a's class in a union-find
+    over F's endpoints, or a tree runs dry: its marks are then a whole
+    component of G - F, which is closed, with its size and G-component.
+    1. Each F edge (u, v), in order, is searched unless an endpoint is
+       closed or u and v are already in one class.
+    2. If nothing closed, every F edge's ends are joined in G - F, so any
+       path of G through F can be rerouted: G's components are intact.
+    3. Otherwise the boundary anchors are the live ends of F edges whose
+       other end is closed. Within each G-component, two live anchors of
+       different classes are searched until one class is left; each
+       search joins two classes or closes one more component.
+    4. The answer is the largest of the closed sizes and, for every
+       G-component B_c, the size of its remainder R_c = B_c minus the
+       closed vertices.
+    R_c is connected: a part P of it other than B_c has an edge of G
+    leaving P inside B_c, which must be an F edge (x, y) with x in P. If y
+    were in R_c too, step 1 searched (x, y) or found them joined, and a
+    search that closes neither end meets, so x and y would be joined.
+    Hence y is closed, x is a boundary anchor, and every part of R_c
+    holds one. Step 3 makes no new anchor: an F edge with no end closed
+    after step 1 has its ends joined, so they close together or not at
+    all. After step 3 the live anchors of B_c form one class, so R_c is
+    one part.
+    """
+    edges, inc, comp, comp_size = index
+    if not fault_idx:
+        return max(comp_size, default=0)
+    dead = set(fault_idx)
+    parent = {}
+    for k in fault_idx:
+        u, v = edges[k]
+        parent[u] = u
+        parent[v] = v
+    closed = set()
+    sizes = []
+    closed_in = {}
+
+    def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        c = counts[x] + 1
-        counts[x] = c
-        if c > best:
-            best = c
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def search(a, b):
+        seen_a, seen_b = {a}, {b}
+        front_a, front_b = [a], [b]
+        hits = [b]        # F endpoints marked, besides a
+        while True:
+            if len(front_b) < len(front_a):
+                front, mine, other = front_b, seen_b, seen_a
+            else:
+                front, mine, other = front_a, seen_a, seen_b
+            level = []
+            for x in front:
+                for y, k in inc[x]:
+                    if y not in mine and k not in dead:
+                        if y in other:
+                            r = find(a)
+                            for z in hits:
+                                parent[find(z)] = r
+                            return
+                        mine.add(y)
+                        level.append(y)
+                        if y in parent:
+                            hits.append(y)
+            if not level:
+                closed.update(mine)
+                sizes.append(len(mine))
+                c = comp[a]
+                closed_in[c] = closed_in.get(c, 0) + len(mine)
+                return
+            if mine is seen_a:
+                front_a = level
+            else:
+                front_b = level
+
+    for k in fault_idx:
+        u, v = edges[k]
+        if u not in closed and v not in closed and find(u) != find(v):
+            search(u, v)
+    if not sizes:
+        return max(comp_size)
+    anchors = {}          # G-component -> its boundary anchors, in order
+    for k in fault_idx:
+        u, v = edges[k]
+        if (u in closed) != (v in closed):
+            a = v if u in closed else u
+            anchors.setdefault(comp[a], {})[a] = None
+    for group in anchors.values():
+        while True:
+            live = [a for a in group if a not in closed]
+            b = next((x for x in live if find(x) != find(live[0])), None)
+            if b is None:
+                break
+            search(live[0], b)
+    best = max(sizes)
+    for c, size in enumerate(comp_size):
+        rest = size - closed_in.get(c, 0)
+        if rest > best:
+            best = rest
     return best
 
 
-def _evaluate_one(engine: Optional[UnitFlowEngine], n: int, edges, idx,
-                  kind: str, floor: int) -> Optional[dict]:
-    """None when the fault set passes, else its failure witness. The
-    engine is None for component checks, which need no flow."""
+def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
+                  edges, idx, kind: str, floor: int) -> Optional[dict]:
+    """None when the fault set passes, else its failure witness. Component
+    checks read the component index and have no engine; SMEC checks have
+    an engine and no index."""
     if kind == "component":
-        size = largest_component_under_faults(n, edges, idx)
+        size = largest_component_under_faults(index, idx)
         if size < floor:
             return {
                 "fault_edges": [list(edges[k]) for k in idx],
@@ -193,18 +299,18 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], n: int, edges, idx,
     return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
 
-def _init_worker(n, edges, kind, floor):
+def _init_worker(n, edges, kind, floor, index):
     global _WORKER_STATE
     engine = UnitFlowEngine(n, edges) if kind == "smec" else None
-    _WORKER_STATE = (engine, n, edges, kind, floor)
+    _WORKER_STATE = (engine, index, edges, kind, floor)
 
 
 def _run_chunk(chunk):
-    engine, n, edges, kind, floor = _WORKER_STATE
+    engine, index, edges, kind, floor = _WORKER_STATE
     failures = 0
     first = None
     for idx in chunk:
-        out = _evaluate_one(engine, n, edges, idx, kind, floor)
+        out = _evaluate_one(engine, index, edges, idx, kind, floor)
         if out is not None:
             failures += 1
             if first is None:
@@ -221,22 +327,28 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
 
 
 def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
-                    jobs: int) -> Optional[dict]:
-    """Evaluate every fault set; returns the first-in-order failure witness."""
+                    jobs: int,
+                    progress: Optional[Callable[[], None]] = None
+                    ) -> Optional[dict]:
+    """Evaluate every fault set; returns the first-in-order failure witness.
+    `progress`, when given, is called after each chunk's tallies are merged
+    into counters."""
     global _WORKER_STATE
-    initargs = (g.n_vertices, g.edges, kind, floor)
+    index = component_index(g) if kind == "component" else None
+    initargs = (g.n_vertices, g.edges, kind, floor, index)
     chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:
         _init_worker(*initargs)
         try:
-            return _merge(map(_run_chunk, chunks), counters)
+            return _merge(map(_run_chunk, chunks), counters, progress)
         finally:
             _WORKER_STATE = None
     with Pool(jobs, initializer=_init_worker, initargs=initargs) as pool:
-        return _merge(pool.imap(_run_chunk, chunks), counters)
+        return _merge(pool.imap(_run_chunk, chunks), counters, progress)
 
 
-def _merge(results, counters: dict) -> Optional[dict]:
+def _merge(results, counters: dict,
+           progress: Optional[Callable[[], None]]) -> Optional[dict]:
     """Add per-chunk tallies into counters; keep the first failure witness."""
     first_witness = None
     for visited, failures, first in results:
@@ -244,4 +356,6 @@ def _merge(results, counters: dict) -> Optional[dict]:
         counters["failures"] += failures
         if first_witness is None:
             first_witness = first
+        if progress is not None:
+            progress()
     return first_witness

@@ -30,8 +30,9 @@ TIGHTNESS_CHECKS = ("tight-uncond", "tight-cond")
 # parsed as None when absent, so a check can reject one it would ignore
 FLAG_DEFAULTS = {"m": None, "mode": "exhaustive", "samples": 10000,
                  "adversarial": False, "budget": 10_000_000,
-                 "all_witnesses": False}
-CAMPAIGN_FLAGS = ("m", "mode", "samples", "adversarial", "budget")
+                 "all_witnesses": False, "progress": False}
+CAMPAIGN_FLAGS = ("m", "mode", "samples", "adversarial", "budget",
+                  "progress")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,6 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int,
                      help="max fault sets an exhaustive sweep may visit "
                           "(default 10000000)")
+    ver.add_argument("--progress", action="store_true", default=None,
+                     help="campaign checks: after each chunk of fault sets, "
+                          "write visited/total, rate, ETA and failures to "
+                          "stderr")
     ver.add_argument("--jobs", type=int, default=1,
                      help="worker processes for campaign evaluation")
     ver.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -197,6 +202,14 @@ def _resolve_flags(args) -> None:
             setattr(args, name, default)
 
 
+def _write_progress(visited: int, total: int, failures: int,
+                    elapsed: float) -> None:
+    rate = visited / elapsed if elapsed > 0 else 0.0
+    eta = f"{(total - visited) / rate:.1f}s" if rate else "?"
+    print(f"progress: {visited}/{total} sets, {rate:.0f} sets/s, "
+          f"eta {eta}, {failures} failures", file=sys.stderr, flush=True)
+
+
 def cmd_verify(args) -> int:
     _resolve_flags(args)
     network = _load_network(args, hl=True)
@@ -223,11 +236,14 @@ def cmd_verify(args) -> int:
             samples=args.samples if mode == "sampled" else 0,
             seed=args.seed, adversarial=args.adversarial,
             budget=args.budget)
+        progress = _write_progress if args.progress else None
         if bound.floor is None:
-            report = run_campaign(L, c, jobs=args.jobs, target=target)
+            report = run_campaign(L, c, jobs=args.jobs, target=target,
+                                  progress=progress)
         else:
             report = check_component_lemma(
-                L, m, bound.floor(n), c, jobs=args.jobs, target=target)
+                L, m, bound.floor(n), c, jobs=args.jobs, target=target,
+                progress=progress)
             report.check_name = check
 
     _emit(report.to_json() + "\n", args.out)

@@ -12,8 +12,8 @@ tree into t runs dry first, that same loop runs on over the tree from s
 until it is closed. On these expander-like line graphs a search from s
 alone floods most of the network before it reaches t; the two trees meet
 after a small fraction of that. With no path left, the loop returns the
-residual s-side, the smallest s-side of a minimum cut, which min_cut,
-min_cuts and the Gusfield tree read.
+residual s-side, the smallest s-side of a minimum cut, which min_cut
+and min_cuts read.
 
 * UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
   with a mutable fault mask so campaigns can re-query thousands of fault sets
@@ -33,9 +33,7 @@ cut from one source to each of many targets, as min_cut would, but
 confirms a target that shares the first target's cut with a capped flow
 from a neighbouring target (lambda(x, y) >= min(lambda(x, w),
 lambda(w, y)), Gomory and Hu 1961); edge connectivity and the tightness
-checks use it. The engine also builds a Gusfield (Gomory-Hu style)
-equivalent-flow tree, which no campaign uses: tests take it as an
-all-pairs oracle.
+checks use it.
 """
 
 from __future__ import annotations
@@ -306,50 +304,6 @@ class UnitFlowEngine:
                 a = next(b for b in adj[v] if not cap[b])
             paths.append(tuple(path))
         return paths
-
-    def gusfield_tree(self) -> tuple[list[int], list[int]]:
-        """Equivalent-flow tree: (parent, weight) arrays, vertex 0 is the root.
-
-        The minimum s-t edge cut equals the smallest weight on the s-t path
-        of this tree, for every vertex pair.
-        """
-        n = self.n
-        parent = [0] * n
-        weight = [0] * n
-        for i in range(1, n):
-            t = parent[i]
-            flow, side = self.max_flow_with_side(i, t)
-            weight[i] = flow
-            for j in range(i + 1, n):
-                if parent[j] == t and side[j]:
-                    parent[j] = i
-        return parent, weight
-
-    def all_pairs_min_cut(self) -> list[list[int]]:
-        """Matrix of min cut values for all pairs, via the Gusfield tree."""
-        n = self.n
-        parent, weight = self.gusfield_tree()
-        tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            tree[i].append((parent[i], weight[i]))
-            tree[parent[i]].append((i, weight[i]))
-        inf = float("inf")
-        rows = []
-        for root in range(n):
-            row = [0] * n
-            seen = [False] * n
-            seen[root] = True
-            stack = [(root, inf)]
-            while stack:
-                u, running = stack.pop()
-                for v, w in tree[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        m = running if running < w else w
-                        row[v] = m
-                        stack.append((v, m))
-            rows.append(row)
-        return rows
 
 
 class DirectedFlow:

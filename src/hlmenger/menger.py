@@ -289,9 +289,14 @@ def _admitted(g: Graph, sets: Iterable[tuple[int, ...]],
 # ---------------------------------------------------------------------------
 
 
+# progress(visited, total, failures, elapsed seconds) after each chunk
+Progress = Callable[[int, int, int, float], None]
+
+
 def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
            check_name: str, target: Optional[dict], jobs: int,
-           extra_params: Optional[dict] = None) -> VerificationReport:
+           extra_params: Optional[dict] = None,
+           progress: Optional[Progress] = None) -> VerificationReport:
     g = L.graph
     n_edges = len(g.edges)
     if c.m < 0:
@@ -302,11 +307,12 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         raise ValueError(f"m={c.m} exceeds the {n_edges} available edges")
     if c.mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown campaign mode {c.mode!r}")
+    swept = c.samples     # sets the sweep yields before admission
     if c.mode == "exhaustive":
-        total = _exhaustive_count(n_edges, c.m)
-        if total > c.budget:
+        swept = _exhaustive_count(n_edges, c.m)
+        if swept > c.budget:
             raise BudgetExceeded(
-                f"exhaustive sweep of {total} fault sets exceeds budget {c.budget}")
+                f"exhaustive sweep of {swept} fault sets exceeds budget {c.budget}")
     elif c.conditional and g.min_degree() < 2:
         # every F has delta(G-F) <= delta(G) < 2: rejection would never end
         raise ValueError("graph already violates the min-degree-2 condition")
@@ -323,8 +329,16 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         sweep = admit(_exhaustive_stream(n_edges, c.m))
     else:
         sweep = islice(admit(_sample_stream(g, c)), c.samples)
+    on_chunk = None
+    if progress is not None:
+        total = len(adversarial) + swept
+
+        def on_chunk():
+            progress(counters["visited"], total, counters["failures"],
+                     time.perf_counter() - started)
     witness = _exec.evaluate_stream(
-        g, chain(admit(adversarial), sweep), kind, floor, counters, jobs)
+        g, chain(admit(adversarial), sweep), kind, floor, counters, jobs,
+        on_chunk)
 
     if target is None:
         target = {"line_vertices": g.n_vertices, "line_edges": n_edges}
@@ -357,21 +371,30 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
 
 
 def run_campaign(L: LineGraph, c: FaultCampaign, jobs: int = 1,
-                 target: Optional[dict] = None) -> VerificationReport:
-    """Check SMEC of L minus every visited fault set of size <= c.m."""
+                 target: Optional[dict] = None,
+                 progress: Optional[Progress] = None) -> VerificationReport:
+    """Check SMEC of L minus every visited fault set of size <= c.m.
+
+    `progress` is called after each evaluated chunk with the sets visited
+    so far, the total the sweep and the adversarial suite can yield before
+    the conditional admission, the failures so far and the elapsed time.
+    """
     name = "cond-ft-smec" if c.conditional else "ft-smec"
-    return _drive(L, c, "smec", 0, name, target, jobs)
+    return _drive(L, c, "smec", 0, name, target, jobs, progress=progress)
 
 
 def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
                           c: FaultCampaign, jobs: int = 1,
-                          target: Optional[dict] = None) -> VerificationReport:
-    """Assert L minus each visited fault set keeps a component >= floor."""
+                          target: Optional[dict] = None,
+                          progress: Optional[Progress] = None
+                          ) -> VerificationReport:
+    """Assert L minus each visited fault set keeps a component >= floor.
+    `progress` is as in run_campaign."""
     if floor > L.graph.n_vertices:
         raise ValueError("floor exceeds the vertex count")
     c = replace(c, m=fault_budget)
     return _drive(L, c, "component", floor, "component-floor", target, jobs,
-                  extra_params={"floor": floor})
+                  extra_params={"floor": floor}, progress=progress)
 
 
 # ---------------------------------------------------------------------------

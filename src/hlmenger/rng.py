@@ -69,9 +69,13 @@ class SplitMix64:
         """Sorted uniform k-subset of range(population), without replacement."""
         if not 0 <= k <= population:
             raise ValueError(f"cannot sample {k} from {population}")
-        # Partial Fisher-Yates: only the first k slots are needed.
-        pool = list(range(population))
+        # Partial Fisher-Yates over a virtual list(range(population)):
+        # `moved` holds only the slots a swap changed, and slot i is never
+        # read again once it is drawn.
+        moved: dict[int, int] = {}
+        out = []
         for i in range(k):
             j = i + self.randbelow(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return sorted(out)

@@ -1,5 +1,6 @@
 """CLI subcommands: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hlmenger import bcdc, build_graph, edgelist, generate, linegraph, \
     topologies
 from hlmenger.cli import main
+from hlmenger.report import VerificationReport
 
 from util import NOT_HL4_EDGES, cut_disconnects, lgraph, network
 
@@ -327,6 +329,42 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", check, "--family",
                            "hypercube", "--n", "4", "--jobs", "2")
         assert code == expect and json.loads(out)["check_name"] == check
+
+
+def digest(report_text: str) -> str:
+    report = VerificationReport.from_dict(json.loads(report_text))
+    return hashlib.sha256(report.canonical_json().encode()).hexdigest()
+
+
+class TestProgress:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv,total,failures", [
+        (("lemma32", "--family", "crossed", "--n", "3", "--m", "7",
+          "--mode", "sample", "--samples", "1400", "--seed", "2",
+          "--adversarial"), 1518, 5),
+        (("ft-smec", "--family", "hypercube", "--n", "3", "--m", "2"),
+         301, 0),
+    ], ids=["lemma32-sampled", "ft-smec-exhaustive"])
+    def test_progress_goes_to_stderr_and_leaves_the_report(
+            self, capsys, argv, total, failures, jobs):
+        base = ("verify", "--check", *argv, "--jobs", jobs)
+        code, plain, quiet = run(capsys, *base)
+        assert quiet == ""
+        code2, out, err = run(capsys, *base, "--progress")
+        assert code2 == code and digest(out) == digest(plain)
+        lines = err.splitlines()
+        assert len(lines) == -(-total // 512)
+        assert all(line.startswith("progress: ") for line in lines)
+        assert lines[-1].startswith(f"progress: {total}/{total} sets, ")
+        assert lines[-1].endswith(f", {failures} failures")
+
+    @pytest.mark.parametrize("check", ["smec", "tight-uncond", "tight-cond"])
+    def test_progress_outside_campaign_checks_exit_2(self, capsys, check):
+        code, out, err = run(capsys, "verify", "--check", check,
+                             "--family", "hypercube", "--n", "4",
+                             "--progress")
+        assert code == 2 and out == ""
+        assert f"error: --progress does not apply to --check {check}" in err
 
 
 class Generated(Exception):

@@ -33,6 +33,9 @@ GOLDEN = (
      "5b1a61a481aab27a013d82fdd999f29381efed538d964156f5341e0f671c9f9b"),
     ("lemma32 --family crossed --n 3", 0,
      "ba0a8c92ba82bdbc741148e6e48c6eca24b498e234daafa52bf247a8baef5750"),
+    ("lemma32 --family crossed --n 3 --m 7 --mode sample --samples 400 "
+     "--seed 2 --adversarial", 1,
+     "4f0c0ec67acc8ba76c07f0c8c95c76d8cf0eeae8abe73848e87f618882745466"),
     ("lemma41 --family ltq --n 4 --mode sample --samples 200 --seed 4 "
      "--adversarial", 0,
      "2fa46f296f0413726329c4fdfbd5e6b0506b6177f012d15e375a67b0500d8002"),

@@ -18,7 +18,7 @@ from hlmenger import (
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.rng import SplitMix64
 
-from util import lgraph, random_graph
+from util import all_pairs_min_cut, lgraph, random_graph
 
 
 def c4():
@@ -248,7 +248,7 @@ def test_components_partition(seed):
 def test_gusfield_tree_matches_direct_flow(seed):
     g = random_graph(seed)
     engine = UnitFlowEngine(g.n_vertices, g.edges)
-    cuts = engine.all_pairs_min_cut()
+    cuts = all_pairs_min_cut(engine)
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
             assert cuts[u][v] == max_edge_disjoint_paths(g, u, v).value

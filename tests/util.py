@@ -78,6 +78,52 @@ def naive_is_smec(g: Graph) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def gusfield_tree(engine) -> tuple[list[int], list[int]]:
+    """Equivalent-flow tree of the engine's graph under its installed
+    faults: (parent, weight) arrays, vertex 0 is the root.
+
+    The minimum s-t edge cut equals the smallest weight on the s-t path
+    of this tree, for every vertex pair (Gusfield 1990).
+    """
+    n = engine.n
+    parent = [0] * n
+    weight = [0] * n
+    for i in range(1, n):
+        t = parent[i]
+        flow, side = engine.max_flow_with_side(i, t)
+        weight[i] = flow
+        for j in range(i + 1, n):
+            if parent[j] == t and side[j]:
+                parent[j] = i
+    return parent, weight
+
+
+def all_pairs_min_cut(engine) -> list[list[int]]:
+    """Matrix of min cut values for all pairs, via the Gusfield tree."""
+    n = engine.n
+    parent, weight = gusfield_tree(engine)
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        tree[i].append((parent[i], weight[i]))
+        tree[parent[i]].append((i, weight[i]))
+    rows = []
+    for root in range(n):
+        row = [0] * n
+        seen = [False] * n
+        seen[root] = True
+        stack = [(root, float("inf"))]
+        while stack:
+            u, running = stack.pop()
+            for v, w in tree[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    m = running if running < w else w
+                    row[v] = m
+                    stack.append((v, m))
+        rows.append(row)
+    return rows
+
+
 def cut_disconnects(g: Graph, u: int, v: int, cut) -> bool:
     """True iff removing the cut edges separates u from v in g."""
     stripped = remove_edges(g, [tuple(e) for e in cut])
