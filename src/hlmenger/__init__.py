@@ -3,9 +3,7 @@ fault-tolerance verification."""
 
 from .graph import (
     BudgetExceeded,
-    FlowResult,
     Graph,
-    brute_force_min_cut,
     build_graph,
     components,
     edge_connectivity,
@@ -14,18 +12,16 @@ from .graph import (
     remove_edges,
     vertex_connectivity,
 )
-from .linegraph import BCDCPair, LineGraph, bcdc, check_prop_3_1, f_vertices, \
-    line_graph, line_graph_of_hl
+from .linegraph import BCDCPair, LineGraph, bcdc, check_prop_3_1, line_graph, \
+    line_graph_of_hl
 from .menger import (
     FaultCampaign,
-    FaultPartition,
     SmecVerdict,
     SmecWitness,
     TightnessWitness,
     check_component_lemma,
     check_tightness,
     is_smec,
-    partition_faults,
     run_campaign,
     tightness_conditional,
     tightness_unconditional,

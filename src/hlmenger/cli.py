@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tightness checks: test every admissible far "
                           "vertex, not only the lowest")
     ver.add_argument("--budget", type=int,
-                     help="max fault sets an exhaustive sweep may visit "
-                          "(default 10000000)")
+                     help="campaign checks: max fault sets an exhaustive "
+                          "sweep may visit (default 10000000)")
     ver.add_argument("--progress", action="store_true", default=None,
                      help="campaign checks: after each chunk of fault sets, "
                           "write visited/total, rate, ETA and failures to "
@@ -183,7 +183,7 @@ def _resolve_flags(args) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.check == "smec":
-        used = ("budget",)
+        used = ()
     elif args.check in TIGHTNESS_CHECKS:
         used = ("all_witnesses",)
     else:
@@ -220,8 +220,8 @@ def cmd_verify(args) -> int:
     check = args.check
     if check == "smec":
         report = run_campaign(
-            L, FaultCampaign(mode="exhaustive", m=0, budget=args.budget),
-            jobs=args.jobs, target=target)
+            L, FaultCampaign(mode="exhaustive", m=0), jobs=args.jobs,
+            target=target)
         report.check_name = "smec"
     elif check in TIGHTNESS_CHECKS:
         report = check_tightness(L, conditional=(check == "tight-cond"),

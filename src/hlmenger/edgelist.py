@@ -78,11 +78,6 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
                          f"record: {' '.join(parts[1:])!r}") from None
 
 
-def write_file(path, g: Graph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g))
-
-
 def read_file(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
         return loads(fh.read())

@@ -5,17 +5,15 @@ and every operation here is a pure function of its inputs. Connectivity
 quantities are exact integers: edge-disjoint path counts come from
 unit-capacity max-flow, edge connectivity from the minimum cuts between
 vertex 0 and every other vertex (UnitFlowEngine.min_cuts, which confirms
-most of them with capped flows between neighbours), vertex connectivity
-from a vertex-splitting reduction to a directed network of unit arcs, and
-a brute-force subset-enumeration oracle is provided as an independent
-cross-check of the flow results.
+most of them with capped flows between neighbours), and vertex
+connectivity from a vertex-splitting reduction to a directed network of
+unit arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .flow import DirectedFlow, UnitFlowEngine
@@ -35,24 +33,26 @@ class Graph:
     """Immutable simple undirected graph.
 
     Construct through build_graph(), which validates ids and rejects loops
-    and duplicates. Instances are safe to share across workers; all methods
-    are read-only.
+    and duplicates; the constructor itself trusts `edges` to be distinct
+    canonical pairs in ascending order. Instances are safe to share across
+    workers; all methods are read-only.
     """
 
     __slots__ = ("n_vertices", "edges", "labels", "_edge_set", "_adj")
 
     def __init__(self, n_vertices: int, edges: tuple[Edge, ...],
-                 labels: Optional[dict[int, str]], _adj: tuple[tuple[int, ...], ...]):
+                 labels: Optional[dict[int, str]]):
         self.n_vertices = n_vertices
         self.edges = edges                      # canonical, ascending
         self.labels = labels
         self._edge_set = frozenset(edges)
-        self._adj = _adj
+        adj: list[list[int]] = [[] for _ in range(n_vertices)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj = tuple(tuple(a) for a in adj)
 
     # -- basic accessors -------------------------------------------------
-
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self._edge_set
@@ -111,10 +111,6 @@ def build_graph(n_vertices: int, edges: Iterable[Edge],
         seen.add(e)
         canon.append(e)
     canon.sort()
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for u, v in canon:
-        adj[u].append(v)
-        adj[v].append(u)
     label_map = None
     if labels is not None:
         for v in labels:
@@ -126,8 +122,7 @@ def build_graph(n_vertices: int, edges: Iterable[Edge],
             raise ValueError(f"vertex {unlabeled} has no label; label every "
                              "vertex or none")
         label_map = dict(labels)
-    return Graph(n_vertices, tuple(canon), label_map,
-                 tuple(tuple(a) for a in adj))
+    return Graph(n_vertices, tuple(canon), label_map)
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,8 @@ def remove_edges(g: Graph, faults: Iterable[Edge]) -> Graph:
     foreign = drop - g._edge_set
     if foreign:
         raise ValueError(f"edge {sorted(foreign)[0]} not in graph")
-    return build_graph(g.n_vertices, [e for e in g.edges if e not in drop], g.labels)
+    return Graph(g.n_vertices, tuple(e for e in g.edges if e not in drop),
+                 g.labels)
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -193,57 +189,6 @@ def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> FlowResult:
     engine = UnitFlowEngine(g.n_vertices, g.edges)
     value, cut = engine.min_cut(u, v)
     return FlowResult(value, tuple(sorted(cut)))
-
-
-def brute_force_min_cut(g: Graph, u: int, v: int, limit: int,
-                        budget: int = 5_000_000) -> int:
-    """Smallest k < limit such that deleting some k edges separates u and v.
-
-    Independent oracle for the max-flow path counter: enumerates edge
-    subsets exhaustively in size order and tests separation by plain DFS.
-    Refuses (BudgetExceeded) when the number of subsets to visit would pass
-    `budget`. Raises ValueError if no cut smaller than `limit` exists.
-    """
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    m = len(g.edges)
-    total = sum(comb(m, k) for k in range(min(limit, m + 1)))
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} edge subsets exceed the budget of {budget}")
-
-    adj = [[] for _ in range(g.n_vertices)]
-    for idx, (a, b) in enumerate(g.edges):
-        adj[a].append((b, idx))
-        adj[b].append((a, idx))
-
-    removed = bytearray(m)
-
-    def separated() -> bool:
-        stack = [u]
-        seen = bytearray(g.n_vertices)
-        seen[u] = 1
-        while stack:
-            x = stack.pop()
-            for y, idx in adj[x]:
-                if not removed[idx] and not seen[y]:
-                    if y == v:
-                        return False
-                    seen[y] = 1
-                    stack.append(y)
-        return True
-
-    for k in range(min(limit, m + 1)):
-        for subset in combinations(range(m), k):
-            for idx in subset:
-                removed[idx] = 1
-            if separated():
-                return k
-            for idx in subset:
-                removed[idx] = 0
-    raise ValueError(f"no (u,v)-edge cut of size < {limit} exists")
 
 
 def edge_connectivity(g: Graph) -> int:

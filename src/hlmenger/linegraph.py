@@ -3,8 +3,9 @@
 Line vertex i corresponds to the i-th base edge in ascending canonical
 order; two line vertices are adjacent iff their base edges share an
 endpoint. When the base is a hypercube-like network the line vertices of
-its matching edges (the f-vertices) are identified, which is what the
-fault-partition and component-lemma machinery keys on.
+its matching edges (the f-vertices) are identified, which is what
+Proposition 3.1's check and the adversarial suite's f-incident windows key
+on.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ class LineGraph:
     edge_of_vertex: tuple[tuple[int, int], ...]
     f_vertices: Optional[frozenset[int]] = None
     base_dimension: Optional[int] = None
-
-    @property
-    def half_base(self) -> int:
-        """First vertex id of the base graph's right half (HL base only)."""
-        return self.base.n_vertices // 2
 
 
 def line_graph(base: Graph) -> LineGraph:
@@ -88,18 +84,12 @@ def line_graph_of_hl(h: HLNetwork) -> LineGraph:
     )
 
 
-def f_vertices(h: HLNetwork) -> tuple[LineGraph, frozenset[int]]:
-    """The line graph of h and the set of its f-vertices."""
-    lg = line_graph_of_hl(h)
-    return lg, lg.f_vertices
-
-
 def vertex_side(lg: LineGraph, v: int) -> int:
     """0 if v's base edge lies in the left half, 1 if right, -1 if f-vertex."""
     if lg.f_vertices is not None and v in lg.f_vertices:
         return -1
     x, y = lg.edge_of_vertex[v]
-    half = lg.half_base
+    half = lg.base.n_vertices // 2
     if x < half and y < half:
         return 0
     if x >= half and y >= half:
@@ -166,10 +156,6 @@ class BCDCPair:
     @property
     def n_switches(self) -> int:
         return 1 << self.dimension
-
-    def server_switches(self, server: int) -> tuple[int, int]:
-        """The two switch ids adjacent to a server (0-based server index)."""
-        return self.logical.edge_of_vertex[server]
 
 
 def bcdc(n: int) -> BCDCPair:

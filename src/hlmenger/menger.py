@@ -43,8 +43,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .flow import UnitFlowEngine
-from .graph import BudgetExceeded, Edge, Graph, canonical_edge
-from .linegraph import LineGraph, vertex_side
+from .graph import BudgetExceeded, Edge, Graph
+from .linegraph import LineGraph
 from .report import VerificationReport
 from .rng import PRNG_NAME, SplitMix64
 from . import _campaign_exec as _exec
@@ -115,15 +115,6 @@ class FaultCampaign:
     seed: int = 0
     adversarial: bool = False
     budget: int = 10_000_000
-
-
-@dataclass(frozen=True)
-class FaultPartition:
-    """Fault edges split by where they live relative to the two halves."""
-
-    s1: frozenset[Edge]
-    s2: frozenset[Edge]
-    sf: frozenset[Edge]
 
 
 @dataclass(frozen=True)
@@ -527,31 +518,3 @@ def check_tightness(L: LineGraph, conditional: bool,
         details=confirmed if all_witnesses else [],
         timing_seconds=time.perf_counter() - started,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fault partition diagnostics
-# ---------------------------------------------------------------------------
-
-
-def partition_faults(L: LineGraph, faults: Iterable[Edge]) -> FaultPartition:
-    """Split a fault set into the halves' internal edges and f-incident edges."""
-    if L.f_vertices is None:
-        raise ValueError("partition requires a line graph with f-vertices")
-    edges = frozenset(canonical_edge(u, v) for u, v in faults)
-    missing = edges - frozenset(L.graph.edges)
-    if missing:
-        raise ValueError(f"edge {sorted(missing)[0]} not in the line graph")
-    s1, s2, sf = set(), set(), set()
-    for a, b in edges:
-        sa, sb = vertex_side(L, a), vertex_side(L, b)
-        if sa == -1 or sb == -1:
-            sf.add((a, b))
-        elif sa == 0 and sb == 0:
-            s1.add((a, b))
-        elif sa == 1 and sb == 1:
-            s2.add((a, b))
-        else:
-            raise RuntimeError(f"edge ({a},{b}) spans the halves without an "
-                               "f-vertex; line graph integrity failure")
-    return FaultPartition(frozenset(s1), frozenset(s2), frozenset(sf))

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from hlmenger import (
     FaultCampaign,
-    brute_force_min_cut,
     check_component_lemma,
     check_prop_3_1,
     check_tightness,
@@ -25,7 +24,8 @@ from hlmenger import (
 )
 from hlmenger.cli import main as cli_main
 
-from util import RANDOM_SEEDS, corpus, cut_disconnects, lgraph, random_graph
+from util import RANDOM_SEEDS, brute_force_min_cut, corpus, cut_disconnects, \
+    lgraph, random_graph
 
 APPENDIX_A_SEED = 7
 THEOREM_42_SEED = 8

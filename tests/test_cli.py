@@ -300,8 +300,9 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error: --samples applies only with --mode sample" in err
 
-    @pytest.mark.parametrize("check", ["tight-uncond", "tight-cond"])
-    def test_budget_with_a_tightness_check_exit_2(self, capsys, check):
+    @pytest.mark.parametrize("check", ["smec", "tight-uncond", "tight-cond"])
+    def test_budget_with_smec_or_a_tightness_check_exit_2(self, capsys,
+                                                          check):
         code, out, err = run(capsys, "verify", "--check", check,
                              "--family", "hypercube", "--n", "3",
                              "--budget", "5")
@@ -316,11 +317,6 @@ class TestVerify:
                              "--mode", "sample", "--budget", "5")
         assert code == 2 and out == ""
         assert "error: --budget does not apply to --mode sample" in err
-
-    def test_budget_applies_to_smec(self, capsys):
-        code, _, err = run(capsys, "verify", "--check", "smec", "--family",
-                           "hypercube", "--n", "3", "--budget", "0")
-        assert code == 2 and "exceeds budget 0" in err
 
     @pytest.mark.parametrize("check,expect", [
         ("smec", 0), ("tight-uncond", 1), ("tight-cond", 1),

@@ -102,5 +102,5 @@ def test_token_soup_loads_or_raises_value_error(text):
 def test_file_round_trip(tmp_path):
     g = random_graph(7)
     path = tmp_path / "g.txt"
-    edgelist.write_file(path, g)
+    path.write_text(edgelist.dumps(g), encoding="utf-8")
     assert edgelist.read_file(path) == g

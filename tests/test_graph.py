@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from hlmenger import (
     BudgetExceeded,
-    brute_force_min_cut,
     build_graph,
     components,
     edge_connectivity,
@@ -18,7 +17,7 @@ from hlmenger import (
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.rng import SplitMix64
 
-from util import all_pairs_min_cut, lgraph, random_graph
+from util import all_pairs_min_cut, brute_force_min_cut, lgraph, random_graph
 
 
 def c4():
@@ -94,6 +93,41 @@ class TestRemoveEdges:
     def test_foreign_edge_rejected(self):
         with pytest.raises(ValueError):
             remove_edges(c4(), [(0, 2)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graph_matches_a_rebuild(self, seed):
+        g = random_graph(seed)
+        if seed % 2:
+            g = build_graph(g.n_vertices, g.edges,
+                            {v: format(v, "b") for v in range(g.n_vertices)})
+        rng = SplitMix64(seed)
+        k = rng.randbelow(len(g.edges) + 1)
+        picked = [g.edges[i] for i in rng.sample_indices(len(g.edges), k)]
+        for faults in ([], list(g.edges), [(v, u) for u, v in picked]):
+            _assert_matches_rebuild(g, faults)
+
+    def test_line_graph_matches_a_rebuild(self):
+        g = lgraph("crossed", 4).graph
+        rng = SplitMix64(4)
+        faults = [g.edges[i] for i in rng.sample_indices(len(g.edges), 23)]
+        _assert_matches_rebuild(g, faults)
+        foreign = next((0, v) for v in range(1, g.n_vertices)
+                       if not g.has_edge(0, v))
+        with pytest.raises(ValueError, match="not in graph"):
+            remove_edges(g, faults + [foreign])
+
+
+def _assert_matches_rebuild(g, faults):
+    """remove_edges(g, faults) equals build_graph on the kept edges,
+    adjacency included, which Graph.__eq__ does not compare."""
+    drop = {(min(e), max(e)) for e in faults}
+    kept = [e for e in g.edges if e not in drop]
+    got = remove_edges(g, faults)
+    want = build_graph(g.n_vertices, kept, g.labels)
+    assert got.edges == want.edges
+    assert got.labels == want.labels
+    assert all(got.neighbors(v) == want.neighbors(v)
+               for v in range(g.n_vertices))
 
 
 class TestComponents:

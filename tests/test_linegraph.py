@@ -9,7 +9,6 @@ from hlmenger import (
     check_prop_3_1,
     components,
     edge_connectivity,
-    f_vertices,
     gen_family,
     line_graph,
     vertex_connectivity,
@@ -68,14 +67,14 @@ class TestLineGraph:
 
 class TestFVertices:
     def test_counts(self):
-        assert len(f_vertices(network("hypercube", 2))[1]) == 2
-        assert len(f_vertices(network("hypercube", 3))[1]) == 4
-        assert len(f_vertices(network("crossed", 4))[1]) == 8
+        assert len(lgraph("hypercube", 2).f_vertices) == 2
+        assert len(lgraph("hypercube", 3).f_vertices) == 4
+        assert len(lgraph("crossed", 4).f_vertices) == 8
 
     def test_f_vertices_are_cross_edges(self):
-        h = network("crossed", 3)
-        lg, fset = f_vertices(h)
-        assert {lg.edge_of_vertex[i] for i in fset} == set(h.f_edges)
+        lg = lgraph("crossed", 3)
+        assert {lg.edge_of_vertex[i] for i in lg.f_vertices} == \
+            set(network("crossed", 3).f_edges)
 
     def test_deleting_f_vertices_leaves_the_two_half_line_graphs(self):
         for kind in ("hypercube", "crossed", "ltq"):
@@ -178,7 +177,7 @@ class TestBcdc:
             server = pair.n_switches + i
             assert pair.original.labels[server] == \
                 f"{base.labels[u]},{base.labels[v]}"
-            assert pair.server_switches(i) == (u, v)
+            assert pair.logical.edge_of_vertex[i] == (u, v)
 
     def test_requires_dimension_2(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""SMEC verification: predicate, campaigns, tightness, partitions."""
+"""SMEC verification: predicate, campaigns and tightness."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,6 @@ from hlmenger import (
     is_smec,
     largest_component_size,
     max_edge_disjoint_paths,
-    partition_faults,
     remove_edges,
     run_campaign,
     tightness_conditional,
@@ -645,41 +644,3 @@ class TestTightnessAllWitnessesAgainstDirectCuts:
                              "cut": [list(e) for e in flow.cut]})
         assert expected and report.details == expected
         assert report.counts["failures"] == report.counts["visited"]
-
-
-class TestPartitionFaults:
-    def test_all_edges_at_one_f_vertex_land_in_sf(self):
-        L = lgraph("crossed", 4)
-        fv = min(L.f_vertices)
-        incident = [(min(fv, w), max(fv, w)) for w in L.graph.neighbors(fv)]
-        p = partition_faults(L, incident)
-        assert not p.s1 and not p.s2
-        assert len(p.sf) == 2 * 4 - 2
-
-    def test_half_internal_edge(self):
-        L = lgraph("crossed", 4)
-        from hlmenger.linegraph import vertex_side
-        edge = next(
-            e for e in L.graph.edges
-            if vertex_side(L, e[0]) == 0 and vertex_side(L, e[1]) == 0)
-        p = partition_faults(L, [edge])
-        assert len(p.s1) == 1 and not p.s2 and not p.sf
-
-    def test_partition_sums(self):
-        L = lgraph("crossed", 4)
-        faults = L.graph.edges[7:18]
-        p = partition_faults(L, faults)
-        assert len(p.s1) + len(p.s2) + len(p.sf) == 11
-        assert p.s1 | p.s2 | p.sf == frozenset(faults)
-
-    def test_requires_f_structure(self):
-        from hlmenger import line_graph
-        lg = line_graph(build_graph(3, [(0, 1), (1, 2)]))
-        with pytest.raises(ValueError, match="f-vertices"):
-            partition_faults(lg, [(0, 1)])
-
-    def test_foreign_edges_rejected(self):
-        L = lgraph("crossed", 4)
-        with pytest.raises(ValueError, match="not in the line graph"):
-            partition_faults(L, [(0, 31)] if not L.graph.has_edge(0, 31)
-                             else [(0, 30)])

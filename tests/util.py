@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from hlmenger import (
+    BudgetExceeded,
     Graph,
     HLNetwork,
     LineGraph,
@@ -64,6 +67,57 @@ def random_graph(seed: int, max_vertices: int = 8, max_edges: int = 14) -> Graph
     k = max(rng.randbelow(cap + 1), rng.randbelow(cap + 1))
     idx = rng.sample_indices(len(pairs), k)
     return build_graph(n, [pairs[i] for i in idx])
+
+
+def brute_force_min_cut(g: Graph, u: int, v: int, limit: int,
+                        budget: int = 5_000_000) -> int:
+    """Smallest k < limit such that deleting some k edges separates u and v.
+
+    Independent oracle for the max-flow path counter: enumerates edge
+    subsets exhaustively in size order and tests separation by plain DFS.
+    Refuses (BudgetExceeded) when the number of subsets to visit would pass
+    `budget`. Raises ValueError if no cut smaller than `limit` exists.
+    """
+    g._check_vertex(u)
+    g._check_vertex(v)
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    m = len(g.edges)
+    total = sum(comb(m, k) for k in range(min(limit, m + 1)))
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} edge subsets exceed the budget of {budget}")
+
+    adj = [[] for _ in range(g.n_vertices)]
+    for idx, (a, b) in enumerate(g.edges):
+        adj[a].append((b, idx))
+        adj[b].append((a, idx))
+
+    removed = bytearray(m)
+
+    def separated() -> bool:
+        stack = [u]
+        seen = bytearray(g.n_vertices)
+        seen[u] = 1
+        while stack:
+            x = stack.pop()
+            for y, idx in adj[x]:
+                if not removed[idx] and not seen[y]:
+                    if y == v:
+                        return False
+                    seen[y] = 1
+                    stack.append(y)
+        return True
+
+    for k in range(min(limit, m + 1)):
+        for subset in combinations(range(m), k):
+            for idx in subset:
+                removed[idx] = 1
+            if separated():
+                return k
+            for idx in subset:
+                removed[idx] = 0
+    raise ValueError(f"no (u,v)-edge cut of size < {limit} exists")
 
 
 def naive_is_smec(g: Graph) -> tuple[bool, tuple | None]:
