@@ -21,14 +21,17 @@ Shiloach 1981).
 
 Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
 capped max-flows into one vertex r of maximum degree in G-F, warm-started
-from the stored fault-free paths that avoid F, which the engine hands out
-(live_paths), with cold flows when F touches every stored hub. It returns
-every deficient vertex, and the set passes when there is none. Only pairs
-with a deficient endpoint can violate. The witness scan goes over those
-pairs in ascending order: the hub flows already fix the value of a pair
-with one deficient endpoint, and a pair with two gets a capped direct
-max-flow; a min cut on the first violating pair is the certificate
-(SmecWitness).
+from the stored fault-free paths that avoid F, which the engine finds
+through an edge index of the stored paths (hub_starts). Of the stored hubs
+F leaves untouched, r is the one that leaves the fewest vertices short of
+live paths, so the fewest flows run; when F touches every stored hub the
+flows run cold. It returns every deficient vertex, and the set passes
+when there is none. Only pairs with a deficient endpoint can violate.
+The witness scan goes over those pairs in ascending order: the hub flows
+already fix the value of a pair with one deficient endpoint, and a pair
+with two gets a capped direct max-flow; a min cut on the first violating
+pair is the certificate (SmecWitness). Which r was taken moves neither
+the verdict nor the witness.
 """
 
 from __future__ import annotations
@@ -59,18 +62,37 @@ def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
     find every deficient u, and a capped flow that falls short is exact.
     A stored hub that F leaves untouched keeps its maximum base degree;
     its stored paths that avoid F start each flow, so only the missing
-    units are augmented. When F touches every stored hub, flows into the
-    lowest vertex of maximum degree in H run cold. Vertices are visited
-    in id order.
+    units are augmented. Among the untouched hubs the one with the fewest
+    u != r short of deg_H(u) live stored paths (engine.hub_starts) is
+    taken, the earlier in engine.hubs on ties, as it runs the fewest
+    flows. When F touches every stored hub, flows into the lowest vertex
+    of maximum degree in H run cold. Vertices are visited in id order.
+
+    The choice of r changes no verdict and no witness. By the lemma, H
+    is SMEC iff no u is deficient, for every r of maximum degree, and
+    every violating pair has an endpoint that is deficient for every
+    such r, so each r's pair scan (smec_violation) reaches every
+    violating pair. That scan goes over pairs in ascending order and
+    decides each one exactly, so its first violating pair and that
+    pair's path count are facts of H alone. smec_witness then cuts the
+    pair with a flow of its own, whose residual s-side is the smallest
+    s-side of a minimum cut of the pair, whichever r came before.
     """
     deg = engine.degrees
     base = engine.base_degrees
-    hub = next((h for h in engine.hubs if deg[h] == base[h]), None)
-    if hub is None:
+    best = None
+    for h in engine.hubs:
+        if deg[h] == base[h]:
+            short, starts = engine.hub_starts(h)
+            if best is None or short < best[0]:
+                best = short, h, starts
+            if not short:
+                break
+    if best is None:
         hub = max(range(engine.n), key=deg.__getitem__, default=None)
         starts = [()] * engine.n
     else:
-        starts = engine.live_paths(hub)
+        _, hub, starts = best
     deficits = {}
     for u in range(engine.n):
         need = deg[u]

@@ -23,17 +23,20 @@ and min_cuts read.
 
 UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
 It picks a few hubs of maximum degree and lazily stores, per hub and per
-vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph;
-`live_paths` hands out those that avoid the installed faults. A query may
-start from any feasible flow (`start`), such as those paths: augmenting
-from a feasible flow is exact, so only the missing units cost a search. A
-failing fault set's witness comes from the hub check's deficient vertices
-and capped single-pair flows. `min_cuts(s, targets)` returns the minimum
-cut from one source to each of many targets, as min_cut would, but
-confirms a target that shares the first target's cut with a capped flow
-from a neighbouring target (lambda(x, y) >= min(lambda(x, w),
-lambda(w, y)), Gomory and Hu 1961); edge connectivity and the tightness
-checks use it.
+vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph,
+with an index from each edge to the stored paths through it; `hub_starts`
+finds the paths the installed faults kill from the fault edges alone and
+hands out the rest. A query may start from any feasible flow (`start`),
+such as those paths: augmenting from a feasible flow is exact, so only
+the missing units cost a search. A query augments on the engine's
+residual in place and then resets only the arcs it touched (the start
+and the augmented paths), so it never copies every arc. A failing fault
+set's witness comes from the hub check's deficient vertices and capped
+single-pair flows. `min_cuts(s, targets)` returns the minimum cut from
+one source to each of many targets, as min_cut would, but confirms a
+target that shares the first target's cut with a capped flow from a
+neighbouring target (lambda(x, y) >= min(lambda(x, w), lambda(w, y)),
+Gomory and Hu 1961); edge connectivity and the tightness checks use it.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ _HUBS = 3
 
 
 def _augment(net, cap, s: int, t: int, cutoff: int | None,
-             start) -> tuple[int, list[bool] | None]:
+             start, log: list[int]) -> tuple[int, list[bool] | None]:
     """Push the s-t arc paths `start` through the residual capacities
     `cap`, then augment unit s-t paths until none is left or the flow
     reaches cutoff. `net` holds the arcs: arc a runs from tail[a] to
     head[a], its twin a ^ 1 runs back, adj[x] lists the arcs out of x and
-    radj[x] the arcs into x. Returns the flow and the source side of the
+    radj[x] the arcs into x. Each augmented arc is appended to `log`
+    before its capacity changes, so the caller can undo exactly the arcs
+    of the start and the log. Returns the flow and the source side of the
     final residual, or None for the side when the cutoff stopped the
     loop. Raises ValueError when s == t: the two searches would close
     cycles through s forever.
@@ -79,6 +84,7 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
             cap[a ^ 1] += 1
     flow = len(start)
     adj, radj, head, tail = net.adj, net.radj, net.head, net.tail
+    push = log.append
     n = len(adj)
     while cutoff is None or flow < cutoff:
         fwd = [-1] * n     # tree arc into v from s's side; -2 at s
@@ -116,6 +122,7 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
             v = meet
             while v != root:
                 a = marks[v]
+                push(a)
                 cap[a] -= 1
                 cap[a ^ 1] += 1
                 v = ends[a]
@@ -129,8 +136,11 @@ class UnitFlowEngine:
     Edge k of the canonical edge list becomes the twin arcs 2k (u->v) and
     2k+1 (v->u), so tail[a] = head[a ^ 1]; radj[x] lists b ^ 1 for each
     b in adj[x], in that order. Faulted edges keep their slots but carry
-    capacity 0, so edge indices stay stable across queries.
-    Paths into a hub are stored on first use, never here.
+    capacity 0, so edge indices stay stable across queries. Between
+    queries `_template` holds exactly that fault mask; a query augments
+    on it in place and puts back the arcs it touched.
+    Paths into a hub, and their edge index, are stored on first use,
+    never here.
     """
 
     def __init__(self, n_vertices: int, edges):
@@ -152,7 +162,8 @@ class UnitFlowEngine:
         tail[::2] = head[1::2]
         tail[1::2] = head[::2]
         self.base_degrees = [len(a) for a in self.adj]
-        self._template = [1] * (2 * m)  # capacities with faults zeroed
+        # the residual, which is the fault mask between queries
+        self._template = [1] * (2 * m)
         self.fault: tuple[int, ...] = ()  # installed fault edge indices
         self.degrees = self.base_degrees[:]
         # up to _HUBS vertices of maximum degree, spread over the id range:
@@ -161,7 +172,10 @@ class UnitFlowEngine:
         top = max(self.base_degrees, default=0)
         tops = [v for v, d in enumerate(self.base_degrees) if d == top]
         self.hubs = tops[::max(1, len(tops) // _HUBS)][:_HUBS]
-        self._paths: dict[int, list[list[tuple[int, ...]]]] = {}
+        # per hub: (paths, index, short); paths[u] are the stored u->hub
+        # paths, index[k] lists the (u, i) whose path paths[u][i] uses
+        # edge k, and short counts the u != hub with fewer paths than deg u
+        self._stored: dict[int, tuple[list, list, int]] = {}
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
@@ -201,13 +215,14 @@ class UnitFlowEngine:
         return flow, self._cut(side)
 
     def _cut(self, side: list[bool]) -> list[tuple[int, int]]:
-        """Live edges with one end in `side`, in canonical order."""
-        faulted = set(self.fault)
-        return [
-            (u, v)
-            for k, (u, v) in enumerate(self.edges)
-            if k not in faulted and side[u] != side[v]
-        ]
+        """Live edges with one end in `side`, in canonical order, read
+        from the arcs out of the smaller of the two sides: each such edge
+        has exactly one arc that leaves it."""
+        small = 2 * sum(side) <= len(side)   # the smaller side's mark
+        cap, head, adj = self._template, self.head, self.adj
+        cut = sorted(a >> 1 for x, mark in enumerate(side) if mark == small
+                     for a in adj[x] if cap[a] and side[head[a]] != small)
+        return [self.edges[k] for k in cut]
 
     def min_cuts(self, s: int,
                  targets: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -255,36 +270,74 @@ class UnitFlowEngine:
 
     def _run(self, s: int, t: int, cutoff: int | None,
              start=()) -> tuple[int, list[bool] | None]:
-        self._cap = cap = self._template[:]  # residual, read by _route
-        return _augment(self, cap, s, t, cutoff, start)
+        """Augment on `_template` in place, then reset the arcs of the
+        start and of the augmented paths: every such arc is live, so the
+        fault mask holds again, whatever the loop raised."""
+        cap = self._template
+        log = []
+        try:
+            return _augment(self, cap, s, t, cutoff, start, log)
+        finally:
+            for path in start:
+                for a in path:
+                    cap[a] = cap[a ^ 1] = 1
+            for a in log:
+                cap[a] = cap[a ^ 1] = 1
 
     def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
         """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
 
         Paths are arc tuples in the fault-free graph (none for the hub
-        itself), computed on the first call for each hub.
+        itself), computed on the first call for each hub, together with
+        their edge index.
         """
-        paths = self._paths.get(hub)
-        if paths is None:
-            fault = self.fault
-            self.set_fault_indices(())
+        stored = self._stored.get(hub)
+        if stored is None:
             paths = [self._route(u, hub) if u != hub else []
                      for u in range(self.n)]
-            self.set_fault_indices(fault)
-            self._paths[hub] = paths
-        return paths
+            index = [[] for _ in self.edges]
+            for u, mine in enumerate(paths):
+                for i, path in enumerate(mine):
+                    for a in path:
+                        index[a >> 1].append((u, i))
+            base = self.base_degrees
+            short = sum(len(mine) < base[u] for u, mine in enumerate(paths)
+                        if u != hub)
+            self._stored[hub] = stored = paths, index, short
+        return stored[0]
 
-    def live_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
-        """Per vertex u, the stored u->hub paths that avoid the installed
-        faults: a feasible start for a flow from u into the hub."""
-        dead = {a for k in self.fault for a in (2 * k, 2 * k + 1)}
-        return [[p for p in paths if dead.isdisjoint(p)]
-                for paths in self.stored_paths(hub)]
+    def hub_starts(self, hub: int) -> tuple[int, list[list[tuple[int, ...]]]]:
+        """(short, starts): starts[u] lists the stored u->hub paths that
+        avoid the installed faults, in stored order, a feasible start for
+        a flow from u into the hub; short counts the u != hub with fewer
+        of them than deg u, the flows a hub check into this hub must run.
+
+        The edge index gives the paths the faults kill from the fault
+        edges alone, so only their vertices and the fault ends are looked
+        at.
+        """
+        self.stored_paths(hub)
+        paths, index, short = self._stored[hub]
+        dead: dict[int, set[int]] = {}
+        for k in self.fault:
+            for u, i in index[k]:
+                dead.setdefault(u, set()).add(i)
+        starts = paths[:]
+        for u, gone in dead.items():
+            starts[u] = [p for i, p in enumerate(paths[u]) if i not in gone]
+        deg, base, edges = self.degrees, self.base_degrees, self.edges
+        for u in dead.keys() | {x for k in self.fault for x in edges[k]}:
+            if u != hub:
+                short += ((len(starts[u]) < deg[u])
+                          - (len(paths[u]) < base[u]))
+        return short, starts
 
     def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
-        """Max s-t flow capped at deg(s), split into arc paths; no faults."""
-        self.max_flow(s, t, self.base_degrees[s])
-        cap = self._cap
+        """Max s-t flow capped at deg(s) in the fault-free graph, split
+        into arc paths; it runs on its own residual, whatever faults are
+        installed."""
+        cap = [1] * len(self.head)
+        _augment(self, cap, s, t, self.base_degrees[s], (), [])
         adj = self.adj
         head = self.head
         paths = []
@@ -329,4 +382,4 @@ class DirectedFlow:
 
     def max_flow(self, s: int, t: int) -> int:
         """Maximum number of arc-disjoint s-t paths, from zero flow."""
-        return _augment(self, self._template[:], s, t, None, ())[0]
+        return _augment(self, self._template[:], s, t, None, (), [])[0]

@@ -18,20 +18,22 @@ All path counts are exact. Per fault set F the verdict comes from the hub
 check: with r a vertex of maximum degree in H = G - F, H is SMEC iff every
 u != r has deg_H(u) edge-disjoint u-r paths, so V-1 capped max-flows into
 r decide it. The flow engine stores fault-free paths into a few hubs on
-first use; a flow into an untouched hub starts from the stored paths that
-avoid F and augments only the missing units, and when F touches every
-stored hub the flows run cold into a maximum-degree vertex. A failing set
-runs the hub check to the end: only pairs with a deficient endpoint (fewer
-than deg u paths into r) can violate. Over those pairs, in ascending order,
-the hub flows fix the value of a pair with one deficient endpoint and a
-capped direct max-flow decides a pair with two; the first violating pair
-is the witness, and a min cut on it is the certificate. The tightness
-checks confirm their far vertices with UnitFlowEngine.min_cuts: one cold
-flow from u, then capped flows between neighbouring far vertices confirm
-that they share its cut. Campaign enumeration order is canonical
-(sizes ascending, then lexicographic by edge index) and sampled mode is
-reproducible from its seed, so reports are byte-identical across runs and
-worker counts.
+first use, indexed by edge; a flow into an untouched hub starts from the
+stored paths that avoid F and augments only the missing units. Of the
+untouched hubs, the one that leaves the fewest vertices short of live
+paths is taken, which moves no verdict or witness, and when F touches
+every stored hub the flows run cold into a maximum-degree vertex. A
+failing set runs the hub check to the end: only pairs with a deficient
+endpoint (fewer than deg u paths into r) can violate. Over those pairs, in
+ascending order, the hub flows fix the value of a pair with one deficient
+endpoint and a capped direct max-flow decides a pair with two; the first
+violating pair is the witness, and a min cut on it is the certificate.
+The tightness checks confirm their far vertices with
+UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
+neighbouring far vertices confirm that they share its cut. Campaign
+enumeration order is canonical (sizes ascending, then lexicographic by
+edge index) and sampled mode is reproducible from its seed, so reports
+are byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations

@@ -166,7 +166,7 @@ def check(net, cap, s, t, cutoff=None, start=()):
     adj, head = net.adj, net.head
     ref_value, ref_side = reference(adj, head, cap[:], s, t, cutoff, start)
     final = cap[:]
-    value, side = _augment(net, final, s, t, cutoff, start)
+    value, side = _augment(net, final, s, t, cutoff, start, [])
     assert value == ref_value, (s, t, cutoff)
     paths = cap[:]
     assert bidirectional(adj, head, paths, s, t, cutoff, start) == value
@@ -195,11 +195,12 @@ def unit_engine(seed):
 
 def unit_cases(seed):
     """Every ordered pair of the engine; flows into the first hub start
-    from its live stored paths, and every third pair gets a cutoff."""
+    from its stored paths that avoid the faults, and every third pair
+    gets a cutoff."""
     engine, cap = unit_engine(seed)
     rng = SplitMix64(seed + 1000)
     hub = engine.hubs[0]
-    starts = engine.live_paths(hub)
+    starts = engine.hub_starts(hub)[1]
     for s in range(engine.n):
         for t in range(engine.n):
             if s == t:
@@ -298,6 +299,42 @@ def test_both_exits_occur():
     for kinds in (unit, directed):
         assert kinds["forward"] > 0 and kinds["backward"] > 0, kinds
     assert unit[None] > 0
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 3))
+def test_queries_restore_the_fault_mask(seed):
+    """Queries augment on the engine's residual in place; after each one,
+    warm-started, capped, min_cut, min_cuts or refused, the residual is
+    exactly the fault mask again."""
+    engine, mask = unit_engine(seed)
+    engine.hub_starts(engine.hubs[0])      # stores paths under the faults
+    assert engine._template == mask
+    for engine, _, s, t, cutoff, start in unit_cases(seed):
+        engine.max_flow(s, t, cutoff, start)
+        assert engine._template == mask, (s, t, cutoff, start)
+        if s < t:
+            engine.min_cut(s, t)
+            assert engine._template == mask, (s, t)
+    for s in range(engine.n):
+        engine.min_cuts(s, [t for t in range(engine.n) if t != s])
+        assert engine._template == mask, s
+        with pytest.raises(ValueError, match="source and sink"):
+            engine.max_flow(s, s, 1)
+        assert engine._template == mask, s
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 3))
+def test_cut_matches_a_scan_of_every_edge(seed):
+    """min_cut reads its cut from the smaller residual side; it must be
+    the live edges across the side, in canonical order."""
+    engine, _ = unit_engine(seed)
+    dead = set(engine.fault)
+    for s in range(engine.n):
+        for t in range(s + 1, engine.n):
+            value, side = engine.max_flow_with_side(s, t)
+            scan = [(u, v) for k, (u, v) in enumerate(engine.edges)
+                    if k not in dead and side[u] != side[v]]
+            assert engine.min_cut(s, t) == (value, scan), (s, t)
 
 
 def test_equal_endpoints_are_refused():

@@ -18,15 +18,16 @@ from hlmenger import (
     tightness_unconditional,
 )
 from hlmenger import _campaign_exec
-from hlmenger._campaign_exec import hub_deficits, smec_violation
+from hlmenger._campaign_exec import hub_deficits, smec_violation, \
+    smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
 from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
-from util import all_pairs_min_cut, cut_disconnects, lgraph, naive_is_smec, \
-    network, random_graph
+from util import all_pairs_min_cut, cut_disconnects, lgraph, live_paths, \
+    naive_is_smec, network, random_graph
 
 
 class TestBounds:
@@ -384,7 +385,9 @@ class TestWitnessScanAgainstTree:
     def _fault_sets(L, engine, n):
         """Adversarial sets one fault past the budget and random sets, then
         some of the adversarial sets plus one edge at every hub, or plus
-        every edge at one vertex."""
+        every edge at one vertex, then pairs of far-apart vertices each
+        stripped to one edge: the far end of each kept edge is deficient
+        for any hub, so every hub sees at least two deficient vertices."""
         g = L.graph
         m = len(g.edges)
         rng = SplitMix64(7000 + n)
@@ -403,6 +406,16 @@ class TestWitnessScanAgainstTree:
             for _ in range(3):
                 base = suite[rng.randbelow(len(suite))]
                 sets.append(tuple(sorted({*base, *incident[v]})))
+        near = [{x, *g.neighbors(x)} for x in range(g.n_vertices)]
+        for _ in range(6):
+            v = rng.randbelow(g.n_vertices)
+            w = min((x for x in range(g.n_vertices)
+                     if x not in near[v] and x not in engine.hubs),
+                    key=lambda x: len(near[x] & near[v]))
+            keep = {x: incident[x][rng.randbelow(len(incident[x]))]
+                    for x in (v, w)}
+            strips = [k for x in (v, w) for k in incident[x] if k != keep[x]]
+            sets.append(tuple(sorted(strips)))
         return sets
 
     @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 1), (4, 3),
@@ -412,8 +425,6 @@ class TestWitnessScanAgainstTree:
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "several_deficient": 0, "mixed_witness": 0,
                 "every_hub_touched": 0, "isolated": 0}
-        for hub in engine.hubs:   # store hub paths before counting flows
-            engine.stored_paths(hub)
         flows = []
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
             flows.append((s, t)) or \
@@ -449,6 +460,70 @@ class TestWitnessScanAgainstTree:
                                                adversarial=True))
         assert report.counts["failures"] > report.counts["visited"] // 2
         assert is_smec(remove_edges(L.graph, L.graph.edges[:5])).witness
+
+
+class TestHubChoice:
+    """The hub check's choice of hub: the starts that the edge index finds
+    against a scan of every stored path, the hub it picks, and the same
+    violation and witness cut whichever hub is forced, cold flows too."""
+
+    @staticmethod
+    def _random_sets(L, n, count):
+        m = len(L.graph.edges)
+        rng = SplitMix64(8000 + n)
+        return [tuple(rng.sample_indices(m, 2 * n - 4 + rng.randbelow(4)))
+                for _ in range(count)]
+
+    @staticmethod
+    def _check(engine, idx, seen):
+        engine.set_fault_indices(idx)
+        deg, base, hubs = engine.degrees, engine.base_degrees, engine.hubs
+        untouched = [h for h in hubs if deg[h] == base[h]]
+        short_of = {}
+        for h in hubs:
+            short, starts = engine.hub_starts(h)
+            reference = live_paths(engine, h)
+            assert starts == reference, (idx, h)
+            assert short == sum(len(reference[u]) < deg[u]
+                                for u in range(engine.n) if u != h), (idx, h)
+            short_of[h] = short
+        shorts = [short_of[h] for h in untouched]
+        flows = []
+        engine.max_flow = lambda s, t, cutoff=None, start=(): \
+            flows.append(t) or \
+            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+        try:
+            hub_deficits(engine)
+        finally:
+            del engine.max_flow
+        if shorts:
+            chosen = untouched[shorts.index(min(shorts))]
+            assert len(flows) == min(shorts), idx
+            assert set(flows) <= {chosen}, idx
+            seen["not_first_hub"] += chosen != untouched[0]
+        else:
+            seen["every_hub_touched"] += 1
+        outcomes = set()
+        try:
+            for forced in (hubs, *([h] for h in untouched), []):
+                engine.hubs = forced
+                w = smec_witness(engine)
+                outcomes.add((smec_violation(engine), w and w.cut))
+        finally:
+            engine.hubs = hubs
+        assert len(outcomes) == 1, (idx, outcomes)
+        seen["violating"] += outcomes.pop()[0] is not None
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 1), (4, 3),
+                                        (5, 1)])
+    def test_every_hub_gives_the_same_witness(self, n, seed):
+        L = lgraph("random", n, seed)
+        engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
+        seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0}
+        sets = TestWitnessScanAgainstTree._fault_sets(L, engine, n)
+        for idx in sets + self._random_sets(L, n, 40):
+            self._check(engine, idx, seen)
+        assert all(seen.values()), seen
 
 
 class TestDegenerateSizes:

@@ -178,6 +178,15 @@ def all_pairs_min_cut(engine) -> list[list[int]]:
     return rows
 
 
+def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
+    """Per vertex u, the stored u->hub paths that avoid the engine's
+    installed faults, by a scan of every stored path: the reference for
+    the paths UnitFlowEngine.hub_starts finds through its edge index."""
+    dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
+    return [[p for p in paths if dead.isdisjoint(p)]
+            for paths in engine.stored_paths(hub)]
+
+
 def cut_disconnects(g: Graph, u: int, v: int, cut) -> bool:
     """True iff removing the cut edges separates u from v in g."""
     stripped = remove_edges(g, [tuple(e) for e in cut])
