@@ -18,8 +18,11 @@ and min_cuts read.
 * UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
   with a mutable fault mask so campaigns can re-query thousands of fault sets
   without rebuilding anything.
-* DirectedFlow: a directed network of unit arcs, used only by the
-  vertex-splitting reduction for vertex connectivity.
+* DirectedFlow: a directed network of unit arcs, any of which can be
+  closed between queries, used only by the vertex-splitting reduction
+  for vertex connectivity. Its queries take a cutoff and a start flow,
+  augment on its residual in place and reset the arcs they touched, as
+  UnitFlowEngine's do.
 
 UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
 It picks a few hubs of maximum degree and lazily stores, per hub and per
@@ -361,7 +364,10 @@ class UnitFlowEngine:
 
 class DirectedFlow:
     """Directed network of unit arcs; arc 2k+1 is the residual twin of 2k.
-    adj, radj, head and tail are laid out as in UnitFlowEngine."""
+    adj, radj, head and tail are laid out as in UnitFlowEngine. Between
+    queries `_template` holds (1, 0) for each open arc and its twin and
+    (0, 0) for each closed one; a query augments on it in place and puts
+    back the arcs it touched."""
 
     def __init__(self, n_nodes: int):
         self.head: list[int] = []
@@ -370,7 +376,7 @@ class DirectedFlow:
         self.radj: list[list[int]] = [[] for _ in range(n_nodes)]
         self._template: list[int] = []
 
-    def add_arc(self, u: int, v: int) -> None:
+    def add_arc(self, u: int, v: int, is_open: bool = True) -> None:
         a = len(self.head)
         self.adj[u].append(a)
         self.radj[u].append(a + 1)
@@ -378,8 +384,32 @@ class DirectedFlow:
         self.radj[v].append(a)
         self.head += (v, u)
         self.tail += (u, v)
-        self._template += (1, 0)
+        self._template += (int(is_open), 0)
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Maximum number of arc-disjoint s-t paths, from zero flow."""
-        return _augment(self, self._template[:], s, t, None, (), [])[0]
+    def set_open(self, a: int, is_open: bool) -> None:
+        """Open or close arc a (even) between queries."""
+        self._template[a] = int(is_open)
+
+    def max_flow(self, s: int, t: int, cutoff: int | None = None,
+                 start=()) -> int:
+        """Maximum number of arc-disjoint s-t paths over the open arcs,
+        capped at cutoff; `start` is a list of arc-disjoint s-t paths of
+        open arcs, and augmentation continues from that flow.
+
+        The loop runs on `_template` in place. Every arc of the start and
+        of the augmented paths belongs to an open arc pair (a closed pair
+        has no capacity either way), so resetting each such pair to (1, 0)
+        restores the template, whatever the loop raised.
+        """
+        cap = self._template
+        log: list[int] = []
+        try:
+            return _augment(self, cap, s, t, cutoff, start, log)[0]
+        finally:
+            for path in start:
+                for a in path:
+                    cap[a & ~1] = 1
+                    cap[a | 1] = 0
+            for a in log:
+                cap[a & ~1] = 1
+                cap[a | 1] = 0

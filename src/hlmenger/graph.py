@@ -7,7 +7,10 @@ unit-capacity max-flow, edge connectivity from the minimum cuts between
 vertex 0 and every other vertex (UnitFlowEngine.min_cuts, which confirms
 most of them with capped flows between neighbours), and vertex
 connectivity from a vertex-splitting reduction to a directed network of
-unit arcs.
+unit arcs, in which capped flows between the neighbours of a
+minimum-degree vertex (Esfahanian and Hakimi 1984) and fans into each
+later vertex from the vertices before it (Even 1975) replace a cold flow
+from one vertex to every other.
 """
 
 from __future__ import annotations
@@ -204,15 +207,22 @@ def edge_connectivity(g: Graph) -> int:
 
 
 def split_network(g: Graph) -> DirectedFlow:
-    """Vertex splitting on unit arcs: w_in = w -> w_out = w + n for each
-    vertex w, and a_out -> b_in, b_out -> a_in for each edge {a, b}."""
+    """Vertex splitting on unit arcs, with a source node for vertex fans.
+
+    Node w is w_in and node w + n is w_out; node 2n is the source. Arc 2w
+    is w_in -> w_out. Each edge {a, b} then gives a_out -> b_in and
+    b_out -> a_in. The last 2n arc slots hold the source arcs 2n -> w_in,
+    arc 2(n + 2m + w) for vertex w (m edges), all closed.
+    """
     n = g.n_vertices
-    net = DirectedFlow(2 * n)
+    net = DirectedFlow(2 * n + 1)
     for w in range(n):
         net.add_arc(w, w + n)
     for a, b in g.edges:
         net.add_arc(a + n, b)
         net.add_arc(b + n, a)
+    for w in range(n):
+        net.add_arc(2 * n, w, False)
     return net
 
 
@@ -225,13 +235,41 @@ def vertex_connectivity(g: Graph) -> int:
     maximum. An edge arc a_out -> b_in enters b_in, whose only out-arc is
     the unit arc b_in -> b_out, and leaves a_out, whose only in-arc is the
     unit arc a_in -> a_out. Flow is conserved everywhere but at the
-    source u_out and the sink v_in, so no feasible flow puts more than one
-    unit on the arc unless it runs from u_out into v_in, and that arc
+    source and the sink, so no feasible flow puts more than one unit on
+    the arc unless it runs from the source into the sink, and that arc
     would need the edge {u, v}, which non-adjacency excludes.
 
-    The global value is the minimum over v0's non-neighbors and over
-    non-adjacent pairs of v0's neighbors, v0 a minimum-degree vertex (a
-    minimum cut either avoids v0 or splits its neighborhood).
+    Take v0 of minimum degree delta; kappa <= best = delta. Two kinds of
+    flow, each capped at best, lower best:
+    - Pairs (Esfahanian and Hakimi, Networks 14, 1984): kappa(x, y) for
+      each non-adjacent pair of v0's neighbours.
+    - Prefix fans (Even, SIAM J. Comput. 4, 1975): order the vertices
+      v0, then N(v0), then the rest by ascending id. For each later v,
+      the flow from the source node into v_in, with the source arcs open
+      into the earlier vertices, is v's fan: the most paths from v to
+      distinct earlier vertices that share only v. It starts from the
+      direct paths source -> w_in -> w_out -> v_in through v's earlier
+      neighbours w, which are disjoint, and v is skipped when they are
+      >= best.
+    The source arc of an earlier vertex with no later neighbour is
+    closed. That leaves every fan as it is: cut a fan path at its last
+    earlier vertex w, which is followed by v or a later vertex, so its
+    arc is open; the cut paths still share only v.
+
+    Exactness. No flow is below kappa: a pair flow is min(kappa(x, y),
+    best). A fan's minimum cut is a vertex set T, without v, that meets
+    every path from an earlier vertex to v. If T holds every earlier
+    vertex, |T| >= delta + 1 > best, as v0 and N(v0) come first.
+    Otherwise T separates some earlier w from v, w is not adjacent to v,
+    and |T| >= kappa(w, v) >= kappa. And some flow reaches kappa when
+    kappa < delta. Take a minimum separator S. If v0 is in S, v0 has a
+    neighbour in every component of G - S, or S - v0 would separate;
+    two of them, in different components, are a non-adjacent pair that
+    S separates.
+    If v0 is not in S, let C be v0's component of G - S and v the first
+    vertex in the order outside C and S. It exists, it comes after
+    N(v0), which lies in C and S, and every earlier vertex lies in C or
+    S, so S meets every path from them to v, and v's fan is <= |S|.
     """
     n = g.n_vertices
     if n <= 1 or not is_connected(g):
@@ -240,13 +278,42 @@ def vertex_connectivity(g: Graph) -> int:
         return n - 1
 
     net = split_network(g)
+    source = 2 * n
+    first = 2 * (n + 2 * len(g.edges))       # the source arc of vertex 0
+    adj = g._adj
     v0 = min(range(n), key=g.degree)
-    best = g.degree(v0)
-    closed = set(g.neighbors(v0)) | {v0}
-    for v in range(n):
-        if v not in closed:
-            best = min(best, net.max_flow(v0 + n, v))
-    for x, y in combinations(g.neighbors(v0), 2):
+    best = len(adj[v0])
+    for x, y in combinations(adj[v0], 2):
         if not g.has_edge(x, y):
-            best = min(best, net.max_flow(x + n, y))
+            best = min(best, net.max_flow(x + n, y, best))
+
+    earlier = [False] * n
+    later = [len(a) for a in adj]            # neighbours not yet earlier
+
+    def join(w: int) -> None:
+        earlier[w] = True
+        if later[w]:
+            net.set_open(first + 2 * w, True)
+        for u in adj[w]:
+            later[u] -= 1
+            if earlier[u] and not later[u]:
+                net.set_open(first + 2 * u, False)
+
+    join(v0)
+    for w in adj[v0]:
+        join(w)
+    tail, radj = net.tail, net.radj
+    for v in range(n):
+        if earlier[v]:
+            continue
+        # the arcs into v_in: one from w_out for each neighbour w, the
+        # source arc (tail 2n) and the twin of v's split arc (tail v_out)
+        start = []
+        for a in radj[v]:
+            w = tail[a] - n
+            if 0 <= w < n and earlier[w]:
+                start.append((first + 2 * w, 2 * w, a))
+        if len(start) < best:
+            best = min(best, net.max_flow(source, v, best, start))
+        join(v)
     return best

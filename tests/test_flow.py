@@ -2,8 +2,9 @@
 
 Each case runs the loop on a seeded network: an undirected random graph
 in UnitFlowEngine's layout, with and without faults, from stored start
-paths and under cutoffs, or a directed network of unit arcs (the vertex
-split network of graph.split_network, or random arcs). The value must
+paths and under cutoffs, or a directed network of unit arcs (random arcs,
+or the vertex split network of graph.split_network, between vertex pairs
+and in fans from its source node, some warm-started). The value must
 equal that of a one-sided BFS augmenting loop kept here as the reference,
 and the returned side must equal the residual closure from s, computed
 here from the loop's final capacities and by the reference. The final
@@ -211,16 +212,40 @@ def unit_cases(seed):
             yield engine, cap, s, t, cutoff, start
 
 
-def split_cases(seed):
-    """u_out -> v_in over every non-adjacent pair of random graph `seed`."""
-    g = random_graph(seed, max_vertices=10, max_edges=24)
+def open_half_fan(g, seed):
+    """split_network(g) with the source arcs open into a random half of
+    the vertices, that half, and the index of vertex 0's source arc."""
     net = split_network(g)
     n = g.n_vertices
-    cap = [1, 0] * (len(net.head) // 2)
+    first = len(net.head) - 2 * n
+    opened = set(SplitMix64(seed).sample_indices(n, n // 2))
+    for w in opened:
+        net.set_open(first + 2 * w, True)
+    return net, opened, first
+
+
+def fan_start(net, n, first, opened, v):
+    """The direct paths source -> w_in -> w_out -> v_in through the
+    neighbours w of v whose source arcs are open."""
+    return [(first + 2 * (x - n), 2 * (x - n), a) for a in net.radj[v]
+            if n <= (x := net.tail[a]) < 2 * n and x - n in opened]
+
+
+def split_cases(seed):
+    """u_out -> v_in over every non-adjacent pair of random graph `seed`,
+    then a fan into each other v_in from the source node, open into a
+    random half of the vertices, warm-started on every other v."""
+    g = random_graph(seed, max_vertices=10, max_edges=24)
+    net, opened, first = open_half_fan(g, seed)
+    n = g.n_vertices
+    cap = net._template[:]
     for u in range(n):
         for v in range(n):
             if u != v and not g.has_edge(u, v):
-                yield net, cap, u + n, v
+                yield net, cap, u + n, v, None, ()
+    for v in set(range(n)) - opened:
+        start = fan_start(net, n, first, opened, v) if v % 2 else ()
+        yield net, cap, 2 * n, v, None, start
 
 
 def directed_network(seed):
@@ -272,8 +297,8 @@ def test_unit_engine_loop_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_split_network_loop_matches_reference(seed):
-    for net, cap, s, t in split_cases(seed):
-        check(net, cap, s, t)
+    for net, cap, s, t, cutoff, start in split_cases(seed):
+        check(net, cap, s, t, cutoff, start)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -292,8 +317,8 @@ def test_both_exits_occur():
     for seed in SEEDS:
         for engine, cap, s, t, cutoff, start in unit_cases(seed):
             unit[check(engine, cap, s, t, cutoff, start)] += 1
-        for net, cap, s, t in split_cases(seed):
-            directed[check(net, cap, s, t)] += 1
+        for net, cap, s, t, cutoff, start in split_cases(seed):
+            directed[check(net, cap, s, t, cutoff, start)] += 1
         for net, cap, s, t in directed_cases(seed):
             directed[check(net, cap, s, t)] += 1
     for kinds in (unit, directed):
@@ -321,6 +346,31 @@ def test_queries_restore_the_fault_mask(seed):
         with pytest.raises(ValueError, match="source and sink"):
             engine.max_flow(s, s, 1)
         assert engine._template == mask, s
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 3))
+def test_directed_queries_restore_the_template(seed):
+    """DirectedFlow.max_flow augments on its template in place; after each
+    query, uncapped, capped, warm-started or refused, the template is
+    exactly as it was, with the closed source arcs still closed."""
+    g = random_graph(seed, max_vertices=10, max_edges=24)
+    net, opened, first = open_half_fan(g, seed)
+    n = g.n_vertices
+    template = net._template[:]
+    assert [template[first + 2 * w] for w in range(n)] == \
+        [int(w in opened) for w in range(n)]
+    queries = [(u + n, v) for u in range(n) for v in range(n)
+               if u != v and not g.has_edge(u, v)]
+    queries += [(2 * n, v) for v in set(range(n)) - opened]
+    for s, t in queries:
+        start = fan_start(net, n, first, opened, t) if s == 2 * n else ()
+        for cutoff, begin in ((None, ()), (1, ()), (None, start),
+                              (len(start) + 1, start)):
+            net.max_flow(s, t, cutoff, begin)
+            assert net._template == template, (s, t, cutoff, begin)
+        with pytest.raises(ValueError, match="source and sink"):
+            net.max_flow(s, s, None, start)
+        assert net._template == template, (s, start)
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 3))

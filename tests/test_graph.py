@@ -17,7 +17,13 @@ from hlmenger import (
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.rng import SplitMix64
 
-from util import all_pairs_min_cut, brute_force_min_cut, lgraph, random_graph
+from util import (
+    all_pairs_min_cut,
+    brute_force_min_cut,
+    lgraph,
+    naive_vertex_connectivity,
+    random_graph,
+)
 
 
 def c4():
@@ -313,32 +319,11 @@ def test_min_cuts_matches_per_target_min_cut():
     assert shared and fallback, (shared, fallback)
 
 
-def _naive_vertex_connectivity(g):
-    """Enumerate vertex subsets in size order until one disconnects g."""
-    from itertools import combinations as combos
-    if largest_component_size(g) < g.n_vertices:
-        return 0
-    for k in range(g.n_vertices):
-        for subset in combos(range(g.n_vertices), k):
-            dropped = set(subset)
-            keep = [v for v in range(g.n_vertices) if v not in dropped]
-            if len(keep) <= 1:
-                return k
-            relabel = {v: i for i, v in enumerate(keep)}
-            sub = build_graph(
-                len(keep),
-                [(relabel[a], relabel[b]) for a, b in g.edges
-                 if a in relabel and b in relabel])
-            if largest_component_size(sub) < len(keep):
-                return k
-    return g.n_vertices - 1
-
-
 @settings(max_examples=40, deadline=None)
 @given(graph_seeds)
 def test_vertex_connectivity_matches_subset_enumeration(seed):
     g = random_graph(seed, max_vertices=7, max_edges=12)
-    assert vertex_connectivity(g) == _naive_vertex_connectivity(g)
+    assert vertex_connectivity(g) == naive_vertex_connectivity(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,9 +16,11 @@ from hlmenger import (
     components,
     gen_family,
     gen_random_hl,
+    largest_component_size,
     max_edge_disjoint_paths,
     remove_edges,
 )
+from hlmenger.graph import is_connected, split_network
 from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
@@ -67,6 +69,33 @@ def random_graph(seed: int, max_vertices: int = 8, max_edges: int = 14) -> Graph
     k = max(rng.randbelow(cap + 1), rng.randbelow(cap + 1))
     idx = rng.sample_indices(len(pairs), k)
     return build_graph(n, [pairs[i] for i in idx])
+
+
+def bottleneck_graph(seed: int) -> Graph:
+    """Seeded random graph with a planted small separator.
+
+    Vertices 0..k-1 (k = 1..3) join two random blocks of 5..8 vertices,
+    each a complete graph less up to a sixth of its edges, and each of
+    them joins 2 or 3 random vertices of each block. So kappa <= k, below
+    the minimum degree as a rule, and the low ids make a joining vertex
+    the first of minimum degree whenever one has it.
+    """
+    rng = SplitMix64(seed)
+    k = 1 + rng.randbelow(3)
+    edges: list[tuple[int, int]] = []
+    blocks = []
+    for _ in range(2):
+        first = k + sum(len(b) for b in blocks)
+        block = list(range(first, first + 5 + rng.randbelow(4)))
+        pairs = list(combinations(block, 2))
+        kept = len(pairs) - rng.randbelow(len(pairs) // 6 + 1)
+        edges += [pairs[i] for i in rng.sample_indices(len(pairs), kept)]
+        blocks.append(block)
+    for c in range(k):
+        for block in blocks:
+            for i in rng.sample_indices(len(block), 2 + rng.randbelow(2)):
+                edges.append((c, block[i]))
+    return build_graph(k + sum(len(b) for b in blocks), edges)
 
 
 def brute_force_min_cut(g: Graph, u: int, v: int, limit: int,
@@ -118,6 +147,50 @@ def brute_force_min_cut(g: Graph, u: int, v: int, limit: int,
             for idx in subset:
                 removed[idx] = 0
     raise ValueError(f"no (u,v)-edge cut of size < {limit} exists")
+
+
+def naive_vertex_connectivity(g: Graph) -> int:
+    """Enumerate vertex subsets in size order until one disconnects g."""
+    if largest_component_size(g) < g.n_vertices:
+        return 0
+    for k in range(g.n_vertices):
+        for subset in combinations(range(g.n_vertices), k):
+            dropped = set(subset)
+            keep = [v for v in range(g.n_vertices) if v not in dropped]
+            if len(keep) <= 1:
+                return k
+            relabel = {v: i for i, v in enumerate(keep)}
+            sub = build_graph(
+                len(keep),
+                [(relabel[a], relabel[b]) for a, b in g.edges
+                 if a in relabel and b in relabel])
+            if largest_component_size(sub) < len(keep):
+                return k
+    return g.n_vertices - 1
+
+
+def eh_vertex_connectivity(g: Graph) -> int:
+    """kappa(G) by Esfahanian and Hakimi (1984): with v0 of minimum degree,
+    the minimum of deg v0, of an uncapped flow from v0 to each
+    non-neighbour and of one between each non-adjacent pair of v0's
+    neighbours, each from zero flow in the split network. The reference
+    for graph.vertex_connectivity's prefix fans."""
+    n = g.n_vertices
+    if n <= 1 or not is_connected(g):
+        return 0
+    if len(g.edges) == n * (n - 1) // 2:
+        return n - 1
+    net = split_network(g)
+    v0 = min(range(n), key=g.degree)
+    best = g.degree(v0)
+    closed = set(g.neighbors(v0)) | {v0}
+    for v in range(n):
+        if v not in closed:
+            best = min(best, net.max_flow(v0 + n, v))
+    for x, y in combinations(g.neighbors(v0), 2):
+        if not g.has_edge(x, y):
+            best = min(best, net.max_flow(x + n, y))
+    return best
 
 
 def naive_is_smec(g: Graph) -> tuple[bool, tuple | None]:
