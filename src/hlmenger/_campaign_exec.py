@@ -170,7 +170,7 @@ def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
     value, cut = engine.min_cut(u, v)
     if value != paths:
         raise RuntimeError("pair scan and direct max-flow disagree")
-    return SmecWitness(u, v, paths, req, tuple(sorted(cut)))
+    return SmecWitness(u, v, paths, req, tuple(cut))
 
 
 def component_index(g: Graph) -> tuple:

@@ -123,18 +123,27 @@ def cmd_gen(args) -> int:
 
 
 def _load_network(args, hl: bool):
-    """The --in graph, or the HL network of --family and --n. With `hl`
-    an --in graph must pass hl_from_graph and comes back as a network."""
+    """(network, digest): the --in graph and the SHA-256 of the bytes it
+    was parsed from, or the HL network of --family and --n and None. With
+    `hl` an --in graph must pass hl_from_graph and comes back as a
+    network."""
     if args.infile:
-        base = edgelist.read_file(args.infile)
-        return hl_from_graph(base) if hl else base
+        with open(args.infile, "rb") as fh:
+            data = fh.read()
+        base = edgelist.loads(data.decode("utf-8"))
+        digest = hashlib.sha256(data).hexdigest()
+        return (hl_from_graph(base) if hl else base), digest
     if not args.family or args.n is None:
         raise ValueError("need --in or --family plus --n")
-    return generate(args.family, args.n, args.seed)
+    return generate(args.family, args.n, args.seed), None
 
 
 def cmd_linegraph(args) -> int:
     if args.bcdc:
+        for flag, value in (("--family", args.family), ("--in", args.infile),
+                            ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --bcdc")
         if args.n is None:
             raise ValueError("--bcdc requires --n")
         pair = bcdc(args.n)
@@ -150,7 +159,9 @@ def cmd_linegraph(args) -> int:
             sys.stdout.write(edgelist.dumps(pair.logical.graph))
         lg = pair.logical
     else:
-        network = _load_network(args, hl=False)
+        if args.out_original is not None:
+            raise ValueError("--out-original applies only with --bcdc")
+        network, _ = _load_network(args, hl=False)
         lg = line_graph(network) if args.infile else line_graph_of_hl(network)
         _emit(edgelist.dumps(lg.graph), args.out)
     if args.provenance:
@@ -165,10 +176,8 @@ def cmd_linegraph(args) -> int:
     return 0
 
 
-def _verify_target(args, base: Graph) -> dict:
+def _verify_target(args, base: Graph, digest: Optional[str]) -> dict:
     if args.infile:
-        with open(args.infile, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
         return {"input_digest": digest, "n_vertices": base.n_vertices,
                 "n_edges": len(base.edges)}
     target = {"family": args.family, "n": args.n}
@@ -212,10 +221,10 @@ def _write_progress(visited: int, total: int, failures: int,
 
 def cmd_verify(args) -> int:
     _resolve_flags(args)
-    network = _load_network(args, hl=True)
+    network, digest = _load_network(args, hl=True)
     L = line_graph_of_hl(network)
     n = network.dimension
-    target = _verify_target(args, network.graph)
+    target = _verify_target(args, network.graph, digest)
 
     check = args.check
     if check == "smec":

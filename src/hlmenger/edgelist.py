@@ -4,7 +4,7 @@ Layout::
 
     p <n_vertices> <n_edges>
     e <u> <v>            one line per edge, 0-based, ascending (min,max) order
-    l <v> <label>        optional label lines, ascending by vertex
+    l <v> <label>        optional label lines, ascending by vertex, one each
 
 Writers always emit the canonical ordering so identical graphs serialize to
 identical bytes. Readers refuse a p line that declares more than
@@ -58,7 +58,11 @@ def loads(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: l line before p line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'l <v> <label>'")
-            labels[_ints(parts[:2], lineno)[0]] = parts[2]
+            v = _ints(parts[:2], lineno)[0]
+            if v in labels:
+                raise ValueError(
+                    f"line {lineno}: second l line for vertex {v}")
+            labels[v] = parts[2]
         else:
             raise ValueError(f"line {lineno}: unknown record type {kind!r}")
     if n_vertices is None:
@@ -76,8 +80,3 @@ def _ints(parts: list[str], lineno: int) -> list[int]:
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer field in {parts[0]!r} "
                          f"record: {' '.join(parts[1:])!r}") from None
-
-
-def read_file(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())

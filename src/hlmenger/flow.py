@@ -1,28 +1,33 @@
-"""Max-flow workhorses for exact connectivity computation.
+"""Max-flow over one network of unit arcs, for exact connectivity.
 
-Internal module. One augmenting loop (`_augment`) runs over unit arcs,
-where arc a's twin is a ^ 1, for two network layouts. Each layout keeps
-both views of its arcs: adj and head for the arcs out of a vertex, radj
-and tail for the arcs into it. The loop finds each unit s-t path by a
-bidirectional search of the residual network (Pohl 1971): a tree grows
-from s along residual arcs out of its frontier and another grows into t
-along residual arcs into its frontier, one level at a time on the smaller
-frontier, until they meet. One scan loop serves both trees, and when the
-tree into t runs dry first, that same loop runs on over the tree from s
-until it is closed. On these expander-like line graphs a search from s
-alone floods most of the network before it reaches t; the two trees meet
-after a small fraction of that. With no path left, the loop returns the
-residual s-side, the smallest s-side of a minimum cut, which min_cut
-and min_cuts read.
+Internal module. DirectedFlow is the network. Arc pair k is arc 2k and
+its residual twin 2k + 1 = 2k ^ 1, and each pair is open or closed
+between queries. The network keeps both views of its arcs: adj and head
+for the arcs out of a vertex, radj and tail for the arcs into it. An open
+pair of a directed arc holds capacities (1, 0). UnitFlowEngine is the
+undirected face of the same network: one pair per edge, open both ways as
+(1, 1), with the pairs of faulted edges closed. Every query runs the one
+augmenting loop (`_augment`) on the network's residual in place, then
+reopens the pairs it touched, so it never copies every arc.
 
-* UnitFlowEngine: undirected unit-capacity flow over one fixed edge layout,
-  with a mutable fault mask so campaigns can re-query thousands of fault sets
-  without rebuilding anything.
-* DirectedFlow: a directed network of unit arcs, any of which can be
-  closed between queries, used only by the vertex-splitting reduction
-  for vertex connectivity. Its queries take a cutoff and a start flow,
-  augment on its residual in place and reset the arcs they touched, as
-  UnitFlowEngine's do.
+The loop finds each unit s-t path by a bidirectional search of the
+residual network (Pohl 1971): a tree grows from s along residual arcs
+out of its frontier and another grows into t along residual arcs into
+its frontier, one level at a time on the smaller frontier, until they
+meet. One scan loop serves both trees, and when the tree into t runs dry
+first, that same loop runs on over the tree from s until it is closed.
+On these expander-like line graphs a search from s alone floods most of
+the network before it reaches t; the two trees meet after a small
+fraction of that. With no path left, the loop returns the residual
+s-side, the smallest s-side of a minimum cut, which min_cut and min_cuts
+read.
+
+* DirectedFlow: the vertex-splitting reduction for vertex connectivity
+  (graph.split_network) uses it as it is, opening and closing its source
+  arcs between queries. Its queries take a cutoff and a start flow.
+* UnitFlowEngine: undirected unit-capacity flow over one fixed edge
+  layout, whose fault mask is the set of closed pairs, so campaigns can
+  re-query thousands of fault sets without rebuilding anything.
 
 UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
 It picks a few hubs of maximum degree and lazily stores, per hub and per
@@ -31,15 +36,13 @@ with an index from each edge to the stored paths through it; `hub_starts`
 finds the paths the installed faults kill from the fault edges alone and
 hands out the rest. A query may start from any feasible flow (`start`),
 such as those paths: augmenting from a feasible flow is exact, so only
-the missing units cost a search. A query augments on the engine's
-residual in place and then resets only the arcs it touched (the start
-and the augmented paths), so it never copies every arc. A failing fault
-set's witness comes from the hub check's deficient vertices and capped
-single-pair flows. `min_cuts(s, targets)` returns the minimum cut from
-one source to each of many targets, as min_cut would, but confirms a
-target that shares the first target's cut with a capped flow from a
-neighbouring target (lambda(x, y) >= min(lambda(x, w), lambda(w, y)),
-Gomory and Hu 1961); edge connectivity and the tightness checks use it.
+the missing units cost a search. A failing fault set's witness comes
+from the hub check's deficient vertices and capped single-pair flows.
+`min_cuts(s, targets)` returns the minimum cut from one source to each of
+many targets, as min_cut would, but confirms a target that shares the
+first target's cut with a capped flow from a neighbouring target
+(lambda(x, y) >= min(lambda(x, w), lambda(w, y)), Gomory and Hu 1961);
+edge connectivity and the tightness checks use it.
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
     `cap`, then augment unit s-t paths until none is left or the flow
     reaches cutoff. `net` holds the arcs: arc a runs from tail[a] to
     head[a], its twin a ^ 1 runs back, adj[x] lists the arcs out of x and
-    radj[x] the arcs into x. Each augmented arc is appended to `log`
-    before its capacity changes, so the caller can undo exactly the arcs
-    of the start and the log. Returns the flow and the source side of the
-    final residual, or None for the side when the cutoff stopped the
-    loop. Raises ValueError when s == t: the two searches would close
-    cycles through s forever.
+    radj[x] the arcs into x. Each arc of the start and of the augmented
+    paths is appended to `log` before its capacity changes, so the caller
+    can undo exactly the arcs in the log. Returns the flow and the source
+    side of the final residual, or None for the side when the cutoff
+    stopped the loop. Raises ValueError when s == t: the two searches
+    would close cycles through s forever.
 
     Each path comes from a level-synchronous bidirectional search. One
     scan loop grows both trees: a step expands one whole level of the
@@ -82,6 +85,7 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
     if s == t:
         raise ValueError(f"source and sink are both {s}")
     for path in start:
+        log.extend(path)
         for a in path:
             cap[a] -= 1
             cap[a ^ 1] += 1
@@ -133,27 +137,24 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
     return flow, None
 
 
-class UnitFlowEngine:
-    """Reusable unit-capacity max-flow over an undirected edge list.
+class DirectedFlow:
+    """Network of unit arcs whose pairs open and close between queries.
 
-    Edge k of the canonical edge list becomes the twin arcs 2k (u->v) and
-    2k+1 (v->u), so tail[a] = head[a ^ 1]; radj[x] lists b ^ 1 for each
-    b in adj[x], in that order. Faulted edges keep their slots but carry
-    capacity 0, so edge indices stay stable across queries. Between
-    queries `_template` holds exactly that fault mask; a query augments
-    on it in place and puts back the arcs it touched.
-    Paths into a hub, and their edge index, are stored on first use,
-    never here.
+    Arc pair k of `arcs` is arc 2k, from u to v, and its residual twin
+    2k + 1, from v to u, so tail[a] = head[a ^ 1]; radj[x] lists b ^ 1
+    for each b in adj[x], in that order. Between queries `_template`
+    holds (1, _BACK) for each open pair and (0, 0) for each closed one;
+    a query augments on it in place and reopens the pairs it touched.
     """
 
-    def __init__(self, n_vertices: int, edges):
-        self.n = n_vertices
-        self.edges = list(edges)
-        m = len(self.edges)
+    _BACK = 0      # capacity of an open pair's twin: none for an arc
+
+    def __init__(self, n_nodes: int, arcs):
+        m = len(arcs)
         self.head = head = [0] * (2 * m)
-        self.adj = adj = [[] for _ in range(n_vertices)]
-        self.radj = radj = [[] for _ in range(n_vertices)]
-        for k, (u, v) in enumerate(self.edges):
+        self.adj = adj = [[] for _ in range(n_nodes)]
+        self.radj = radj = [[] for _ in range(n_nodes)]
+        for k, (u, v) in enumerate(arcs):
             a = 2 * k
             head[a] = v
             head[a + 1] = u
@@ -164,9 +165,56 @@ class UnitFlowEngine:
         self.tail = tail = [0] * (2 * m)
         tail[::2] = head[1::2]
         tail[1::2] = head[::2]
+        self._template = [1, self._BACK] * m
+
+    def set_open(self, a: int, is_open: bool) -> None:
+        """Open or close the pair of arc a (even) between queries."""
+        self._template[a:a + 2] = (1, self._BACK) if is_open else (0, 0)
+
+    def max_flow(self, s: int, t: int, cutoff: int | None = None,
+                 start=()) -> int:
+        """Maximum number of arc-disjoint s-t paths over the open arcs,
+        capped at cutoff; `start` is a list of arc-disjoint s-t paths of
+        open arcs, and augmentation continues from that flow."""
+        return self._run(s, t, cutoff, start)[0]
+
+    def _run(self, s: int, t: int, cutoff: int | None,
+             start=()) -> tuple[int, list[bool] | None]:
+        """Augment on `_template` in place, then reopen the pair of each
+        arc in the log, the start's and the augmented paths': a closed
+        pair has no capacity either way, so every such pair was open and
+        the template holds again, whatever the loop raised."""
+        cap = self._template
+        log: list[int] = []
+        try:
+            return _augment(self, cap, s, t, cutoff, start, log)
+        finally:
+            # reopen each pair as (1, 1), one chained store per arc (the
+            # hot path of the SMEC flows); a directed twin then goes to 0
+            for a in log:
+                cap[a] = cap[a ^ 1] = 1
+            if not self._BACK:
+                for a in log:
+                    cap[a | 1] = 0
+
+
+class UnitFlowEngine(DirectedFlow):
+    """Reusable unit-capacity max-flow over an undirected edge list.
+
+    Edge k of the canonical edge list is arc pair k, open both ways: arcs
+    2k (u->v) and 2k+1 (v->u). A fault closes its edge's pair, which
+    keeps its slots, so edge indices stay stable across queries; between
+    queries `_template` is exactly the fault mask. Paths into a hub, and
+    their edge index, are stored on first use, never here.
+    """
+
+    _BACK = 1
+
+    def __init__(self, n_vertices: int, edges):
+        self.n = n_vertices
+        self.edges = list(edges)
+        super().__init__(n_vertices, self.edges)
         self.base_degrees = [len(a) for a in self.adj]
-        # the residual, which is the fault mask between queries
-        self._template = [1] * (2 * m)
         self.fault: tuple[int, ...] = ()  # installed fault edge indices
         self.degrees = self.base_degrees[:]
         # up to _HUBS vertices of maximum degree, spread over the id range:
@@ -182,20 +230,19 @@ class UnitFlowEngine:
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
-        tpl = self._template
         for k in self.fault:
-            tpl[2 * k] = 1
-            tpl[2 * k + 1] = 1
+            self.set_open(2 * k, True)
         self.fault = tuple(edge_indices)
         deg = self.base_degrees[:]
         for k in self.fault:
-            tpl[2 * k] = 0
-            tpl[2 * k + 1] = 0
+            self.set_open(2 * k, False)
             u, v = self.edges[k]
             deg[u] -= 1
             deg[v] -= 1
         self.degrees = deg
 
+    # The flow queries are written here, not inherited, so that the
+    # benchmark counts undirected flows apart from DirectedFlow.max_flow.
     def max_flow(self, s: int, t: int, cutoff: int | None = None,
                  start=()) -> int:
         """Exact max number of edge-disjoint s-t paths, capped at cutoff.
@@ -271,22 +318,6 @@ class UnitFlowEngine:
         return [(k, cut[:]) if t in same else self.min_cut(s, t)
                 for t in targets]
 
-    def _run(self, s: int, t: int, cutoff: int | None,
-             start=()) -> tuple[int, list[bool] | None]:
-        """Augment on `_template` in place, then reset the arcs of the
-        start and of the augmented paths: every such arc is live, so the
-        fault mask holds again, whatever the loop raised."""
-        cap = self._template
-        log = []
-        try:
-            return _augment(self, cap, s, t, cutoff, start, log)
-        finally:
-            for path in start:
-                for a in path:
-                    cap[a] = cap[a ^ 1] = 1
-            for a in log:
-                cap[a] = cap[a ^ 1] = 1
-
     def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
         """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
 
@@ -361,55 +392,3 @@ class UnitFlowEngine:
             paths.append(tuple(path))
         return paths
 
-
-class DirectedFlow:
-    """Directed network of unit arcs; arc 2k+1 is the residual twin of 2k.
-    adj, radj, head and tail are laid out as in UnitFlowEngine. Between
-    queries `_template` holds (1, 0) for each open arc and its twin and
-    (0, 0) for each closed one; a query augments on it in place and puts
-    back the arcs it touched."""
-
-    def __init__(self, n_nodes: int):
-        self.head: list[int] = []
-        self.tail: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.radj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self._template: list[int] = []
-
-    def add_arc(self, u: int, v: int, is_open: bool = True) -> None:
-        a = len(self.head)
-        self.adj[u].append(a)
-        self.radj[u].append(a + 1)
-        self.adj[v].append(a + 1)
-        self.radj[v].append(a)
-        self.head += (v, u)
-        self.tail += (u, v)
-        self._template += (int(is_open), 0)
-
-    def set_open(self, a: int, is_open: bool) -> None:
-        """Open or close arc a (even) between queries."""
-        self._template[a] = int(is_open)
-
-    def max_flow(self, s: int, t: int, cutoff: int | None = None,
-                 start=()) -> int:
-        """Maximum number of arc-disjoint s-t paths over the open arcs,
-        capped at cutoff; `start` is a list of arc-disjoint s-t paths of
-        open arcs, and augmentation continues from that flow.
-
-        The loop runs on `_template` in place. Every arc of the start and
-        of the augmented paths belongs to an open arc pair (a closed pair
-        has no capacity either way), so resetting each such pair to (1, 0)
-        restores the template, whatever the loop raised.
-        """
-        cap = self._template
-        log: list[int] = []
-        try:
-            return _augment(self, cap, s, t, cutoff, start, log)[0]
-        finally:
-            for path in start:
-                for a in path:
-                    cap[a & ~1] = 1
-                    cap[a | 1] = 0
-            for a in log:
-                cap[a & ~1] = 1
-                cap[a | 1] = 0

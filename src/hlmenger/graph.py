@@ -191,7 +191,7 @@ def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> FlowResult:
         raise ValueError("endpoints must be distinct")
     engine = UnitFlowEngine(g.n_vertices, g.edges)
     value, cut = engine.min_cut(u, v)
-    return FlowResult(value, tuple(sorted(cut)))
+    return FlowResult(value, tuple(cut))
 
 
 def edge_connectivity(g: Graph) -> int:
@@ -215,14 +215,13 @@ def split_network(g: Graph) -> DirectedFlow:
     arc 2(n + 2m + w) for vertex w (m edges), all closed.
     """
     n = g.n_vertices
-    net = DirectedFlow(2 * n + 1)
-    for w in range(n):
-        net.add_arc(w, w + n)
+    arcs = [(w, w + n) for w in range(n)]
     for a, b in g.edges:
-        net.add_arc(a + n, b)
-        net.add_arc(b + n, a)
+        arcs += ((a + n, b), (b + n, a))
+    arcs += ((2 * n, w) for w in range(n))
+    net = DirectedFlow(2 * n + 1, arcs)
     for w in range(n):
-        net.add_arc(2 * n, w, False)
+        net.set_open(2 * (len(arcs) - n + w), False)
     return net
 
 

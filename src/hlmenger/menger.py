@@ -488,7 +488,7 @@ def check_tightness(L: LineGraph, conditional: bool,
         required = min(deg[witness.u], deg[v])
         if paths < required:
             confirmed.append(SmecWitness(witness.u, v, paths, required,
-                                         tuple(sorted(cut))).to_dict())
+                                         tuple(cut)).to_dict())
 
     result_witness = None
     if confirmed:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from hlmenger import bcdc, build_graph, edgelist, generate, linegraph, \
-    topologies
+from hlmenger import bcdc, build_graph, cli, edgelist, generate, \
+    linegraph, topologies
 from hlmenger.cli import main
 from hlmenger.report import VerificationReport
 
@@ -50,7 +50,7 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--family", "ltq", "--n", "4",
                          "--out", str(out_path))
         assert code == 0
-        assert edgelist.read_file(out_path) == network("ltq", 4).graph
+        assert edgelist.loads(out_path.read_text()) == network("ltq", 4).graph
 
     def test_construction_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "c.json"
@@ -88,8 +88,8 @@ class TestLinegraph:
         code, _, _ = run(capsys, "linegraph", "--bcdc", "--n", "3",
                          "--out-original", str(a_path), "--out", str(b_path))
         assert code == 0
-        assert edgelist.read_file(a_path).n_vertices == 20
-        assert edgelist.read_file(b_path).n_vertices == 12
+        assert edgelist.loads(a_path.read_text()).n_vertices == 20
+        assert edgelist.loads(b_path.read_text()).n_vertices == 12
 
     def test_provenance_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "prov.json"
@@ -104,6 +104,21 @@ class TestLinegraph:
         bad.write_text("p 2 5\ne 0 1\n")
         code, _, err = run(capsys, "linegraph", "--in", str(bad))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("flag", [("--family", "hypercube"),
+                                      ("--in", "k2.txt"), ("--seed", "3")])
+    def test_flag_bcdc_ignores_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "linegraph", "--bcdc", "--n", "3",
+                             *flag)
+        assert code == 2 and out == ""
+        assert f"error: {flag[0]} does not apply to --bcdc" in err
+
+    def test_out_original_without_bcdc_exits_2(self, tmp_path, capsys):
+        original = tmp_path / "a3.txt"
+        code, out, err = run(capsys, "linegraph", "--family", "crossed",
+                             "--n", "3", "--out-original", str(original))
+        assert code == 2 and out == "" and not original.exists()
+        assert "error: --out-original applies only with --bcdc" in err
 
 
 def crossed3_file(tmp_path, capsys, edit):
@@ -124,6 +139,14 @@ class TestInputLabels:
         code, out, err = run(capsys, *argv, "--in", str(path))
         assert code == 2 and out == ""
         assert "vertex 1 has no label" in err
+
+    def test_second_label_line_exits_2(self, tmp_path, capsys):
+        path = crossed3_file(tmp_path, capsys, lambda lines: [
+            *lines, "l 0 000"])
+        code, out, err = run(capsys, "verify", "--check", "smec",
+                             "--in", str(path))
+        assert code == 2 and out == ""
+        assert "second l line for vertex 0" in err
 
     def test_label_not_the_id_bits_exit_2(self, tmp_path, capsys):
         path = crossed3_file(tmp_path, capsys, lambda lines: [
@@ -176,15 +199,24 @@ class TestVerify:
         assert report["parameters"]["m"] == 11
         assert report["counts"]["visited"] >= 300
 
-    def test_smec_check_on_file(self, tmp_path, capsys):
+    def test_smec_check_on_file(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "net.txt"
         run(capsys, "gen", "--family", "random", "--n", "3", "--seed", "8",
             "--out", str(path))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
         code, out, _ = run(capsys, "verify", "--check", "smec",
                            "--in", str(path))
         assert code == 0
         report = json.loads(out)
-        assert "input_digest" in report["target"]
+        assert report["target"]["input_digest"] == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        assert opened == [str(path)]          # read once, then hashed
 
     def test_tight_cond_on_file(self, tmp_path, capsys):
         path = tmp_path / "net.txt"

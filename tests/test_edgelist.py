@@ -103,4 +103,10 @@ def test_file_round_trip(tmp_path):
     g = random_graph(7)
     path = tmp_path / "g.txt"
     path.write_text(edgelist.dumps(g), encoding="utf-8")
-    assert edgelist.read_file(path) == g
+    assert edgelist.loads(path.read_bytes().decode("utf-8")) == g
+
+
+def test_second_label_line_for_a_vertex_is_refused():
+    with pytest.raises(ValueError,
+                       match="line 4: second l line for vertex 0"):
+        edgelist.loads("p 2 1\ne 0 1\nl 0 a\nl 0 b\nl 1 c\n")

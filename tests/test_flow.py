@@ -1,7 +1,7 @@
 """Differential tests for flow._augment, the one augmenting loop.
 
 Each case runs the loop on a seeded network: an undirected random graph
-in UnitFlowEngine's layout, with and without faults, from stored start
+as UnitFlowEngine's arc pairs, with and without faults, from stored start
 paths and under cutoffs, or a directed network of unit arcs (random arcs,
 or the vertex split network of graph.split_network, between vertex pairs
 and in fans from its source node, some warm-started). The value must
@@ -255,10 +255,7 @@ def directed_network(seed):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = [pairs[i] for i in
             rng.sample_indices(len(pairs), rng.randbelow(len(pairs) // 2 + 1))]
-    net = DirectedFlow(n)
-    for u, v in arcs:
-        net.add_arc(u, v)
-    return net, arcs
+    return DirectedFlow(n, arcs), arcs
 
 
 def directed_cases(seed):
@@ -274,7 +271,7 @@ def directed_cases(seed):
 @pytest.mark.parametrize("seed", range(0, 40, 4))
 def test_reverse_arcs_mirror_forward_arcs(seed):
     """tail[a] is head[a ^ 1], and radj[x] is exactly the arcs into x, the
-    twins of adj[x] in adj order, in both network layouts."""
+    twins of adj[x] in adj order, in undirected and directed networks."""
     nets = (unit_engine(seed)[0], directed_network(seed)[0],
             split_network(random_graph(seed, max_vertices=10, max_edges=24)))
     for net in nets:
@@ -312,7 +309,8 @@ def test_directed_loop_matches_reference(seed):
 def test_both_exits_occur():
     """Among the cases, some last searches end with the forward frontier
     dry and some with the backward one dry (the loop then runs on over
-    the forward side until it is closed), in both network layouts."""
+    the forward side until it is closed), in undirected and directed
+    networks."""
     unit, directed = Counter(), Counter()
     for seed in SEEDS:
         for engine, cap, s, t, cutoff, start in unit_cases(seed):
