@@ -36,6 +36,7 @@ the verdict nor the witness.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -353,9 +354,11 @@ def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
                     progress: Optional[Callable[[], None]] = None
                     ) -> Optional[dict]:
     """Evaluate every fault set; returns the first-in-order failure witness.
-    `progress`, when given, is called after each chunk's tallies are merged
-    into counters."""
+    At most os.cpu_count() worker processes start, whatever `jobs` asks
+    for, and one job runs in process. `progress`, when given, is called
+    after each chunk's tallies are merged into counters."""
     global _WORKER_STATE
+    jobs = min(jobs, os.cpu_count() or 1)
     index = component_index(g) if kind == "component" else None
     initargs = (g.n_vertices, g.edges, kind, floor, index)
     chunks = _chunks(stream, _CHUNK_SIZE)

@@ -3,8 +3,12 @@
 Exit codes follow one contract everywhere: 0 all checks pass, 1 a
 counterexample was found (for the tightness checks that is the expected
 outcome, since they construct one), 2 usage, input or budget errors.
-Reports are JSON on stdout (or --out) and are byte-identical across runs
-with the same inputs and seeds, except for the timing field.
+Every optional flag is parsed as None when absent, and FLAG_RULES states
+when a request reads each one: a request that gives a flag it would not
+read exits 2, naming the flag, before any network is generated or any
+file is opened. Reports are JSON on stdout (or --out) and are
+byte-identical across runs with the same inputs and seeds, except for
+the timing field.
 """
 
 from __future__ import annotations
@@ -26,13 +30,42 @@ from .topologies import NAMED_FAMILIES, construction_record, generate, \
 CHECKS = ("smec", *BOUNDS)
 TIGHTNESS_CHECKS = ("tight-uncond", "tight-cond")
 
-# verify flags that only some checks read, with their defaults; each is
-# parsed as None when absent, so a check can reject one it would ignore
-FLAG_DEFAULTS = {"m": None, "mode": "exhaustive", "samples": 10000,
-                 "adversarial": False, "budget": 10_000_000,
-                 "all_witnesses": False, "progress": False}
-CAMPAIGN_FLAGS = ("m", "mode", "samples", "adversarial", "budget",
-                  "progress")
+# defaults of the verify flags that FLAG_RULES governs and that are not
+# read as None, filled in once the rules pass
+FLAG_DEFAULTS = {"seed": 0, "samples": 10000, "adversarial": False,
+                 "budget": 10_000_000, "all_witnesses": False}
+_FOR_CHECK = "does not apply to --check {check}"
+
+
+def _campaign(a: dict) -> bool:
+    """True for the five checks that sweep fault sets."""
+    return a.get("check") in BOUNDS and a.get("check") not in TIGHTNESS_CHECKS
+
+
+def _sampled(a: dict) -> bool:
+    return a.get("mode") == "sample"
+
+
+# (dests, reads, message): a request, its parsed flags as a dict, reads the
+# flags with these space-separated dests only when reads(request) holds.
+# The rows are tried in order, and the first flag given (not None) to a
+# request that does not read it is refused with "<flag> <message>".
+FLAG_RULES = (
+    ("family infile seed", lambda a: not a.get("bcdc"),
+     "does not apply to --bcdc"),
+    ("n", lambda a: a.get("infile") is None, "does not apply to --in"),
+    ("out_original", lambda a: a.get("bcdc"), "applies only with --bcdc"),
+    ("m mode samples adversarial budget", _campaign, _FOR_CHECK),
+    ("all_witnesses", lambda a: a.get("check") in TIGHTNESS_CHECKS,
+     _FOR_CHECK),
+    ("progress", _campaign, _FOR_CHECK),
+    ("samples", _sampled, "applies only with --mode sample"),
+    ("budget", lambda a: not _sampled(a), "does not apply to --mode sample"),
+    ("seed", lambda a: a.get("family") == "random" or _campaign(a),
+     "applies only with --family random"),
+    ("seed", lambda a: a.get("family") == "random" or _sampled(a),
+     "applies only with --family random or --mode sample"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="edge-list of the base network to verify")
     vsrc.add_argument("--family", choices=NAMED_FAMILIES + ("random",))
     ver.add_argument("--n", type=int, help="dimension (with --family)")
-    ver.add_argument("--seed", type=int, default=0,
+    ver.add_argument("--seed", type=int,
                      help="seed for random family and sampling (default 0)")
     ver.add_argument("--m", type=int, help="maximum fault-set size")
     ver.add_argument("--mode", choices=("exhaustive", "sample"),
@@ -140,10 +173,6 @@ def _load_network(args, hl: bool):
 
 def cmd_linegraph(args) -> int:
     if args.bcdc:
-        for flag, value in (("--family", args.family), ("--in", args.infile),
-                            ("--seed", args.seed)):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to --bcdc")
         if args.n is None:
             raise ValueError("--bcdc requires --n")
         pair = bcdc(args.n)
@@ -159,8 +188,6 @@ def cmd_linegraph(args) -> int:
             sys.stdout.write(edgelist.dumps(pair.logical.graph))
         lg = pair.logical
     else:
-        if args.out_original is not None:
-            raise ValueError("--out-original applies only with --bcdc")
         network, _ = _load_network(args, hl=False)
         lg = line_graph(network) if args.infile else line_graph_of_hl(network)
         _emit(edgelist.dumps(lg.graph), args.out)
@@ -186,29 +213,15 @@ def _verify_target(args, base: Graph, digest: Optional[str]) -> dict:
     return target
 
 
-def _resolve_flags(args) -> None:
-    """Reject --jobs < 1 and any flag the check or the sweep mode ignores,
-    then fill in the defaults of the check-specific flags."""
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.check == "smec":
-        used = ()
-    elif args.check in TIGHTNESS_CHECKS:
-        used = ("all_witnesses",)
-    else:
-        used = CAMPAIGN_FLAGS
-    given = [name for name in FLAG_DEFAULTS if getattr(args, name) is not None]
-    for name in given:
-        if name not in used:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} does not apply to --check {args.check}")
-    if "samples" in given and args.mode != "sample":
-        raise ValueError("--samples applies only with --mode sample")
-    if "budget" in given and args.mode == "sample":
-        raise ValueError("--budget does not apply to --mode sample")
-    for name, default in FLAG_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
+def _refuse_unread(args) -> None:
+    """Raise ValueError naming the first flag, in FLAG_RULES order, that
+    the request gives but would not read. Dest infile is the flag --in."""
+    a = vars(args)
+    for dests, reads, message in FLAG_RULES:
+        for dest in dests.split():
+            if a.get(dest) is not None and not reads(a):
+                flag = "--" + dest.replace("infile", "in").replace("_", "-")
+                raise ValueError(f"{flag} {message.format(**a)}")
 
 
 def _write_progress(visited: int, total: int, failures: int,
@@ -220,7 +233,11 @@ def _write_progress(visited: int, total: int, failures: int,
 
 
 def cmd_verify(args) -> int:
-    _resolve_flags(args)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    for name, default in FLAG_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     network, digest = _load_network(args, hl=True)
     L = line_graph_of_hl(network)
     n = network.dimension
@@ -265,14 +282,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    run = {"gen": cmd_gen, "linegraph": cmd_linegraph, "verify": cmd_verify}
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "linegraph":
-            return cmd_linegraph(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise ValueError(f"unknown command {args.command}")
+        _refuse_unread(args)
+        return run[args.command](args)
     except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

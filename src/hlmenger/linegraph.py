@@ -10,7 +10,7 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graph import Graph, build_graph, canonical_edge
@@ -74,14 +74,7 @@ def line_graph_of_hl(h: HLNetwork) -> LineGraph:
     """Line graph of a hypercube-like network with its f-vertices marked."""
     lg = line_graph(h.graph)
     f_ids = frozenset(lg.vertex_of_edge[e] for e in h.f_edges)
-    return LineGraph(
-        graph=lg.graph,
-        base=lg.base,
-        vertex_of_edge=lg.vertex_of_edge,
-        edge_of_vertex=lg.edge_of_vertex,
-        f_vertices=f_ids,
-        base_dimension=h.dimension,
-    )
+    return replace(lg, f_vertices=f_ids, base_dimension=h.dimension)
 
 
 def vertex_side(lg: LineGraph, v: int) -> int:
@@ -182,26 +175,3 @@ def bcdc(n: int) -> BCDCPair:
     original = build_graph(n_switch + len(base.edges), edges, labels)
     logical = line_graph_of_hl(cq)
     return BCDCPair(original=original, logical=logical, dimension=n)
-
-
-def bcdc_rule_agreement(pair: BCDCPair) -> bool:
-    """True iff servers are adjacent in the logical graph exactly when they
-    share a switch in the original graph."""
-    n_switch = pair.n_switches
-    original = pair.original
-    logical = pair.logical.graph
-    if logical.n_vertices != original.n_vertices - n_switch:
-        return False
-    servers_at_switch: list[list[int]] = [[] for _ in range(n_switch)]
-    for v in range(n_switch, original.n_vertices):
-        nbrs = original.neighbors(v)
-        if len(nbrs) != 2 or any(w >= n_switch for w in nbrs):
-            return False
-        for w in nbrs:
-            servers_at_switch[w].append(v - n_switch)
-    shared = set()
-    for group in servers_at_switch:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                shared.add(canonical_edge(group[a], group[b]))
-    return shared == set(logical.edges)

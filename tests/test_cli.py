@@ -358,6 +358,19 @@ class TestVerify:
                            "hypercube", "--n", "4", "--jobs", "2")
         assert code == expect and json.loads(out)["check_name"] == check
 
+    @pytest.mark.parametrize("argv,expect,field", [
+        (("tight-cond", "--family", "random", "--n", "4"), 1, "target"),
+        (("ft-smec", "--in", "cq3.txt", "--m", "1", "--mode", "sample",
+          "--samples", "3"), 0, "parameters"),
+    ])
+    def test_seed_applies_with_random_family_or_sample_mode(
+            self, capsys, tmp_path, monkeypatch, argv, expect, field):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "--family", "crossed", "--n", "3",
+            "--out", "cq3.txt")
+        code, out, _ = run(capsys, "verify", "--check", *argv, "--seed", "3")
+        assert code == expect and json.loads(out)[field]["seed"] == 3
+
 
 def digest(report_text: str) -> str:
     report = VerificationReport.from_dict(json.loads(report_text))
@@ -411,6 +424,43 @@ def no_generation(monkeypatch):
     monkeypatch.setattr(linegraph, "gen_family", refuse)
     monkeypatch.setattr(linegraph, "canonical_edge", refuse)
     monkeypatch.setattr(linegraph, "build_graph", refuse)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("gen", "--family", "hypercube", "--n", "3", "--seed", "5"),
+     "--seed applies only with --family random"),
+    (("linegraph", "--family", "hypercube", "--n", "3", "--seed", "5"),
+     "--seed applies only with --family random"),
+    (("linegraph", "--in", "missing.txt", "--n", "3"),
+     "--n does not apply to --in"),
+    (("linegraph", "--in", "missing.txt", "--n", "7", "--seed", "2"),
+     "--n does not apply to --in"),
+    (("linegraph", "--in", "missing.txt", "--seed", "2"),
+     "--seed applies only with --family random"),
+    (("verify", "--check", "smec", "--in", "missing.txt", "--n", "9"),
+     "--n does not apply to --in"),
+    (("verify", "--check", "smec", "--family", "hypercube", "--n", "3",
+      "--seed", "4"), "--seed applies only with --family random"),
+    (("verify", "--check", "tight-cond", "--family", "crossed", "--n", "4",
+      "--seed", "3"), "--seed applies only with --family random"),
+    (("verify", "--check", "ft-smec", "--family", "hypercube", "--n", "3",
+      "--m", "1", "--seed", "4"),
+     "--seed applies only with --family random or --mode sample"),
+    (("verify", "--check", "lemma32", "--family", "crossed", "--n", "3",
+      "--mode", "exhaustive", "--seed", "2"),
+     "--seed applies only with --family random or --mode sample"),
+    (("verify", "--check", "ft-smec", "--in", "missing.txt", "--seed", "4"),
+     "--seed applies only with --family random or --mode sample"),
+])
+def test_flag_the_request_would_not_read_exits_2(capsys, tmp_path,
+                                                 monkeypatch, no_generation,
+                                                 argv, message):
+    """The refusal comes before any network is generated (no_generation)
+    and before the --in file, which does not exist, is opened."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def hypercube_edge_list(n):

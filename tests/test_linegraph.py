@@ -13,9 +13,9 @@ from hlmenger import (
     line_graph,
     vertex_connectivity,
 )
-from hlmenger.linegraph import bcdc_rule_agreement, line_graph_of_hl, vertex_side
+from hlmenger.linegraph import line_graph_of_hl, vertex_side
 
-from util import corpus, lgraph, network, random_graph
+from util import bcdc_rule_agreement, corpus, lgraph, network, random_graph
 
 
 class TestLineGraph:

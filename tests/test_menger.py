@@ -217,6 +217,37 @@ class TestRunCampaign:
             assert solo.counts["skipped_conditional"] == 228
             assert solo.counts["failures"] == 384
 
+    @pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, []), (None, [])])
+    def test_workers_are_bounded_by_the_cpu_count(self, monkeypatch, cpus,
+                                                  pools):
+        """jobs=100000 starts at most os.cpu_count() workers, and none when
+        that is 1 (or unknown). The fake pool runs its chunks in process,
+        so no worker process starts."""
+        class FakePool:
+            def __init__(self, size, initializer, initargs):
+                sizes.append(size)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, chunks):
+                return map(fn, chunks)
+
+        sizes = []
+        monkeypatch.setattr(_campaign_exec.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_campaign_exec, "Pool", FakePool)
+        monkeypatch.setattr(_campaign_exec, "_WORKER_STATE", None)
+        L = lgraph("mobius1", 4)
+        c = FaultCampaign(mode="sampled", m=7, conditional=True, samples=30,
+                          seed=2, adversarial=True)
+        many = run_campaign(L, c, jobs=100000)
+        assert sizes == pools
+        assert many.canonical_json() == run_campaign(L, c).canonical_json()
+
     @pytest.mark.parametrize("c", [
         FaultCampaign(mode="exhaustive", m=-1),
         FaultCampaign(mode="sampled", m=2, samples=-5),

@@ -20,8 +20,8 @@ from hlmenger import (
     max_edge_disjoint_paths,
     remove_edges,
 )
-from hlmenger.graph import is_connected, split_network
-from hlmenger.linegraph import line_graph_of_hl
+from hlmenger.graph import canonical_edge, is_connected, split_network
+from hlmenger.linegraph import BCDCPair, line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
 RANDOM_SEEDS = (1, 2, 3, 4, 5)
@@ -265,3 +265,26 @@ def cut_disconnects(g: Graph, u: int, v: int, cut) -> bool:
     stripped = remove_edges(g, [tuple(e) for e in cut])
     comp = next(c for c in components(stripped) if u in c)
     return v not in comp
+
+
+def bcdc_rule_agreement(pair: BCDCPair) -> bool:
+    """True iff servers are adjacent in the logical graph exactly when they
+    share a switch in the original graph."""
+    n_switch = pair.n_switches
+    original = pair.original
+    logical = pair.logical.graph
+    if logical.n_vertices != original.n_vertices - n_switch:
+        return False
+    servers_at_switch: list[list[int]] = [[] for _ in range(n_switch)]
+    for v in range(n_switch, original.n_vertices):
+        nbrs = original.neighbors(v)
+        if len(nbrs) != 2 or any(w >= n_switch for w in nbrs):
+            return False
+        for w in nbrs:
+            servers_at_switch[w].append(v - n_switch)
+    shared = set()
+    for group in servers_at_switch:
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                shared.add(canonical_edge(group[a], group[b]))
+    return shared == set(logical.edges)
