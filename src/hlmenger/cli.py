@@ -6,7 +6,12 @@ outcome, since they construct one), 2 usage, input or budget errors.
 Every optional flag is parsed as None when absent, and FLAG_RULES states
 when a request reads each one: a request that gives a flag it would not
 read exits 2, naming the flag, before any network is generated or any
-file is opened. Reports are JSON on stdout (or --out) and are
+file is opened. The three subcommands share the network flags: --in or
+--family with --n, and --seed, which --family random requires everywhere
+(gen refuses --in). Only verify's sampler defaults --seed to 0. Every
+output goes to the file its flag names, and --out defaults to stdout:
+linegraph always writes its line graph there, and --bcdc only adds the
+original graph at --out-original. Reports are JSON and are
 byte-identical across runs with the same inputs and seeds, except for
 the timing field.
 """
@@ -20,7 +25,7 @@ import sys
 from typing import Optional
 
 from . import edgelist
-from .graph import BudgetExceeded, Graph
+from .graph import BudgetExceeded
 from .linegraph import bcdc, line_graph, line_graph_of_hl
 from .menger import BOUNDS, FaultCampaign, check_component_lemma, \
     check_tightness, require_dimension, run_campaign
@@ -32,7 +37,7 @@ TIGHTNESS_CHECKS = ("tight-uncond", "tight-cond")
 
 # defaults of the verify flags that FLAG_RULES governs and that are not
 # read as None, filled in once the rules pass
-FLAG_DEFAULTS = {"seed": 0, "samples": 10000, "adversarial": False,
+FLAG_DEFAULTS = {"samples": 10000, "adversarial": False,
                  "budget": 10_000_000, "all_witnesses": False}
 _FOR_CHECK = "does not apply to --check {check}"
 
@@ -51,6 +56,7 @@ def _sampled(a: dict) -> bool:
 # The rows are tried in order, and the first flag given (not None) to a
 # request that does not read it is refused with "<flag> <message>".
 FLAG_RULES = (
+    ("infile", lambda a: a["command"] != "gen", "does not apply to gen"),
     ("family infile seed", lambda a: not a.get("bcdc"),
      "does not apply to --bcdc"),
     ("n", lambda a: a.get("infile") is None, "does not apply to --in"),
@@ -76,35 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a network as an edge list")
-    _add_family_args(gen)
+    _add_network_args(gen)
     gen.add_argument("--out", help="output path (default stdout)")
     gen.add_argument("--construction",
                      help="write the per-level bijection record as JSON")
 
     lg = sub.add_parser("linegraph", help="emit the line graph of a network")
-    src = lg.add_mutually_exclusive_group()
-    src.add_argument("--in", dest="infile", help="input edge-list file")
-    src.add_argument("--family", choices=NAMED_FAMILIES + ("random",))
-    lg.add_argument("--n", type=int, help="dimension (with --family/--bcdc)")
-    lg.add_argument("--seed", type=int, help="seed for --family random")
+    _add_network_args(lg)
     lg.add_argument("--bcdc", action="store_true",
-                    help="emit the data-center pair: subdivided crossed cube "
-                         "and its line graph")
+                    help="use the data-center pair: the line graph of the "
+                         "subdivided crossed cube of dimension --n")
     lg.add_argument("--out", help="line-graph output path (default stdout)")
     lg.add_argument("--out-original", dest="out_original",
-                    help="with --bcdc: output path for the original graph")
+                    help="with --bcdc: also write the original graph here")
     lg.add_argument("--provenance",
                     help="write line-vertex -> base-edge map as JSON")
 
     ver = sub.add_parser("verify", help="run a verification check")
     ver.add_argument("--check", required=True, choices=CHECKS)
-    vsrc = ver.add_mutually_exclusive_group()
-    vsrc.add_argument("--in", dest="infile",
-                      help="edge-list of the base network to verify")
-    vsrc.add_argument("--family", choices=NAMED_FAMILIES + ("random",))
-    ver.add_argument("--n", type=int, help="dimension (with --family)")
-    ver.add_argument("--seed", type=int,
-                     help="seed for random family and sampling (default 0)")
+    _add_network_args(ver)
     ver.add_argument("--m", type=int, help="maximum fault-set size")
     ver.add_argument("--mode", choices=("exhaustive", "sample"),
                      help="fault-set sweep (default exhaustive)")
@@ -129,11 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_family_args(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--family", required=True,
-                     choices=NAMED_FAMILIES + ("random",))
-    cmd.add_argument("--n", type=int, required=True, help="dimension >= 1")
-    cmd.add_argument("--seed", type=int, help="seed for --family random")
+def _add_network_args(cmd: argparse.ArgumentParser) -> None:
+    src = cmd.add_mutually_exclusive_group()
+    src.add_argument("--in", dest="infile", help="input edge-list file")
+    src.add_argument("--family", choices=NAMED_FAMILIES + ("random",))
+    cmd.add_argument("--n", type=int, help="dimension >= 1 (with --family)")
+    cmd.add_argument("--seed", type=int,
+                     help="seed for --family random, and for verify's "
+                          "sampler (default 0)")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -144,31 +143,36 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_gen(args) -> int:
-    network = generate(args.family, args.n, args.seed)
-    _emit(edgelist.dumps(network.graph), args.out)
-    if args.construction:
-        with open(args.construction, "w", encoding="utf-8") as fh:
-            json.dump(construction_record(network), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
-    return 0
+def _json(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def _load_network(args, hl: bool):
-    """(network, digest): the --in graph and the SHA-256 of the bytes it
-    was parsed from, or the HL network of --family and --n and None. With
-    `hl` an --in graph must pass hl_from_graph and comes back as a
-    network."""
+def _load_network(args, hl: bool = True):
+    """(network, target): the --in graph, with the SHA-256 of the bytes it
+    was parsed from and its size as target, or the HL network of --family,
+    --n and --seed, with those flags as target. With `hl` an --in graph
+    must pass hl_from_graph and comes back as a network."""
     if args.infile:
         with open(args.infile, "rb") as fh:
             data = fh.read()
         base = edgelist.loads(data.decode("utf-8"))
-        digest = hashlib.sha256(data).hexdigest()
-        return (hl_from_graph(base) if hl else base), digest
+        target = {"input_digest": hashlib.sha256(data).hexdigest(),
+                  "n_vertices": base.n_vertices, "n_edges": len(base.edges)}
+        return (hl_from_graph(base) if hl else base), target
     if not args.family or args.n is None:
         raise ValueError("need --in or --family plus --n")
-    return generate(args.family, args.n, args.seed), None
+    target = {"family": args.family, "n": args.n}
+    if args.family == "random":
+        target["seed"] = args.seed
+    return generate(args.family, args.n, args.seed), target
+
+
+def cmd_gen(args) -> int:
+    network, _ = _load_network(args)
+    _emit(edgelist.dumps(network.graph), args.out)
+    if args.construction:
+        _emit(_json(construction_record(network)), args.construction)
+    return 0
 
 
 def cmd_linegraph(args) -> int:
@@ -176,41 +180,21 @@ def cmd_linegraph(args) -> int:
         if args.n is None:
             raise ValueError("--bcdc requires --n")
         pair = bcdc(args.n)
-        if args.out_original or args.out:
-            if args.out_original:
-                _emit(edgelist.dumps(pair.original), args.out_original)
-            if args.out:
-                _emit(edgelist.dumps(pair.logical.graph), args.out)
-        else:
-            sys.stdout.write("# original graph\n")
-            sys.stdout.write(edgelist.dumps(pair.original))
-            sys.stdout.write("# logical graph\n")
-            sys.stdout.write(edgelist.dumps(pair.logical.graph))
         lg = pair.logical
+        if args.out_original:
+            _emit(edgelist.dumps(pair.original), args.out_original)
     else:
         network, _ = _load_network(args, hl=False)
         lg = line_graph(network) if args.infile else line_graph_of_hl(network)
-        _emit(edgelist.dumps(lg.graph), args.out)
+    _emit(edgelist.dumps(lg.graph), args.out)
     if args.provenance:
         record = {
             "line_vertex_to_base_edge": [list(e) for e in lg.edge_of_vertex],
         }
         if lg.f_vertices is not None:
             record["f_vertices"] = sorted(lg.f_vertices)
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit(_json(record), args.provenance)
     return 0
-
-
-def _verify_target(args, base: Graph, digest: Optional[str]) -> dict:
-    if args.infile:
-        return {"input_digest": digest, "n_vertices": base.n_vertices,
-                "n_edges": len(base.edges)}
-    target = {"family": args.family, "n": args.n}
-    if args.family == "random":
-        target["seed"] = args.seed
-    return target
 
 
 def _refuse_unread(args) -> None:
@@ -238,17 +222,15 @@ def cmd_verify(args) -> int:
     for name, default in FLAG_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    network, digest = _load_network(args, hl=True)
+    network, target = _load_network(args)
     L = line_graph_of_hl(network)
     n = network.dimension
-    target = _verify_target(args, network.graph, digest)
 
     check = args.check
     if check == "smec":
         report = run_campaign(
             L, FaultCampaign(mode="exhaustive", m=0), jobs=args.jobs,
             target=target)
-        report.check_name = "smec"
     elif check in TIGHTNESS_CHECKS:
         report = check_tightness(L, conditional=(check == "tight-cond"),
                                  all_witnesses=args.all_witnesses,
@@ -260,7 +242,7 @@ def cmd_verify(args) -> int:
         c = FaultCampaign(
             mode=mode, m=m, conditional=(check == "cond-ft-smec"),
             samples=args.samples if mode == "sampled" else 0,
-            seed=args.seed, adversarial=args.adversarial,
+            seed=args.seed or 0, adversarial=args.adversarial,
             budget=args.budget)
         progress = _write_progress if args.progress else None
         if bound.floor is None:
@@ -270,8 +252,7 @@ def cmd_verify(args) -> int:
             report = check_component_lemma(
                 L, m, bound.floor(n), c, jobs=args.jobs, target=target,
                 progress=progress)
-            report.check_name = check
-
+    report.check_name = check
     _emit(report.to_json() + "\n", args.out)
     return 1 if report.counts.get("failures", 0) else 0
 

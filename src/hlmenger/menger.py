@@ -226,13 +226,9 @@ def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
     """All triangles (a, b, c) with a < b < c, in lexicographic order."""
     for a in range(g.n_vertices):
         nbrs = [w for w in g.neighbors(a) if w > a]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                b, c = nbrs[i], nbrs[j]
-                if b > c:
-                    b, c = c, b
-                if g.has_edge(b, c):
-                    yield a, b, c
+        for b, c in combinations(nbrs, 2):
+            if g.has_edge(b, c):
+                yield a, b, c
 
 
 def _exhaustive_count(n_edges: int, m: int) -> int:

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hlmenger import bcdc, build_graph, cli, edgelist, generate, \
-    linegraph, topologies
+from hlmenger import bcdc, build_graph, cli, edgelist, gen_family, \
+    generate, line_graph_of_hl, linegraph, topologies
 from hlmenger.cli import main
 from hlmenger.report import VerificationReport
 
@@ -90,6 +94,24 @@ class TestLinegraph:
         assert code == 0
         assert edgelist.loads(a_path.read_text()).n_vertices == 20
         assert edgelist.loads(b_path.read_text()).n_vertices == 12
+
+    @pytest.mark.parametrize("original", [False, True])
+    def test_bcdc_writes_only_the_line_graph_to_stdout(self, tmp_path,
+                                                       capsys, original):
+        a_path = tmp_path / "a.txt"
+        extra = ("--out-original", str(a_path)) if original else ()
+        code, out, _ = run(capsys, "linegraph", "--bcdc", "--n", "3", *extra)
+        assert code == 0
+        assert edgelist.loads(out) == \
+            line_graph_of_hl(gen_family("crossed", 3)).graph
+        assert a_path.exists() == original
+        if original:
+            assert edgelist.loads(a_path.read_text()) == bcdc(3).original
+
+    def test_bcdc_without_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "linegraph", "--bcdc")
+        assert code == 2 and out == ""
+        assert err == "error: --bcdc requires --n\n"
 
     def test_provenance_sidecar(self, tmp_path, capsys):
         sidecar = tmp_path / "prov.json"
@@ -385,7 +407,9 @@ class TestProgress:
           "--adversarial"), 1518, 5),
         (("ft-smec", "--family", "hypercube", "--n", "3", "--m", "2"),
          301, 0),
-    ], ids=["lemma32-sampled", "ft-smec-exhaustive"])
+        (("ft-smec", "--family", "hypercube", "--n", "3", "--m", "0",
+          "--mode", "sample", "--samples", "5"), 5, 0),
+    ], ids=["lemma32-sampled", "ft-smec-exhaustive", "ft-smec-sampled-m0"])
     def test_progress_goes_to_stderr_and_leaves_the_report(
             self, capsys, argv, total, failures, jobs):
         base = ("verify", "--check", *argv, "--jobs", jobs)
@@ -451,6 +475,7 @@ def no_generation(monkeypatch):
      "--seed applies only with --family random or --mode sample"),
     (("verify", "--check", "ft-smec", "--in", "missing.txt", "--seed", "4"),
      "--seed applies only with --family random or --mode sample"),
+    (("gen", "--in", "missing.txt"), "--in does not apply to gen"),
 ])
 def test_flag_the_request_would_not_read_exits_2(capsys, tmp_path,
                                                  monkeypatch, no_generation,
@@ -461,6 +486,39 @@ def test_flag_the_request_would_not_read_exits_2(capsys, tmp_path,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("linegraph", "--family", "random", "--n", "3"),
+    ("verify", "--check", "smec", "--family", "random", "--n", "3"),
+    ("verify", "--check", "ft-smec", "--family", "random", "--n", "3",
+     "--mode", "sample", "--samples", "5"),
+])
+def test_random_family_requires_a_seed_in_every_subcommand(
+        capsys, no_generation, argv):
+    """gen's case is TestGen's. The sampler's default seed 0 does not
+    stand in for the network's."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: family 'random' requires a seed\n"
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (("gen", "--family", "crossed", "--n", "3"), 0),
+    (("verify", "--check", "smec", "--family", "random", "--n", "3"), 2),
+])
+def test_module_runs_as_a_script(argv, expect):
+    """cli.entrypoint turns main's return value into the exit status."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "hlmenger.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == expect
+    if expect:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    else:
+        assert edgelist.loads(proc.stdout) == network("crossed", 3).graph
 
 
 def hypercube_edge_list(n):
