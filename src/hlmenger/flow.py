@@ -42,7 +42,16 @@ from the hub check's deficient vertices and capped single-pair flows.
 many targets, as min_cut would, but confirms a target that shares the
 first target's cut with a capped flow from a neighbouring target
 (lambda(x, y) >= min(lambda(x, w), lambda(w, y)), Gomory and Hu 1961);
-edge connectivity and the tightness checks use it.
+edge connectivity and the tightness checks use it. Each confirming flow
+starts from the live edge between the two neighbours and the two-edge
+paths through their live common neighbours. Vertex connectivity's fans
+start likewise from paths of one and two hops (graph.vertex_connectivity).
+A capped flow from a feasible start has the same value as a cold one, and
+every cut comes from a flow without a start, so no value or cut depends
+on the starts. The hub flows, the pair flows of the SMEC scan, min_cut,
+max_flow_with_side and _route take no such start: given to every unit
+flow that has none, they saved a SMEC campaign no time, and _route's
+paths decide which hub a campaign takes.
 """
 
 from __future__ import annotations
@@ -285,7 +294,11 @@ class UnitFlowEngine(DirectedFlow):
         flow from p to w, capped at k, reaches k. Every other target gets
         its own min_cut(s, w). A flow between neighbours finds its k short
         augmenting paths fast, where a flow from s to a far target is cold
-        and long.
+        and long. It starts from up to k paths read off the adjacency
+        lists: the live edge {p, w}, then p -> x -> w for each live common
+        neighbour x. They share no edge, so they are a feasible flow, and
+        a capped flow from a feasible start reaches k exactly when a cold
+        one does.
 
         Exactness: lambda(s, w) >= min(lambda(s, p), lambda(p, w)) >= k
         by induction down the tree, and w outside R makes the cut of R an
@@ -293,8 +306,10 @@ class UnitFlowEngine(DirectedFlow):
         maximum flow is the smallest s-side of a minimum cut. R is a
         minimum s-w cut, so R_w, the s-side min_cut(s, w) would find, is
         inside R; then R_w is also a minimum s-t0 cut, so R is inside R_w.
-        Hence R_w = R and the cut edges are the same list. Only public
-        flow methods run here, so wrappers of them see every flow.
+        Hence R_w = R and the cut edges are the same list. Every cut comes
+        from the first flow or a min_cut, neither with a start, so the
+        starts move no value or cut. Only public flow methods run here, so
+        wrappers of them see every flow.
         """
         if not targets:
             return []
@@ -304,15 +319,23 @@ class UnitFlowEngine(DirectedFlow):
         untried = set(targets)
         untried.discard(t0)
         same = {t0}           # targets whose result is (k, cut)
-        head = self.head
+        cap, head, adj = self._template, self.head, self.adj
         queue = deque((t0,))
         while queue:
             p = queue.popleft()
-            for a in self.adj[p]:
+            near = {head[b]: b for b in adj[p] if cap[b]}    # live p -> x
+            for a in adj[p]:
                 w = head[a]
                 if w in untried:
                     untried.remove(w)
-                    if not side[w] and self.max_flow(p, w, k) >= k:
+                    if side[w]:
+                        continue
+                    # the live edge {p, w}, then p -> x -> w through each
+                    # live common neighbour x: no two share an edge
+                    start = [(a,)] if cap[a] else []
+                    start += [(near[head[c]], c ^ 1) for c in adj[w]
+                              if cap[c] and head[c] in near]
+                    if self.max_flow(p, w, k, start[:k]) >= k:
                         same.add(w)
                         queue.append(w)
         return [(k, cut[:]) if t in same else self.min_cut(s, t)

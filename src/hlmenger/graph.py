@@ -9,8 +9,9 @@ most of them with capped flows between neighbours), and vertex
 connectivity from a vertex-splitting reduction to a directed network of
 unit arcs, in which capped flows between the neighbours of a
 minimum-degree vertex (Esfahanian and Hakimi 1984) and fans into each
-later vertex from the vertices before it (Even 1975) replace a cold flow
-from one vertex to every other.
+later vertex from the vertices before it (Even 1975), each fan starting
+from paths of one and two hops read off the adjacency lists, replace a
+cold flow from one vertex to every other.
 """
 
 from __future__ import annotations
@@ -248,12 +249,19 @@ def vertex_connectivity(g: Graph) -> int:
       into the earlier vertices, is v's fan: the most paths from v to
       distinct earlier vertices that share only v. It starts from the
       direct paths source -> w_in -> w_out -> v_in through v's earlier
-      neighbours w, which are disjoint, and v is skipped when they are
-      >= best.
+      neighbours w. Then, for each later neighbour x of v in turn, it
+      takes the first earlier neighbour w of x not yet in the start and
+      adds source -> w_in -> w_out -> x_in -> x_out -> v_in, until the
+      start reaches best; v is skipped when the start alone does.
     The source arc of an earlier vertex with no later neighbour is
     closed. That leaves every fan as it is: cut a fan path at its last
     earlier vertex w, which is followed by v or a later vertex, so its
     arc is open; the cut paths still share only v.
+
+    Each start is a feasible flow, so augmenting from it gives the fan's
+    value (capped at best) as a cold flow would: each w is used once; the
+    x are distinct later vertices, so none is an earlier w; and every
+    w's source arc is open, as v or x is a later neighbour of w.
 
     Exactness. No flow is below kappa: a pair flow is min(kappa(x, y),
     best). A fan's minimum cut is a vertex set T, without v, that meets
@@ -308,10 +316,25 @@ def vertex_connectivity(g: Graph) -> int:
         # the arcs into v_in: one from w_out for each neighbour w, the
         # source arc (tail 2n) and the twin of v's split arc (tail v_out)
         start = []
+        used = set()                         # the earlier w in the start
+        hops = []                            # (x, arc x_out -> v_in), x later
         for a in radj[v]:
             w = tail[a] - n
-            if 0 <= w < n and earlier[w]:
-                start.append((first + 2 * w, 2 * w, a))
+            if 0 <= w < n and w != v:
+                if earlier[w]:
+                    start.append((first + 2 * w, 2 * w, a))
+                    used.add(w)
+                else:
+                    hops.append((w, a))
+        for x, a in hops:
+            if len(start) >= best:
+                break
+            for b in radj[x]:
+                w = tail[b] - n
+                if 0 <= w < n and earlier[w] and w not in used:
+                    used.add(w)
+                    start.append((first + 2 * w, 2 * w, b, 2 * x, a))
+                    break
         if len(start) < best:
             best = min(best, net.max_flow(source, v, best, start))
         join(v)

@@ -30,7 +30,11 @@ endpoint and a capped direct max-flow decides a pair with two; the first
 violating pair is the witness, and a min cut on it is the certificate.
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
-neighbouring far vertices confirm that they share its cut. Campaign
+neighbouring far vertices confirm that they share its cut. Each of those
+starts from the live edge between the two and the two-edge paths through
+their live common neighbours; a capped flow from a feasible start reaches
+the cap exactly when a cold one does, and the cuts come only from flows
+without a start, so the reports do not depend on the starts. Campaign
 enumeration order is canonical (sizes ascending, then lexicographic by
 edge index) and sampled mode is reproducible from its seed, so reports
 are byte-identical across runs and worker counts.

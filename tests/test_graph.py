@@ -1,9 +1,12 @@
 """Graph core: construction, components, exact flow and connectivity."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlmenger import (
+    NAMED_FAMILIES,
     BudgetExceeded,
     build_graph,
     components,
@@ -20,6 +23,7 @@ from hlmenger.rng import SplitMix64
 from util import (
     all_pairs_min_cut,
     brute_force_min_cut,
+    count_search,
     lgraph,
     naive_vertex_connectivity,
     random_graph,
@@ -294,10 +298,31 @@ def test_gusfield_tree_matches_direct_flow(seed):
             assert cuts[u][v] == max_edge_disjoint_paths(g, u, v).value
 
 
+def checked_starts(engine, log: Counter):
+    """Replace engine.max_flow with a wrapper that checks each start it is
+    given before the flow runs: edge-disjoint s-t walks over live edges,
+    no more of them than the cutoff. Counts the starts' paths by length."""
+    head, tail, live = engine.head, engine.tail, engine._template
+
+    def max_flow(s, t, cutoff=None, start=()):
+        assert cutoff is None or len(start) <= cutoff
+        edges = [a >> 1 for path in start for a in path]
+        assert len(set(edges)) == len(edges)
+        for path in start:
+            assert tail[path[0]] == s and head[path[-1]] == t
+            assert all(head[a] == tail[b] for a, b in zip(path, path[1:]))
+            assert all(live[a] for a in path)
+            log[len(path)] += 1
+        return UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+
+    engine.max_flow = max_flow
+
+
 def test_min_cuts_matches_per_target_min_cut():
     """min_cuts(s, targets) against one min_cut per target, on seeded
     random graphs with random faults, sources and target orders. Both the
-    shared result and the per-target fallback must occur."""
+    shared result and the per-target fallback must occur, and every start
+    must be feasible."""
     shared = fallback = 0
     for seed in range(300):
         g = random_graph(seed, max_vertices=10, max_edges=24)
@@ -313,10 +338,51 @@ def test_min_cuts_matches_per_target_min_cut():
         direct = []
         engine.min_cut = lambda a, b: direct.append(b) or \
             UnitFlowEngine.min_cut(engine, a, b)
+        checked_starts(engine, Counter())
         assert engine.min_cuts(s, targets) == expected, seed
         fallback += len(direct)
         shared += len(targets) - 1 - len(direct)
     assert shared and fallback, (shared, fallback)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind, seed", [
+    *((kind, None) for kind in NAMED_FAMILIES),
+    *(("random", s) for s in (1, 2, 3))])
+def test_min_cuts_matches_per_target_min_cut_on_line_graphs(kind, seed, n):
+    """min_cuts(s, targets) against one min_cut per target on L(HL_3) and
+    L(HL_4) with random faults and sources. In a line graph most
+    neighbours share common neighbours, so the confirming flows start
+    from paths of one and two live edges; each start must be feasible,
+    and two-edge paths must occur."""
+    g = lgraph(kind, n, seed).graph
+    m = len(g.edges)
+    lengths = Counter()
+    for fault_seed in range(3):
+        rng = SplitMix64(1000 * n + fault_seed)
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        engine.set_fault_indices(rng.sample_indices(m, rng.randbelow(m // 4 + 1)))
+        s = rng.randbelow(g.n_vertices)
+        targets = [v for v in range(g.n_vertices) if v != s]
+        rng.shuffle(targets)
+        expected = [engine.min_cut(s, t) for t in targets]
+        checked_starts(engine, lengths)
+        assert engine.min_cuts(s, targets) == expected, fault_seed
+    assert lengths[2] > 0, lengths
+
+
+def test_warm_starts_cap_the_searched_units(monkeypatch):
+    """lambda's confirming flows and kappa's fans start from short paths
+    read off the adjacency lists, so on L(MQ_5) their searches find at
+    most the units counted with those starts (632 and 396 without them).
+    A change that drops a start fails here; one that saves more passes."""
+    g = lgraph("mobius1", 5).graph
+    units = count_search(monkeypatch)
+    assert edge_connectivity(g) == 8
+    assert units["searched"] <= 320, units
+    units.clear()
+    assert vertex_connectivity(g) == 8
+    assert units["searched"] <= 227, units
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,6 +13,10 @@ When kappa < delta, the exactness proof has two cases: v0, the first
 vertex of minimum degree, lies in every minimum separator (a pair flow
 between its neighbours finds kappa), or it lies outside one (a prefix
 fan finds it). Both must occur among these graphs.
+
+Each fan starts from paths read off the adjacency lists; every start the
+fans take on these graphs and on L(HL_3..5) is checked to be a feasible
+flow.
 """
 
 from collections import Counter
@@ -20,6 +24,7 @@ from collections import Counter
 import pytest
 
 from hlmenger import NAMED_FAMILIES, remove_edges, vertex_connectivity
+from hlmenger.flow import DirectedFlow
 from hlmenger.graph import split_network
 from hlmenger.rng import SplitMix64
 
@@ -125,3 +130,33 @@ def test_both_separator_cases_occur():
                        *(faulted_line_graphs(n) for n in (3, 4, 5)))
         for g in graphs)
     assert cases["inside"] > 0 and cases["outside"] > 0, cases
+
+
+def test_fan_starts_are_feasible(monkeypatch):
+    """Every fan start is a set of paths from the source node into v_in
+    over open arcs, no two of them sharing an inner node, and no more of
+    them than the cap; starts with two-hop paths (5 arcs) must occur."""
+    lengths = Counter()
+    max_flow = DirectedFlow.max_flow
+
+    def checked(net, s, t, cutoff=None, start=()):
+        if s == len(net.adj) - 1:                   # the source node: a fan
+            assert cutoff is not None and len(start) <= cutoff
+            head, tail, cap = net.head, net.tail, net._template
+            inner = [head[a] for path in start for a in path[:-1]]
+            assert len(set(inner)) == len(inner)
+            for path in start:
+                assert tail[path[0]] == s and head[path[-1]] == t
+                assert all(head[a] == tail[b] for a, b in zip(path, path[1:]))
+                assert all(cap[a] for a in path)
+                lengths[len(path)] += 1
+        return max_flow(net, s, t, cutoff, start)
+
+    monkeypatch.setattr(DirectedFlow, "max_flow", checked)
+    for graphs in (random_graphs(range(300)), bottleneck_graphs(range(200)),
+                   *(faulted_line_graphs(n) for n in (3, 4, 5)),
+                   (lgraph(kind, n).graph for kind in NAMED_FAMILIES
+                    for n in (3, 4, 5))):
+        for g in graphs:
+            vertex_connectivity(g)
+    assert lengths[3] > 0 and lengths[5] > 0, lengths

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -20,6 +21,7 @@ from hlmenger import (
     max_edge_disjoint_paths,
     remove_edges,
 )
+from hlmenger import flow
 from hlmenger.graph import canonical_edge, is_connected, split_network
 from hlmenger.linegraph import BCDCPair, line_graph_of_hl
 from hlmenger.rng import SplitMix64
@@ -258,6 +260,23 @@ def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
     dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
     return [[p for p in paths if dead.isdisjoint(p)]
             for paths in engine.stored_paths(hub)]
+
+
+def count_search(monkeypatch) -> Counter:
+    """Wrap flow._augment, the loop every flow runs, and count over all
+    of them the units a flow's start supplied ("started") apart from the
+    units its searches found ("searched")."""
+    units = Counter()
+    augment = flow._augment
+
+    def counting(net, cap, s, t, cutoff, start, log):
+        value, side = augment(net, cap, s, t, cutoff, start, log)
+        units["started"] += len(start)
+        units["searched"] += value - len(start)
+        return value, side
+
+    monkeypatch.setattr(flow, "_augment", counting)
+    return units
 
 
 def cut_disconnects(g: Graph, u: int, v: int, cut) -> bool:
