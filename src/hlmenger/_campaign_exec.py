@@ -19,19 +19,28 @@ joins what is left of each component of G. So a set that splits nothing
 costs a few short searches, not a pass over every edge (Even and
 Shiloach 1981).
 
-Per fault set F the SMEC decision is the hub check (hub_deficits): V-1
-capped max-flows into one vertex r of maximum degree in G-F, warm-started
-from the stored fault-free paths that avoid F, which the engine finds
-through an edge index of the stored paths (hub_starts). Of the stored hubs
-F leaves untouched, r is the one that leaves the fewest vertices short of
-live paths, so the fewest flows run; when F touches every stored hub the
-flows run cold. It returns every deficient vertex, and the set passes
-when there is none. Only pairs with a deficient endpoint can violate.
-The witness scan goes over those pairs in ascending order: the hub flows
-already fix the value of a pair with one deficient endpoint, and a pair
-with two gets a capped direct max-flow; a min cut on the first violating
-pair is the certificate (SmecWitness). Which r was taken moves neither
-the verdict nor the witness.
+Per fault set F the SMEC decision is the hub check (deficient_vertices):
+V-1 capped max-flows into one vertex r of maximum degree in G-F,
+warm-started from the stored fault-free paths that avoid F. The engine
+finds the stored paths F kills through an edge index (hub_losses). Of the
+stored hubs F leaves untouched, r is the one that leaves the fewest
+vertices short of live paths, so the fewest flows run; when F touches
+every stored hub the flows run cold. The set passes when no vertex is
+deficient. Only pairs with a deficient endpoint can violate. The witness
+scan goes over those pairs in ascending order: the hub flows already fix
+the value of a pair with one deficient endpoint, and a pair with two
+gets a capped direct max-flow; a min cut on the first violating pair is
+the certificate (SmecWitness). Which r was taken moves neither the
+verdict nor the witness.
+
+A report keeps only the counts and the first failure's witness, so each
+chunk computes a witness only for its first failing set. Every later set
+of the chunk is decided by its verdict alone: its hub check stops at the
+first deficient vertex and runs no pair scan and no min cut. The hub
+lemma makes that verdict the full check's, so the failure count cannot
+move. Each chunk still computes the witness of its own first failure, and
+_merge keeps it from the first chunk that has one: that is the stream's
+first failure, at any worker count.
 """
 
 from __future__ import annotations
@@ -51,23 +60,26 @@ _CHUNK_SIZE = 512
 _WORKER_STATE = None
 
 
-def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
-    """{u: lambda_H(u, r)} over the u != r with lambda_H(u, r) < deg_H u,
-    where H = G - F for the faults F installed in the engine.
+def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
+    """Yield (u, lambda_H(u, r)) for each u != r with lambda_H(u, r) <
+    deg_H u, in id order, where H = G - F for the faults F installed in
+    the engine. Flows run only as items are asked for, so a reader that
+    stops after the first item runs no flow past that vertex's.
 
     Hub lemma: for r of maximum degree in H, H is SMEC iff
     lambda_H(u, r) >= deg_H(u) for every u != r. A violating pair (u, v)
     has a cut delta(S) with u in S, v outside, smaller than deg u and
     deg v; if r is outside S then (u, r) violates, as deg r >= deg v,
     else (v, r) does. So V-1 flows into r, each capped at deg_H(u),
-    find every deficient u, and a capped flow that falls short is exact.
-    A stored hub that F leaves untouched keeps its maximum base degree;
-    its stored paths that avoid F start each flow, so only the missing
-    units are augmented. Among the untouched hubs the one with the fewest
-    u != r short of deg_H(u) live stored paths (engine.hub_starts) is
-    taken, the earlier in engine.hubs on ties, as it runs the fewest
-    flows. When F touches every stored hub, flows into the lowest vertex
-    of maximum degree in H run cold. Vertices are visited in id order.
+    find every deficient u, and a capped flow that falls short is exact;
+    H fails as soon as one u falls short. A stored hub that F leaves
+    untouched keeps its maximum base degree; its stored paths that avoid
+    F start each flow, so only the missing units are augmented. Among the
+    untouched hubs the one with the fewest u != r short of deg_H(u) live
+    stored paths (engine.hub_losses) is taken, the earlier in engine.hubs
+    on ties, as it runs the fewest flows; only its vertices that run a
+    flow get their live paths listed. When F touches every stored hub,
+    flows into the lowest vertex of maximum degree in H run cold.
 
     The choice of r changes no verdict and no witness. By the lemma, H
     is SMEC iff no u is deficient, for every r of maximum degree, and
@@ -84,25 +96,32 @@ def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
     best = None
     for h in engine.hubs:
         if deg[h] == base[h]:
-            short, starts = engine.hub_starts(h)
+            short, lost, dead = engine.hub_losses(h)
             if best is None or short < best[0]:
-                best = short, h, starts
+                best = short, h, lost, dead
             if not short:
                 break
     if best is None:
         hub = max(range(engine.n), key=deg.__getitem__, default=None)
-        starts = [()] * engine.n
+        paths, lost, dead = [()] * engine.n, {}, set()
     else:
-        _, hub, starts = best
-    deficits = {}
+        _, hub, lost, dead = best
+        paths = engine.stored_paths(hub)
     for u in range(engine.n):
         need = deg[u]
-        if u == hub or len(starts[u]) >= need:
+        if u == hub or len(paths[u]) - lost.get(u, 0) >= need:
             continue
-        flow = engine.max_flow(u, hub, need, starts[u])
+        start = [p for i, p in enumerate(paths[u]) if (u, i) not in dead]
+        flow = engine.max_flow(u, hub, need, start)
         if flow < need:
-            deficits[u] = flow
-    return deficits
+            yield u, flow
+
+
+def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
+    """{u: lambda_H(u, r)} over every deficient vertex of
+    deficient_vertices, H = G - F for the installed faults F: empty
+    exactly when H is SMEC."""
+    return dict(deficient_vertices(engine))
 
 
 def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
@@ -301,10 +320,13 @@ def largest_component_under_faults(index: tuple, fault_idx) -> int:
 
 
 def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
-                  edges, idx, kind: str, floor: int) -> Optional[dict]:
+                  edges, idx, kind: str, floor: int,
+                  witness: bool) -> Optional[dict]:
     """None when the fault set passes, else its failure witness. Component
     checks read the component index and have no engine; SMEC checks have
-    an engine and no index."""
+    an engine and no index. A failing SMEC set checked with `witness`
+    false gives {}: its check stops at the first deficient vertex, with
+    no pair scan and no min cut."""
     if kind == "component":
         size = largest_component_under_faults(index, idx)
         if size < floor:
@@ -316,6 +338,8 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
         return None
 
     engine.set_fault_indices(idx)
+    if not witness:
+        return None if next(deficient_vertices(engine), None) is None else {}
     w = smec_witness(engine)
     if w is None:
         return None
@@ -333,7 +357,9 @@ def _run_chunk(chunk):
     failures = 0
     first = None
     for idx in chunk:
-        out = _evaluate_one(engine, index, edges, idx, kind, floor)
+        # after the chunk's first failure only verdicts count (see _merge)
+        out = _evaluate_one(engine, index, edges, idx, kind, floor,
+                            first is None)
         if out is not None:
             failures += 1
             if first is None:

@@ -29,15 +29,20 @@ read.
   layout, whose fault mask is the set of closed pairs, so campaigns can
   re-query thousands of fault sets without rebuilding anything.
 
-UnitFlowEngine serves the SMEC hub check (see _campaign_exec.hub_deficits).
-It picks a few hubs of maximum degree and lazily stores, per hub and per
-vertex u, up to deg(u) edge-disjoint u->hub paths of the fault-free graph,
-with an index from each edge to the stored paths through it; `hub_starts`
-finds the paths the installed faults kill from the fault edges alone and
-hands out the rest. A query may start from any feasible flow (`start`),
-such as those paths: augmenting from a feasible flow is exact, so only
-the missing units cost a search. A failing fault set's witness comes
-from the hub check's deficient vertices and capped single-pair flows.
+UnitFlowEngine serves the SMEC hub check (see
+_campaign_exec.deficient_vertices). It picks a few hubs of maximum degree
+and lazily stores, per hub and per vertex u, up to deg(u) edge-disjoint
+u->hub paths of the fault-free graph, with an index from each edge to the
+stored paths through it. `hub_losses` finds the paths the installed
+faults kill from the fault edges alone and counts, per hub, the vertices
+left short; the check picks its hub from those counts and lists live
+paths only for the vertices whose flows run. A query may start from any
+feasible flow (`start`), such as those paths: augmenting from a feasible
+flow is exact, so only the missing units cost a search. A failing fault
+set's witness comes from the hub check's deficient vertices and capped
+single-pair flows; a campaign computes it only for a chunk's first
+failing set and decides the chunk's later sets by the hub check's first
+deficient vertex alone.
 `min_cuts(s, targets)` returns the minimum cut from one source to each of
 many targets, as min_cut would, but confirms a target that shares the
 first target's cut with a capped flow from a neighbouring target
@@ -363,31 +368,35 @@ class UnitFlowEngine(DirectedFlow):
             self._stored[hub] = stored = paths, index, short
         return stored[0]
 
-    def hub_starts(self, hub: int) -> tuple[int, list[list[tuple[int, ...]]]]:
-        """(short, starts): starts[u] lists the stored u->hub paths that
-        avoid the installed faults, in stored order, a feasible start for
-        a flow from u into the hub; short counts the u != hub with fewer
-        of them than deg u, the flows a hub check into this hub must run.
+    def hub_losses(self, hub: int) -> tuple[int, dict[int, int],
+                                            set[tuple[int, int]]]:
+        """(short, lost, dead) for the stored u->hub paths under the
+        installed faults: dead holds each (u, i) whose path
+        stored_paths(hub)[u][i] crosses a fault, lost[u] counts u's dead
+        paths, and short counts the u != hub with fewer than deg u live
+        ones, the flows a hub check into this hub must run.
 
-        The edge index gives the paths the faults kill from the fault
-        edges alone, so only their vertices and the fault ends are looked
-        at.
+        dead is one set, filled from the edge index of each fault edge, so
+        a path through two faults is lost once. Only the vertices of dead
+        paths and the fault ends can change their short count, so nothing
+        else is looked at, and no start list is built: the hub check
+        builds a vertex's live paths only when it runs that vertex's flow.
         """
         self.stored_paths(hub)
         paths, index, short = self._stored[hub]
-        dead: dict[int, set[int]] = {}
+        dead: set[tuple[int, int]] = set()
         for k in self.fault:
-            for u, i in index[k]:
-                dead.setdefault(u, set()).add(i)
-        starts = paths[:]
-        for u, gone in dead.items():
-            starts[u] = [p for i, p in enumerate(paths[u]) if i not in gone]
+            dead.update(index[k])
+        lost: dict[int, int] = {}
+        for u, _ in dead:
+            lost[u] = lost.get(u, 0) + 1
         deg, base, edges = self.degrees, self.base_degrees, self.edges
-        for u in dead.keys() | {x for k in self.fault for x in edges[k]}:
+        for u in lost.keys() | {x for k in self.fault for x in edges[k]}:
             if u != hub:
-                short += ((len(starts[u]) < deg[u])
-                          - (len(paths[u]) < base[u]))
-        return short, starts
+                have = len(paths[u])
+                short += ((have - lost.get(u, 0) < deg[u])
+                          - (have < base[u]))
+        return short, lost, dead
 
     def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
         """Max s-t flow capped at deg(s) in the fault-free graph, split

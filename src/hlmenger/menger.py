@@ -23,11 +23,16 @@ stored paths that avoid F and augments only the missing units. Of the
 untouched hubs, the one that leaves the fewest vertices short of live
 paths is taken, which moves no verdict or witness, and when F touches
 every stored hub the flows run cold into a maximum-degree vertex. A
-failing set runs the hub check to the end: only pairs with a deficient
-endpoint (fewer than deg u paths into r) can violate. Over those pairs, in
-ascending order, the hub flows fix the value of a pair with one deficient
-endpoint and a capped direct max-flow decides a pair with two; the first
-violating pair is the witness, and a min cut on it is the certificate.
+failing set that needs a witness runs the hub check to the end: only
+pairs with a deficient endpoint (fewer than deg u paths into r) can
+violate. Over those pairs, in ascending order, the hub flows fix the
+value of a pair with one deficient endpoint and a capped direct max-flow
+decides a pair with two; the first violating pair is the witness, and a
+min cut on it is the certificate. A report keeps only the first failure's
+witness, so a campaign computes one for each evaluation chunk's first
+failing set and decides the chunk's later sets by verdict alone: the
+hub check stops at the first deficient vertex, which by the hub lemma
+already fails the set. Counts and the first witness cannot move.
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
 neighbouring far vertices confirm that they share its cut. Each of those

@@ -22,7 +22,7 @@ from hlmenger.flow import DirectedFlow, UnitFlowEngine, _augment
 from hlmenger.graph import split_network
 from hlmenger.rng import SplitMix64
 
-from util import random_graph
+from util import live_paths, random_graph
 
 SEEDS = range(40)
 
@@ -201,7 +201,7 @@ def unit_cases(seed):
     engine, cap = unit_engine(seed)
     rng = SplitMix64(seed + 1000)
     hub = engine.hubs[0]
-    starts = engine.hub_starts(hub)[1]
+    starts = live_paths(engine, hub)
     for s in range(engine.n):
         for t in range(engine.n):
             if s == t:
@@ -330,7 +330,7 @@ def test_queries_restore_the_fault_mask(seed):
     warm-started, capped, min_cut, min_cuts or refused, the residual is
     exactly the fault mask again."""
     engine, mask = unit_engine(seed)
-    engine.hub_starts(engine.hubs[0])      # stores paths under the faults
+    engine.hub_losses(engine.hubs[0])      # stores paths under the faults
     assert engine._template == mask
     for engine, _, s, t, cutoff, start in unit_cases(seed):
         engine.max_flow(s, t, cutoff, start)

@@ -18,8 +18,8 @@ from hlmenger import (
     tightness_unconditional,
 )
 from hlmenger import _campaign_exec
-from hlmenger._campaign_exec import hub_deficits, smec_violation, \
-    smec_witness
+from hlmenger._campaign_exec import deficient_vertices, hub_deficits, \
+    smec_violation, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
@@ -494,9 +494,10 @@ class TestWitnessScanAgainstTree:
 
 
 class TestHubChoice:
-    """The hub check's choice of hub: the starts that the edge index finds
-    against a scan of every stored path, the hub it picks, and the same
-    violation and witness cut whichever hub is forced, cold flows too."""
+    """The hub check's choice of hub: the paths that the edge index finds
+    dead against a scan of every stored path, the hub it picks and the
+    starts its flows get, and the same violation and witness cut whichever
+    hub is forced, cold flows too."""
 
     @staticmethod
     def _random_sets(L, n, count):
@@ -506,22 +507,43 @@ class TestHubChoice:
                 for _ in range(count)]
 
     @staticmethod
+    def _two_fault_sets(engine):
+        """Per hub, the first two edges of its first stored path of three
+        or more edges, which lose that path through both of them and leave
+        the hub untouched."""
+        sets = []
+        for h in engine.hubs:
+            path = next(p for mine in engine.stored_paths(h) for p in mine
+                        if len(p) >= 3)
+            sets.append(tuple(sorted({path[0] >> 1, path[1] >> 1})))
+        return sets
+
+    @staticmethod
     def _check(engine, idx, seen):
         engine.set_fault_indices(idx)
         deg, base, hubs = engine.degrees, engine.base_degrees, engine.hubs
         untouched = [h for h in hubs if deg[h] == base[h]]
-        short_of = {}
+        short_of, live_of = {}, {}
         for h in hubs:
-            short, starts = engine.hub_starts(h)
+            short, lost, dead = engine.hub_losses(h)
+            paths = engine.stored_paths(h)
             reference = live_paths(engine, h)
-            assert starts == reference, (idx, h)
+            assert dead == {(u, i) for u, mine in enumerate(paths)
+                            for i, p in enumerate(mine)
+                            if p not in reference[u]}, (idx, h)
+            assert lost == {u: len(paths[u]) - len(reference[u])
+                            for u in range(engine.n)
+                            if len(paths[u]) > len(reference[u])}, (idx, h)
             assert short == sum(len(reference[u]) < deg[u]
                                 for u in range(engine.n) if u != h), (idx, h)
-            short_of[h] = short
+            seen["path_crosses_two_faults"] += any(
+                len({a >> 1 for a in paths[u][i]} & set(idx)) >= 2
+                for u, i in dead)
+            short_of[h], live_of[h] = short, reference
         shorts = [short_of[h] for h in untouched]
         flows = []
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
-            flows.append(t) or \
+            flows.append((s, t, start)) or \
             UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
         try:
             hub_deficits(engine)
@@ -530,9 +552,11 @@ class TestHubChoice:
         if shorts:
             chosen = untouched[shorts.index(min(shorts))]
             assert len(flows) == min(shorts), idx
-            assert set(flows) <= {chosen}, idx
+            assert all(t == chosen and start == live_of[chosen][s]
+                       for s, t, start in flows), idx
             seen["not_first_hub"] += chosen != untouched[0]
         else:
+            assert all(start == [] for _, _, start in flows), idx
             seen["every_hub_touched"] += 1
         outcomes = set()
         try:
@@ -550,11 +574,103 @@ class TestHubChoice:
     def test_every_hub_gives_the_same_witness(self, n, seed):
         L = lgraph("random", n, seed)
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
-        seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0}
+        seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0,
+                "path_crosses_two_faults": 0}
         sets = TestWitnessScanAgainstTree._fault_sets(L, engine, n)
+        sets += self._two_fault_sets(engine)
         for idx in sets + self._random_sets(L, n, 40):
             self._check(engine, idx, seen)
         assert all(seen.values()), seen
+
+
+class TestVerdictOnly:
+    """A chunk decides each set after its first failure by the verdict
+    alone: the hub check stops at its first deficient vertex, and no pair
+    scan or min cut runs. Checked per set against hub_deficits, and per
+    campaign against a loop that runs smec_witness on every set."""
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3), (5, 1)])
+    def test_verdict_stops_at_the_first_deficient_vertex(self, n, seed,
+                                                         monkeypatch):
+        L = lgraph("random", n, seed)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        flows = []
+        engine.max_flow = lambda s, t, cutoff=None, start=(): \
+            flows.append((s, t)) or \
+            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+
+        def refused(*args):
+            raise AssertionError("pair scan or min cut in a verdict check")
+
+        failing = 0
+        for idx in TestWitnessScanAgainstTree._fault_sets(L, engine, n):
+            engine.set_fault_indices(idx)
+            flows.clear()
+            deficits = hub_deficits(engine)
+            every = flows[:]
+            flows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_campaign_exec, "smec_violation", refused)
+                m.setattr(engine, "min_cut", refused)
+                out = _campaign_exec._evaluate_one(
+                    engine, None, g.edges, idx, "smec", 0, False)
+            if not deficits:
+                assert out is None and flows == every, idx
+                continue
+            failing += 1
+            assert out == {}, idx
+            u = min(deficits)
+            # the verdict's flows are the hub check's, up to u's
+            assert flows == every[:len(flows)] and flows[-1][0] == u, idx
+            assert next(deficient_vertices(engine)) == (u, deficits[u]), idx
+        assert failing
+
+    @pytest.mark.parametrize("kind,seed", [("random", 1), ("random", 2),
+                                           ("random", 3), ("crossed", None)])
+    def test_campaign_matches_a_witness_for_every_set(self, kind, seed,
+                                                      monkeypatch):
+        L = lgraph(kind, 4, seed)
+        g = L.graph
+        c = FaultCampaign(mode="sampled", m=5, samples=60, seed=seed or 1,
+                          adversarial=True)
+        streams = []
+        evaluate = _campaign_exec.evaluate_stream
+
+        def recorded(g, stream, *args):
+            streams.append(list(stream))
+            return evaluate(g, iter(streams[-1]), *args)
+
+        cuts = []
+        min_cut = UnitFlowEngine.min_cut
+        monkeypatch.setattr(_campaign_exec, "evaluate_stream", recorded)
+        monkeypatch.setattr(_campaign_exec, "_CHUNK_SIZE", 7)
+        monkeypatch.setattr(UnitFlowEngine, "min_cut", lambda self, s, t:
+                            cuts.append((s, t)) or min_cut(self, s, t))
+        solo = run_campaign(L, c, jobs=1)
+        solo_cuts = len(cuts)
+        parallel = run_campaign(L, c, jobs=2)
+        sets = streams[0]
+        assert streams[1] == sets
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        failed, first = [], None
+        for idx in sets:
+            engine.set_fault_indices(idx)
+            w = smec_witness(engine)
+            failed.append(w is not None)
+            if w is not None and first is None:
+                first = {"fault_edges": [list(g.edges[k]) for k in idx],
+                         **w.to_dict()}
+        chunks = [failed[i:i + 7] for i in range(0, len(failed), 7)]
+        assert sum(any(ch) for ch in chunks) >= 3
+        assert any(sum(ch) >= 2 for ch in chunks)
+        for report in (solo, parallel):
+            assert report.counts == {"visited": len(sets),
+                                     "skipped_conditional": 0,
+                                     "failures": sum(failed)}
+            assert report.witness == first
+        assert solo.canonical_json() == parallel.canonical_json()
+        assert solo_cuts == sum(any(ch) for ch in chunks)
 
 
 class TestDegenerateSizes:

@@ -256,7 +256,8 @@ def all_pairs_min_cut(engine) -> list[list[int]]:
 def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
     """Per vertex u, the stored u->hub paths that avoid the engine's
     installed faults, by a scan of every stored path: the reference for
-    the paths UnitFlowEngine.hub_starts finds through its edge index."""
+    the paths UnitFlowEngine.hub_losses finds dead through its edge index
+    and for the starts the hub check builds from the rest."""
     dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
     return [[p for p in paths if dead.isdisjoint(p)]
             for paths in engine.stored_paths(hub)]
