@@ -12,12 +12,15 @@ conditional mode's minimum-degree admission happens where the sets are
 produced, so every set here is visited.
 
 Per fault set F the component-floor check (largest_component_under_faults)
-searches only around F's edges: a bidirectional search between the ends
-of each F edge either joins them or closes a whole component of G - F,
-and a second pass between the live ends of F edges whose far end closed
-joins what is left of each component of G. So a set that splits nothing
-costs a few short searches, not a pass over every edge (Even and
-Shiloach 1981).
+works only around F's edges. The ends of each F edge are first joined
+through a live common neighbour, two dictionary lookups per neighbour:
+in a line graph the two ends of an edge share a base vertex, so they
+have n-2 common neighbours. Only when none is live does a bidirectional
+search between the ends run, which either joins them or closes a whole
+component of G - F. A second pass between the live ends of F edges
+whose far end closed joins what is left of each component of G. So a
+set that splits nothing usually costs a few lookups per fault edge and
+no search, not a pass over every edge (Even and Shiloach 1981).
 
 Per fault set F the SMEC decision is the hub check (deficient_vertices):
 V-1 capped max-flows into one vertex r of maximum degree in G-F,
@@ -53,7 +56,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
 
 from .flow import UnitFlowEngine
-from .graph import Edge, Graph, components
+from .graph import Edge, Graph, components, incidence
 
 _CHUNK_SIZE = 512
 
@@ -195,33 +198,34 @@ def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
 
 def component_index(g: Graph) -> tuple:
     """(edges, inc, comp, comp_size) of G, the fault-free state of
-    largest_component_under_faults: inc[x] lists (y, k) for each edge
-    k = (x, y), comp[x] is x's component in G and comp_size[c] the size
-    of component c."""
-    inc = [[] for _ in range(g.n_vertices)]
-    for k, (u, v) in enumerate(g.edges):
-        inc[u].append((v, k))
-        inc[v].append((u, k))
+    largest_component_under_faults: inc = incidence(G) maps inc[x][y] to
+    the index of edge {x, y}, comp[x] is x's component in G and
+    comp_size[c] the size of component c."""
     comp = [0] * g.n_vertices
     comp_size = []
     for c, members in enumerate(components(g)):
         for x in members:
             comp[x] = c
         comp_size.append(len(members))
-    return g.edges, inc, comp, comp_size
+    return g.edges, incidence(g), comp, comp_size
 
 
 def largest_component_under_faults(index: tuple, fault_idx) -> int:
     """Size of the largest component of G - F, F the given edge indices
-    and index = component_index(G), searching only around F's edges.
+    and index = component_index(G), joining the ends of F's edges
+    through live common neighbours and searching only around F's edges.
 
     A search between a and b grows a tree from each in G - F, one whole
     level of the smaller frontier at a time. Either the trees meet, and
     every F endpoint either tree marked joins a's class in a union-find
     over F's endpoints, or a tree runs dry: its marks are then a whole
     component of G - F, which is closed, with its size and G-component.
-    1. Each F edge (u, v), in order, is searched unless an endpoint is
-       closed or u and v are already in one class.
+    1. Each F edge (u, v), in order, is skipped if an endpoint is closed
+       or u and v are already in one class. Otherwise, if some x has both
+       {u, x} and {x, v} live, u and v are joined: the path u-x-v is a
+       search between them that meets after one level, and what follows
+       uses only that u and v end up joined. Only when no such x exists
+       is (u, v) searched.
     2. If nothing closed, every F edge's ends are joined in G - F, so any
        path of G through F can be rerouted: G's components are intact.
     3. Otherwise the boundary anchors are the live ends of F edges whose
@@ -233,8 +237,9 @@ def largest_component_under_faults(index: tuple, fault_idx) -> int:
        closed vertices.
     R_c is connected: a part P of it other than B_c has an edge of G
     leaving P inside B_c, which must be an F edge (x, y) with x in P. If y
-    were in R_c too, step 1 searched (x, y) or found them joined, and a
-    search that closes neither end meets, so x and y would be joined.
+    were in R_c too, step 1 joined (x, y) through a common neighbour,
+    searched it or found them joined, and a search that closes neither
+    end meets, so x and y would be joined.
     Hence y is closed, x is a boundary anchor, and every part of R_c
     holds one. Step 3 makes no new anchor: an F edge with no end closed
     after step 1 has its ends joined, so they close together or not at
@@ -270,7 +275,7 @@ def largest_component_under_faults(index: tuple, fault_idx) -> int:
                 front, mine, other = front_a, seen_a, seen_b
             level = []
             for x in front:
-                for y, k in inc[x]:
+                for y, k in inc[x].items():
                     if y not in mine and k not in dead:
                         if y in other:
                             r = find(a)
@@ -294,7 +299,15 @@ def largest_component_under_faults(index: tuple, fault_idx) -> int:
 
     for k in fault_idx:
         u, v = edges[k]
-        if u not in closed and v not in closed and find(u) != find(v):
+        if u in closed or v in closed or find(u) == find(v):
+            continue
+        at_v = inc[v]
+        for x, j in inc[u].items():
+            # k is dead, so an x that is not v's neighbour fails the test
+            if j not in dead and at_v.get(x, k) not in dead:
+                parent[find(v)] = find(u)
+                break
+        else:
             search(u, v)
     if not sizes:
         return max(comp_size)

@@ -147,6 +147,19 @@ def remove_edges(g: Graph, faults: Iterable[Edge]) -> Graph:
                  g.labels)
 
 
+def incidence(g: Graph) -> list[dict[int, int]]:
+    """inc[x] maps each neighbour y of x to the index k of the edge {x, y}
+    in g.edges. Each inc[x] iterates in ascending neighbour order, which
+    is also ascending index order: edges are sorted canonical pairs, so
+    x's edges to lower neighbours come first and those to higher ones
+    after, each by neighbour."""
+    inc: list[dict[int, int]] = [{} for _ in range(g.n_vertices)]
+    for k, (u, v) in enumerate(g.edges):
+        inc[u][v] = k
+        inc[v][u] = k
+    return inc
+
+
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum id."""
     seen = [False] * g.n_vertices

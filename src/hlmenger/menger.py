@@ -9,7 +9,9 @@ mode; conditional mode admits each set where it is produced (_admitted),
 so the evaluation loop only evaluates. Two explicit fault constructions
 certify that the fault-tolerance bounds are tight; their patterns, one
 vertex stripped to a single edge (_strip) and the 4n-9 triangle strip
-(_triangle_faults), are written once and also seed the adversarial suite.
+(_triangle_faults), are written once, as ascending edge indices read off
+the graph's incidence maps, and also seed the adversarial suite, which
+is built from those indices alone.
 `BOUNDS` is the one table of the paper's numeric claims: each check's
 fault budget or construction size, component floor and the dimensions it
 holds for; the CLI, the constructions and the tests read it.
@@ -54,7 +56,7 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .flow import UnitFlowEngine
-from .graph import BudgetExceeded, Edge, Graph
+from .graph import BudgetExceeded, Edge, Graph, incidence
 from .linegraph import LineGraph
 from .report import VerificationReport
 from .rng import PRNG_NAME, SplitMix64
@@ -161,23 +163,25 @@ def is_smec(g: Graph) -> SmecVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _strip(g: Graph, v: int, keep: Iterable[int]) -> list[Edge]:
-    """The edges at v to neighbours outside `keep`, in ascending neighbour
-    order, which is also ascending edge order."""
-    # canonical_edge inlined: the suite strips about 17k times on L(CQ_6)
-    return [(v, w) if v < w else (w, v)
-            for w in g.neighbors(v) if w not in keep]
+def _strip(inc: list[dict[int, int]], v: int,
+           keep: Iterable[int]) -> list[int]:
+    """The indices of the edges at v to neighbours outside `keep`, with
+    inc = incidence(g), in ascending neighbour order, which is also
+    ascending index order."""
+    return [k for w, k in inc[v].items() if w not in keep]
 
 
-def _triangle_faults(g: Graph, u: int, u1: int,
-                     u2: int) -> Optional[tuple[Edge, ...]]:
-    """The 4n-9 pattern on the triangle (u, u1, u2), sorted: u2 stripped
-    down to {u, u1, u3}, with u3 its lowest neighbour outside the triangle,
-    and u1 stripped down to {u, u2}. None when u2 has no such neighbour."""
-    u3 = min((w for w in g.neighbors(u2) if w not in (u, u1)), default=None)
+def _triangle_faults(inc: list[dict[int, int]], u: int, u1: int,
+                     u2: int) -> Optional[tuple[int, ...]]:
+    """The edge indices of the 4n-9 pattern on the triangle (u, u1, u2),
+    with inc = incidence(g), sorted: u2 stripped down to {u, u1, u3}, with
+    u3 its lowest neighbour outside the triangle, and u1 stripped down to
+    {u, u2}. None when u2 has no such neighbour."""
+    u3 = next((w for w in inc[u2] if w != u and w != u1), None)
     if u3 is None:
         return None
-    return tuple(sorted(_strip(g, u2, (u, u1, u3)) + _strip(g, u1, (u, u2))))
+    return tuple(sorted(_strip(inc, u2, (u, u1, u3))
+                        + _strip(inc, u1, (u, u2))))
 
 
 def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]]:
@@ -192,51 +196,54 @@ def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]
       pattern of the conditional construction (_triangle_faults);
     * every contiguous window of `budget` f-incident edges, when the line
       graph knows its f-vertices.
+    Every pattern comes as ascending edge indices read off incidence(g),
+    so a set is keyed as it comes and no edge is looked up.
     """
     g = L.graph
     if budget > len(g.edges):
         raise ValueError("budget exceeds the number of edges")
-    index = {e: i for i, e in enumerate(g.edges)}
+    inc = incidence(g)
     ordered: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
 
-    def push(edges: Sequence[Edge]) -> None:
-        if len(edges) > budget:
+    def push(idx: Sequence[int]) -> None:
+        if len(idx) > budget:
             return
-        key = tuple(sorted(map(index.__getitem__, edges)))
+        key = tuple(idx)
         if key not in seen:
             seen.add(key)
             ordered.append(key)
 
     for v in range(g.n_vertices):
-        push(_strip(g, v, ())[:budget])
+        push(_strip(inc, v, ())[:budget])
 
     if budget >= 1:
-        for v in range(g.n_vertices):
-            for u in g.neighbors(v):
-                push(_strip(g, v, (u,))[:budget])
+        for v, at_v in enumerate(inc):
+            for u in at_v:
+                push(_strip(inc, v, (u,))[:budget])
 
-    for triangle in _triangles(g):
+    for triangle in _triangles(inc):
         for u, u1, u2 in permutations(triangle):
-            faults = _triangle_faults(g, u, u1, u2)
+            faults = _triangle_faults(inc, u, u1, u2)
             if faults is not None:
                 push(faults)
 
     if L.f_vertices and budget >= 1:
-        ef = [e for e in g.edges
-              if e[0] in L.f_vertices or e[1] in L.f_vertices]
+        fv = L.f_vertices
+        ef = [k for k, (a, b) in enumerate(g.edges) if a in fv or b in fv]
         for start in range(len(ef) - budget + 1):
             push(ef[start:start + budget])
 
     return ordered
 
 
-def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """All triangles (a, b, c) with a < b < c, in lexicographic order."""
-    for a in range(g.n_vertices):
-        nbrs = [w for w in g.neighbors(a) if w > a]
+def _triangles(inc: list[dict[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """All triangles (a, b, c) with a < b < c of the graph whose incidence
+    is inc, in lexicographic order."""
+    for a, at_a in enumerate(inc):
+        nbrs = [w for w in at_a if w > a]
         for b, c in combinations(nbrs, 2):
-            if g.has_edge(b, c):
+            if c in inc[b]:
                 yield a, b, c
 
 
@@ -421,7 +428,7 @@ def tightness_unconditional(L: LineGraph) -> TightnessWitness:
     g = L.graph
     u0 = 0
     u = min(g.neighbors(u0))
-    faults = tuple(_strip(g, u0, (u,)))
+    faults = _strip(incidence(g), u0, (u,))
     return _tightness_witness(g, faults, size, u, (u0,))
 
 
@@ -444,21 +451,23 @@ def tightness_conditional(L: LineGraph) -> TightnessWitness:
         raise RuntimeError("no triangle at the lowest base vertex; "
                            "line graph integrity failure")
     u, u1, u2 = clique[:3]
-    faults = _triangle_faults(g, u, u1, u2)
+    faults = _triangle_faults(incidence(g), u, u1, u2)
     if faults is None:
         raise RuntimeError("u2 has no neighbor outside the triangle")
     return _tightness_witness(g, faults, size, u, (u, u1, u2))
 
 
-def _tightness_witness(g: Graph, faults: tuple[Edge, ...], size: int, u: int,
-                       core: tuple[int, ...]) -> TightnessWitness:
+def _tightness_witness(g: Graph, fault_idx: Sequence[int], size: int,
+                       u: int, core: tuple[int, ...]) -> TightnessWitness:
     """Both constructions leave the core deg(u) - 1 = 2n-3 live edges to the
-    rest of the graph, which bounds the u-v paths for any far vertex v."""
-    if len(faults) != size:
+    rest of the graph, which bounds the u-v paths for any far vertex v.
+    fault_idx are the construction's ascending edge indices."""
+    if len(fault_idx) != size:
         raise RuntimeError("construction size mismatch; line graph is not "
                            "regular of the expected degree")
     v = next(_far_vertices(g, core))
-    return TightnessWitness(faults, u, v, g.degree(u) - 1, core)
+    return TightnessWitness(tuple(g.edges[k] for k in fault_idx), u, v,
+                            g.degree(u) - 1, core)
 
 
 def check_tightness(L: LineGraph, conditional: bool,

@@ -1,13 +1,15 @@
 """The component-floor check against an independent oracle.
 
 _campaign_exec.largest_component_under_faults decides each fault set F by
+joining the ends of F's edges through live common neighbours and by
 searches around F's edges. Every case here compares it with
 graph.largest_component_size(remove_edges(g, F)), a BFS over a rebuilt
-graph that shares no code with it: on seeded random graphs (disconnected
-ones and isolated vertices included) with F of every size, on L(HL_3..5)
-of every named family, and on the fault sets of the lemma41 campaign on
-L(CQ_6) at budget 23, its adversarial suite and 2,000 draws at each of
-seeds 1-10.
+graph that shares no code with it: on hand-built graphs whose fault
+edges' ends share a neighbour through a faulted edge, on seeded random
+graphs (disconnected ones and isolated vertices included, and dense ones
+full of triangles) with F of every size, on L(HL_3..5) of every named
+family, and on the fault sets of the lemma41 campaign on L(CQ_6) at
+budget 23, its adversarial suite and 2,000 draws at each of seeds 1-10.
 """
 
 from itertools import islice
@@ -72,6 +74,50 @@ def test_random_graphs_with_every_fault_set_size(block):
             totals[key] += count
         totals["isolated"] += g.min_degree() == 0
     assert all(totals.values()), totals
+
+
+# (n, edges, F as edges): the ends u < v of F's first edge share
+# neighbours x, each of which keeps only one of its two edges to them, and
+# nothing else joins u and v, so the largest component shrinks
+HALF_DEAD_COMMON_NEIGHBOURS = [
+    # u, v = 0, 1 and x = 2 keeps {x, v}; u's side is the larger
+    (7, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 6), (1, 5), (2, 5)],
+     [(0, 1), (0, 2)]),
+    # u, v = 0, 2 and x = 1 keeps {u, x}; v's side is the larger
+    (7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 6), (0, 5), (1, 5)],
+     [(0, 2), (1, 2)]),
+    # u, v = 0, 1: x = 2 keeps {x, v} and x = 3 keeps {u, x}
+    (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4), (2, 5)],
+     [(0, 1), (0, 2), (1, 3)]),
+    # u, v = 0, 1: x = 2 and x = 3 keep {x, v}, x = 4 keeps {u, x}
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (1, 4)],
+     [(0, 1), (0, 2), (0, 3), (1, 4)]),
+]
+
+
+@pytest.mark.parametrize("n, edges, faults", HALF_DEAD_COMMON_NEIGHBOURS)
+def test_a_common_neighbour_joins_only_through_two_live_edges(n, edges,
+                                                              faults):
+    g = build_graph(n, edges)
+    idx = tuple(sorted(g.edges.index(e) for e in faults))
+    assert oracle(g, idx) < largest_component_size(g)
+    assert_matches(g, [idx])
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_dense_random_graphs_with_every_fault_set_size(block):
+    """10 graphs per block, up to 16 vertices and 60 edges, so most fault
+    edges' ends share neighbours; for each, three seeded F of every size
+    from 0 to E."""
+    shrunk = 0
+    for seed in range(1000 + 10 * block, 1010 + 10 * block):
+        g = random_graph(seed, max_vertices=16, max_edges=60)
+        rng = SplitMix64(seed)
+        m = len(g.edges)
+        sets = [tuple(rng.sample_indices(m, k)) for k in range(m + 1)
+                for _ in range(3)]
+        shrunk += assert_matches(g, sets)["shrunk"]
+    assert shrunk
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

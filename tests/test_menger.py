@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hlmenger import (
+    NAMED_FAMILIES,
     BudgetExceeded,
     FaultCampaign,
     build_graph,
@@ -27,7 +28,8 @@ from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
 from util import all_pairs_min_cut, cut_disconnects, lgraph, live_paths, \
-    naive_is_smec, network, random_graph
+    naive_is_smec, network, random_graph, reference_suite, \
+    reference_tightness_faults
 
 
 class TestBounds:
@@ -731,6 +733,24 @@ class TestComponentLemma:
 
 
 class TestAdversarialFaultSets:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind, seed", [
+        *((kind, None) for kind in NAMED_FAMILIES),
+        ("random", 1), ("random", 2), ("random", 3)])
+    def test_matches_the_edge_tuple_builder(self, kind, seed, n):
+        """The edge-index suite equals the edge-tuple reference, order
+        included, at the paper's budgets, and both tightness
+        constructions keep their fault tuples."""
+        L = lgraph(kind, n, seed)
+        for budget in (0, 1, 2 * n - 3, 4 * n - 10, 4 * n - 9, 6 * n - 13):
+            assert adversarial_fault_indices(L, budget) == \
+                reference_suite(L, budget), budget
+        assert tightness_unconditional(L).fault_set == \
+            reference_tightness_faults(L, False)
+        if n >= BOUNDS["tight-cond"].min_n:
+            assert tightness_conditional(L).fault_set == \
+                reference_tightness_faults(L, True)
+
     def test_budget_zero_is_empty_set_only(self):
         assert adversarial_fault_indices(lgraph("hypercube", 3), 0) == [()]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 from hlmenger import (
@@ -261,6 +261,67 @@ def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
     dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
     return [[p for p in paths if dead.isdisjoint(p)]
             for paths in engine.stored_paths(hub)]
+
+
+def _ref_strip(g: Graph, v: int, keep) -> list[tuple[int, int]]:
+    return [canonical_edge(v, w) for w in g.neighbors(v) if w not in keep]
+
+
+def _ref_triangle_faults(g: Graph, u: int, u1: int, u2: int):
+    u3 = min((w for w in g.neighbors(u2) if w not in (u, u1)), default=None)
+    if u3 is None:
+        return None
+    return tuple(sorted(_ref_strip(g, u2, (u, u1, u3))
+                        + _ref_strip(g, u1, (u, u2))))
+
+
+def reference_suite(L: LineGraph, budget: int) -> list[tuple[int, ...]]:
+    """menger.adversarial_fault_indices as it was written over edge tuples,
+    with neighbour scans, has_edge and an edge -> index dict: the
+    reference for the edge-index builder, order included."""
+    g = L.graph
+    index = {e: i for i, e in enumerate(g.edges)}
+    ordered: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+
+    def push(edges) -> None:
+        if len(edges) > budget:
+            return
+        key = tuple(sorted(map(index.__getitem__, edges)))
+        if key not in seen:
+            seen.add(key)
+            ordered.append(key)
+
+    for v in range(g.n_vertices):
+        push(_ref_strip(g, v, ())[:budget])
+    if budget >= 1:
+        for v in range(g.n_vertices):
+            for u in g.neighbors(v):
+                push(_ref_strip(g, v, (u,))[:budget])
+    for a in range(g.n_vertices):
+        nbrs = [w for w in g.neighbors(a) if w > a]
+        for b, c in combinations(nbrs, 2):
+            if g.has_edge(b, c):
+                for u, u1, u2 in permutations((a, b, c)):
+                    faults = _ref_triangle_faults(g, u, u1, u2)
+                    if faults is not None:
+                        push(faults)
+    if L.f_vertices and budget >= 1:
+        ef = [e for e in g.edges
+              if e[0] in L.f_vertices or e[1] in L.f_vertices]
+        for start in range(len(ef) - budget + 1):
+            push(ef[start:start + budget])
+    return ordered
+
+
+def reference_tightness_faults(L: LineGraph, conditional: bool):
+    """The fault tuple of tightness_conditional or tightness_unconditional,
+    built over edge tuples as the constructions were first written."""
+    g = L.graph
+    if not conditional:
+        return tuple(_ref_strip(g, 0, (min(g.neighbors(0)),)))
+    u, u1, u2 = sorted(i for i, e in enumerate(L.edge_of_vertex) if 0 in e)[:3]
+    return _ref_triangle_faults(g, u, u1, u2)
 
 
 def count_search(monkeypatch) -> Counter:
