@@ -23,12 +23,15 @@ set that splits nothing usually costs a few lookups per fault edge and
 no search, not a pass over every edge (Even and Shiloach 1981).
 
 Per fault set F the SMEC decision is the hub check (deficient_vertices):
-V-1 capped max-flows into one vertex r of maximum degree in G-F,
+up to V-1 capped max-flows into one vertex r of maximum degree in G-F,
 warm-started from the stored fault-free paths that avoid F. The engine
 finds the stored paths F kills through an edge index (hub_losses). Of the
 stored hubs F leaves untouched, r is the one that leaves the fewest
-vertices short of live paths, so the fewest flows run; when F touches
-every stored hub the flows run cold. The set passes when no vertex is
+vertices short of live paths; when F touches every stored hub the flows
+run cold. A short vertex first has its killed paths rerouted around F's
+edges, each fault edge through a live common neighbour of its ends
+(UnitFlowEngine.reroute), and runs no flow when that gives it enough
+edge-disjoint trails into r. The set passes when no vertex is
 deficient. Only pairs with a deficient endpoint can violate. The witness
 scan goes over those pairs in ascending order: the hub flows already fix
 the value of a pair with one deficient endpoint, and a pair with two
@@ -80,9 +83,21 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     F start each flow, so only the missing units are augmented. Among the
     untouched hubs the one with the fewest u != r short of deg_H(u) live
     stored paths (engine.hub_losses) is taken, the earlier in engine.hubs
-    on ties, as it runs the fewest flows; only its vertices that run a
-    flow get their live paths listed. When F touches every stored hub,
-    flows into the lowest vertex of maximum degree in H run cold.
+    on ties; only its short vertices get their paths split into live and
+    dead. When F touches every stored hub, flows into the lowest vertex
+    of maximum degree in H run cold.
+
+    Detours: before a short u's flow, engine.reroute rewrites u's dead
+    stored paths, each fault arc a -> b becoming a -> x -> b through a
+    common neighbour x whose edges {a, x} and {x, b} are live in H and
+    lie on none of u's stored paths and on no detour taken before. The
+    stored paths share no edge, so if the live paths and the rerouted
+    ones reach deg_H(u), they are deg_H(u) edge-disjoint u -> r trails
+    of H, and each trail holds a u-r path on its own edges, so
+    lambda_H(u, r) >= deg_H(u): u is not deficient and its flow is
+    skipped. A deficient vertex is never covered, so the items and their
+    order are those of the flows alone; a vertex the detours leave short
+    runs its flow from its live stored paths, as without them.
 
     The choice of r changes no verdict and no witness. By the lemma, H
     is SMEC iff no u is deficient, for every r of maximum degree, and
@@ -114,7 +129,12 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
         need = deg[u]
         if u == hub or len(paths[u]) - lost.get(u, 0) >= need:
             continue
-        start = [p for i, p in enumerate(paths[u]) if (u, i) not in dead]
+        start, killed = [], []
+        for i, p in enumerate(paths[u]):
+            (killed if (u, i) in dead else start).append(p)
+        if killed and engine.reroute(hub, u, start, killed,
+                                     need) is not None:
+            continue
         flow = engine.max_flow(u, hub, need, start)
         if flow < need:
             yield u, flow

@@ -36,10 +36,18 @@ u->hub paths of the fault-free graph, with an index from each edge to the
 stored paths through it. `hub_losses` finds the paths the installed
 faults kill from the fault edges alone and counts, per hub, the vertices
 left short; the check picks its hub from those counts and lists live
-paths only for the vertices whose flows run. A query may start from any
-feasible flow (`start`), such as those paths: augmenting from a feasible
-flow is exact, so only the missing units cost a search. A failing fault
-set's witness comes from the hub check's deficient vertices and capped
+paths only for the vertices left short. Before such a vertex's flow,
+`reroute` tries to mend its killed paths: each fault arc a -> b on one
+becomes a -> x -> b through a common neighbour x whose two edges are
+live, on none of its stored paths and on no other detour (in a line
+graph the two ends of an edge share n-2 neighbours). Each arc's
+(a -> x, x -> b) pairs are tabled on first use, never when the engine
+is built, and cut to the live ones once per fault set. When the live
+paths and the mended ones reach deg u, they are edge-disjoint u->hub
+trails, and no flow runs. A query may start from any feasible flow
+(`start`), such as the live paths: augmenting from a feasible flow is
+exact, so only the missing units cost a search. A failing fault set's
+witness comes from the hub check's deficient vertices and capped
 single-pair flows; a campaign computes it only for a chunk's first
 failing set and decides the chunk's later sets by the hub check's first
 deficient vertex alone.
@@ -53,10 +61,11 @@ paths through their live common neighbours. Vertex connectivity's fans
 start likewise from paths of one and two hops (graph.vertex_connectivity).
 A capped flow from a feasible start has the same value as a cold one, and
 every cut comes from a flow without a start, so no value or cut depends
-on the starts. The hub flows, the pair flows of the SMEC scan, min_cut,
-max_flow_with_side and _route take no such start: given to every unit
-flow that has none, they saved a SMEC campaign no time, and _route's
-paths decide which hub a campaign takes.
+on the starts. The hub flows start from their live stored paths alone,
+and the pair flows of the SMEC scan, min_cut, max_flow_with_side and
+_route take no start: short-path starts given to every unit flow that
+had none saved a SMEC campaign no time, and _route's paths decide which
+hub a campaign takes.
 """
 
 from __future__ import annotations
@@ -218,8 +227,9 @@ class UnitFlowEngine(DirectedFlow):
     Edge k of the canonical edge list is arc pair k, open both ways: arcs
     2k (u->v) and 2k+1 (v->u). A fault closes its edge's pair, which
     keeps its slots, so edge indices stay stable across queries; between
-    queries `_template` is exactly the fault mask. Paths into a hub, and
-    their edge index, are stored on first use, never here.
+    queries `_template` is exactly the fault mask. Paths into a hub and
+    their edge index, and each arc's detours, are stored on first use,
+    never here.
     """
 
     _BACK = 1
@@ -237,16 +247,22 @@ class UnitFlowEngine(DirectedFlow):
         top = max(self.base_degrees, default=0)
         tops = [v for v, d in enumerate(self.base_degrees) if d == top]
         self.hubs = tops[::max(1, len(tops) // _HUBS)][:_HUBS]
-        # per hub: (paths, index, short); paths[u] are the stored u->hub
-        # paths, index[k] lists the (u, i) whose path paths[u][i] uses
-        # edge k, and short counts the u != hub with fewer paths than deg u
-        self._stored: dict[int, tuple[list, list, int]] = {}
+        # per hub: (paths, index, short, owned); paths[u] are the stored
+        # u->hub paths, index[k] lists the (u, i) whose path paths[u][i]
+        # uses edge k, short counts the u != hub with fewer paths than
+        # deg u, and owned[u] holds the edges of all of paths[u]
+        self._stored: dict[int, tuple[list, list, int, list]] = {}
+        # arc a -> its detours (a -> x, x -> b), filled on first use; and
+        # per installed fault set, a fault arc -> its detours that are live
+        self._detours: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._live_detours: dict[int, list[tuple[int, int]]] = {}
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
         for k in self.fault:
             self.set_open(2 * k, True)
         self.fault = tuple(edge_indices)
+        self._live_detours = {}
         deg = self.base_degrees[:]
         for k in self.fault:
             self.set_open(2 * k, False)
@@ -351,7 +367,7 @@ class UnitFlowEngine(DirectedFlow):
 
         Paths are arc tuples in the fault-free graph (none for the hub
         itself), computed on the first call for each hub, together with
-        their edge index.
+        their edge index and each vertex's set of path edges.
         """
         stored = self._stored.get(hub)
         if stored is None:
@@ -365,7 +381,9 @@ class UnitFlowEngine(DirectedFlow):
             base = self.base_degrees
             short = sum(len(mine) < base[u] for u, mine in enumerate(paths)
                         if u != hub)
-            self._stored[hub] = stored = paths, index, short
+            owned = [frozenset(a >> 1 for path in mine for a in path)
+                     for mine in paths]
+            self._stored[hub] = stored = paths, index, short, owned
         return stored[0]
 
     def hub_losses(self, hub: int) -> tuple[int, dict[int, int],
@@ -383,7 +401,7 @@ class UnitFlowEngine(DirectedFlow):
         builds a vertex's live paths only when it runs that vertex's flow.
         """
         self.stored_paths(hub)
-        paths, index, short = self._stored[hub]
+        paths, index, short, _ = self._stored[hub]
         dead: set[tuple[int, int]] = set()
         for k in self.fault:
             dead.update(index[k])
@@ -397,6 +415,71 @@ class UnitFlowEngine(DirectedFlow):
                 short += ((have - lost.get(u, 0) < deg[u])
                           - (have < base[u]))
         return short, lost, dead
+
+    def reroute(self, hub: int, u: int, live, dead,
+                need: int) -> list[tuple[int, ...]] | None:
+        """`need` edge-disjoint trails of G - F from u to the hub, or None.
+
+        `live` and `dead` are stored_paths(hub)[u] split into the paths
+        that avoid the installed faults F and those that cross them, with
+        len(live) < need. The trails are the live paths, then each dead
+        path, in order, with every fault arc a -> b on it replaced by
+        a -> x -> b through a common neighbour x of a and b whose edges
+        {a, x} and {x, b} are live, lie on none of u's stored paths and
+        on no detour taken before. A dead path is given up at its first
+        fault arc with no such detour, and None is returned as soon as
+        the paths left cannot reach `need`. The stored paths share no
+        edge, so each trail walks live arcs from u to the hub and no edge
+        lies on two trails: lambda(u, hub) >= need when trails are
+        returned.
+        """
+        cap = self._template
+        owned = self._stored[hub][3][u]
+        live_detours = self._live_detours
+        rerouted = []
+        taken = set()           # the detour edges of the rerouted paths
+        for i, path in enumerate(dead):
+            if len(live) + len(rerouted) + len(dead) - i < need:
+                return None
+            trail = []
+            mine = []           # this path's detour edges
+            for a in path:
+                if cap[a]:
+                    trail.append(a)
+                    continue
+                ways = live_detours.get(a)
+                if ways is None:
+                    live_detours[a] = ways = [
+                        (p, q) for p, q in self._detours_of(a)
+                        if cap[p] and cap[q]]
+                for p, q in ways:
+                    e, f = p >> 1, q >> 1
+                    if (e not in owned and f not in owned and e not in taken
+                            and f not in taken and e not in mine
+                            and f not in mine):
+                        mine += (e, f)
+                        trail += (p, q)
+                        break
+                else:
+                    break
+            else:
+                taken.update(mine)
+                rerouted.append(tuple(trail))
+                if len(live) + len(rerouted) >= need:
+                    return live + rerouted
+        return None
+
+    def _detours_of(self, a: int) -> tuple[tuple[int, int], ...]:
+        """The (a -> x, x -> b) arc pairs of arc a from a to b, one per
+        common neighbour x of a and b, fault-free; built on first use."""
+        pairs = self._detours.get(a)
+        if pairs is None:
+            head = self.head
+            into = {head[c]: c ^ 1 for c in self.adj[head[a]]}   # x -> b
+            pairs = self._detours[a] = tuple(
+                (p, into[head[p]]) for p in self.adj[self.tail[a]]
+                if head[p] in into)
+        return pairs
 
     def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
         """Max s-t flow capped at deg(s) in the fault-free graph, split

@@ -71,11 +71,25 @@ class SplitMix64:
             raise ValueError(f"cannot sample {k} from {population}")
         # Partial Fisher-Yates over a virtual list(range(population)):
         # `moved` holds only the slots a swap changed, and slot i is never
-        # read again once it is drawn.
+        # read again once it is drawn. Each draw is randbelow(population -
+        # i) with _splitmix64 written out in place: the same outputs and
+        # the same rejection rule, so the draws and the end state are
+        # randbelow's.
         moved: dict[int, int] = {}
         out = []
+        state = self._state
         for i in range(k):
-            j = i + self.randbelow(population - i)
+            n = population - i
+            threshold = (1 << 64) - ((1 << 64) % n)
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < threshold:
+                    break
+            j = i + z % n
             out.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
+        self._state = state
         return sorted(out)

@@ -29,7 +29,7 @@ from hlmenger.rng import SplitMix64
 
 from util import all_pairs_min_cut, cut_disconnects, lgraph, live_paths, \
     naive_is_smec, network, random_graph, reference_suite, \
-    reference_tightness_faults
+    reference_tightness_faults, trail_problem
 
 
 class TestBounds:
@@ -497,9 +497,10 @@ class TestWitnessScanAgainstTree:
 
 class TestHubChoice:
     """The hub check's choice of hub: the paths that the edge index finds
-    dead against a scan of every stored path, the hub it picks and the
-    starts its flows get, and the same violation and witness cut whichever
-    hub is forced, cold flows too."""
+    dead against a scan of every stored path, the hub it picks, the short
+    vertices that detours leave to flows and the starts those flows get,
+    and the same violation and witness cut whichever hub is forced, cold
+    flows too."""
 
     @staticmethod
     def _random_sets(L, n, count):
@@ -552,10 +553,17 @@ class TestHubChoice:
         finally:
             del engine.max_flow
         if shorts:
+            # flows run, with the live stored paths as their start, for
+            # the chosen hub's short vertices that detours leave uncovered
             chosen = untouched[shorts.index(min(shorts))]
-            assert len(flows) == min(shorts), idx
-            assert all(t == chosen and start == live_of[chosen][s]
-                       for s, t, start in flows), idx
+            live, stored = live_of[chosen], engine.stored_paths(chosen)
+            short = [u for u in range(engine.n)
+                     if u != chosen and len(live[u]) < deg[u]]
+            uncovered = [u for u in short if engine.reroute(
+                chosen, u, live[u], [p for p in stored[u] if p not in live[u]],
+                deg[u]) is None]
+            assert flows == [(u, chosen, live[u]) for u in uncovered], idx
+            seen["covered"] += len(uncovered) < len(short)
             seen["not_first_hub"] += chosen != untouched[0]
         else:
             assert all(start == [] for _, _, start in flows), idx
@@ -577,11 +585,75 @@ class TestHubChoice:
         L = lgraph("random", n, seed)
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0,
-                "path_crosses_two_faults": 0}
+                "path_crosses_two_faults": 0, "covered": 0}
         sets = TestWitnessScanAgainstTree._fault_sets(L, engine, n)
         sets += self._two_fault_sets(engine)
         for idx in sets + self._random_sets(L, n, 40):
             self._check(engine, idx, seen)
+        assert all(seen.values()), seen
+
+
+class TestDetours:
+    """Dead stored paths rerouted around their fault edges through live
+    common neighbours (UnitFlowEngine.reroute). Every covered vertex's
+    trails pass a checker that reads the edge list alone, and the hub
+    check's deficits equal those of flow-only runs, which take the flow of
+    every short vertex, and the naive pairwise verdict."""
+
+    @staticmethod
+    def _fault_sets(L, n):
+        """A spread of the adversarial suite one fault past ft-smec's
+        budget, then seeded random sets of 2n-4 to 4n-10 faults."""
+        m = len(L.graph.edges)
+        suite = adversarial_fault_indices(L, 2 * n - 3)
+        rng = SplitMix64(9000 + n)
+        top = max(4 * n - 10, 2 * n - 4)
+        return suite[::max(1, len(suite) // 30)] + [
+            tuple(rng.sample_indices(m, rng.randbelow(top + 1 - (2 * n - 4))
+                                     + 2 * n - 4))
+            for _ in range(30)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind,seed", [("hypercube", None),
+                                           ("crossed", None), ("random", 1)])
+    def test_trails_and_deficits_match_flow_only_runs(self, kind, seed, n,
+                                                      monkeypatch):
+        L = lgraph(kind, n, seed)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        calls = []
+
+        def reroute(r, u, live, dead, need):
+            trails = UnitFlowEngine.reroute(engine, r, u, live, dead, need)
+            calls.append((r, u, live, dead, need, trails))
+            return trails
+
+        seen = {"covered": 0, "uncovered": 0, "violating": 0}
+        step = 15 if n == 5 else 1      # naive: 0.6 s per passing set at n=5
+        for i, idx in enumerate(self._fault_sets(L, n)):
+            engine.set_fault_indices(idx)
+            faulty = remove_edges(g, [g.edges[k] for k in idx])
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "reroute", reroute)
+                deficits = hub_deficits(engine)
+            for r, u, live, dead, need, trails in calls:
+                stored = engine.stored_paths(r)[u]
+                assert dead and sorted(live + dead) == sorted(stored), idx
+                assert need == faulty.degree(u), idx
+                if trails is None:
+                    seen["uncovered"] += 1
+                    continue
+                seen["covered"] += 1
+                assert len(trails) == need, (idx, u)
+                problem = trail_problem(g.edges, idx, u, r, trails)
+                assert problem is None, (idx, u, problem)
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "reroute", lambda *args: None)
+                assert hub_deficits(engine) == deficits, idx
+            seen["violating"] += bool(deficits)
+            if i % step == 0:
+                assert naive_is_smec(faulty)[0] == (not deficits), idx
         assert all(seen.values()), seen
 
 

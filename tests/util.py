@@ -263,6 +263,32 @@ def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
             for paths in engine.stored_paths(hub)]
 
 
+def trail_problem(edges, faults, u: int, r: int, trails) -> str | None:
+    """None when `trails` are u -> r trails of G - F that share no edge,
+    else the first problem found. A trail is a tuple of arcs of the edge
+    list `edges`: arc 2k runs edges[k][0] -> edges[k][1] and arc 2k + 1
+    back; F is the edge indices `faults`. Reads the edge list alone, no
+    flow code: the oracle for the trails UnitFlowEngine.reroute returns."""
+    faulted = set(faults)
+    taken = set()
+    for trail in trails:
+        at = u
+        for arc in trail:
+            k = arc >> 1
+            a, b = edges[k][::-1] if arc & 1 else edges[k]
+            if a != at:
+                return f"trail {trail} breaks at arc {arc}"
+            if k in faulted:
+                return f"trail {trail} crosses the fault edge {edges[k]}"
+            if k in taken:
+                return f"edge {edges[k]} lies on two trails"
+            taken.add(k)
+            at = b
+        if at != r:
+            return f"trail {trail} ends at {at}, not at {r}"
+    return None
+
+
 def _ref_strip(g: Graph, v: int, keep) -> list[tuple[int, int]]:
     return [canonical_edge(v, w) for w in g.neighbors(v) if w not in keep]
 
