@@ -22,22 +22,10 @@ whose far end closed joins what is left of each component of G. So a
 set that splits nothing usually costs a few lookups per fault edge and
 no search, not a pass over every edge (Even and Shiloach 1981).
 
-Per fault set F the SMEC decision is the hub check (deficient_vertices):
-up to V-1 capped max-flows into one vertex r of maximum degree in G-F,
-warm-started from the stored fault-free paths that avoid F. The engine
-finds the stored paths F kills through an edge index (hub_losses). Of the
-stored hubs F leaves untouched, r is the one that leaves the fewest
-vertices short of live paths; when F touches every stored hub the flows
-run cold. A short vertex first has its killed paths rerouted around F's
-edges, each fault edge through a live common neighbour of its ends
-(UnitFlowEngine.reroute), and runs no flow when that gives it enough
-edge-disjoint trails into r. The set passes when no vertex is
-deficient. Only pairs with a deficient endpoint can violate. The witness
-scan goes over those pairs in ascending order: the hub flows already fix
-the value of a pair with one deficient endpoint, and a pair with two
-gets a capped direct max-flow; a min cut on the first violating pair is
-the certificate (SmecWitness). Which r was taken moves neither the
-verdict nor the witness.
+Per fault set F the SMEC decision is the hub check, deficient_vertices,
+whose docstring describes it with its proof; smec_violation and
+smec_witness turn its deficient vertices into the first violating pair
+and a minimum cut of it.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
@@ -72,32 +60,44 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     the engine. Flows run only as items are asked for, so a reader that
     stops after the first item runs no flow past that vertex's.
 
+    This is the SMEC hub check, described here once.
+
     Hub lemma: for r of maximum degree in H, H is SMEC iff
     lambda_H(u, r) >= deg_H(u) for every u != r. A violating pair (u, v)
     has a cut delta(S) with u in S, v outside, smaller than deg u and
     deg v; if r is outside S then (u, r) violates, as deg r >= deg v,
     else (v, r) does. So V-1 flows into r, each capped at deg_H(u),
     find every deficient u, and a capped flow that falls short is exact;
-    H fails as soon as one u falls short. A stored hub that F leaves
-    untouched keeps its maximum base degree; its stored paths that avoid
-    F start each flow, so only the missing units are augmented. Among the
-    untouched hubs the one with the fewest u != r short of deg_H(u) live
-    stored paths (engine.hub_losses) is taken, the earlier in engine.hubs
-    on ties; only its short vertices get their paths split into live and
-    dead. When F touches every stored hub, flows into the lowest vertex
-    of maximum degree in H run cold.
+    H fails as soon as one u falls short.
 
-    Detours: before a short u's flow, engine.reroute rewrites u's dead
-    stored paths, each fault arc a -> b becoming a -> x -> b through a
-    common neighbour x whose edges {a, x} and {x, b} are live in H and
-    lie on none of u's stored paths and on no detour taken before. The
-    stored paths share no edge, so if the live paths and the rerouted
-    ones reach deg_H(u), they are deg_H(u) edge-disjoint u -> r trails
-    of H, and each trail holds a u-r path on its own edges, so
-    lambda_H(u, r) >= deg_H(u): u is not deficient and its flow is
-    skipped. A deficient vertex is never covered, so the items and their
-    order are those of the flows alone; a vertex the detours leave short
-    runs its flow from its live stored paths, as without them.
+    Hubs: the engine stores, on first use, for each of a few vertices of
+    maximum degree in G (engine.hubs) and each vertex u, up to deg_G(u)
+    edge-disjoint u -> hub paths of G, indexed by edge. engine.hub_losses
+    finds the paths F kills, dead[u], through the index of F's edges, and
+    counts the u != hub left with fewer than deg_H(u) live stored paths.
+    A stored hub that F leaves untouched keeps its maximum degree in H.
+    Of those, the one with the fewest such short vertices is r, the
+    earlier in engine.hubs on ties. When F touches every stored hub,
+    flows into the lowest vertex of maximum degree in H run cold. A
+    vertex with deg_H(u) live stored paths is not deficient and gets no
+    further look.
+
+    Starts: a short u's start is its live stored paths, then the dead
+    ones engine.reroute mends, in stored order: each fault arc a -> b on
+    one becomes a -> x -> b through a common neighbour x whose edges
+    {a, x} and {x, b} are live in H and lie on none of u's stored paths
+    and on no detour taken before (in a line graph the two ends of an
+    edge share n - 2 neighbours). The stored paths share no edge, so the
+    start is a list of edge-disjoint u -> r trails of H. A mended trail
+    may revisit a vertex or pass through r, but as arc flows the trails
+    keep conservation at every vertex but u and r, so they are a
+    feasible flow of value len(start). If len(start) >= deg_H(u), each
+    trail holds a u-r path on its own edges, so lambda_H(u, r) >=
+    deg_H(u): u is covered and no flow runs. Otherwise the flow, capped
+    at deg_H(u), augments from the whole start; augmenting from a
+    feasible flow is exact, so its value is a cold flow's and only the
+    missing units cost a search. So the items and their order are those
+    of cold flows into r, whatever the stored paths and the mends.
 
     The choice of r changes no verdict and no witness. By the lemma, H
     is SMEC iff no u is deficient, for every r of maximum degree, and
@@ -114,30 +114,31 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     best = None
     for h in engine.hubs:
         if deg[h] == base[h]:
-            short, lost, dead = engine.hub_losses(h)
+            short, dead = engine.hub_losses(h)
             if best is None or short < best[0]:
-                best = short, h, lost, dead
+                best = short, h, dead
             if not short:
                 break
     if best is None:
         hub = max(range(engine.n), key=deg.__getitem__, default=None)
-        paths, lost, dead = [()] * engine.n, {}, set()
+        paths, dead = [()] * engine.n, {}
     else:
-        _, hub, lost, dead = best
+        _, hub, dead = best
         paths = engine.stored_paths(hub)
     for u in range(engine.n):
         need = deg[u]
-        if u == hub or len(paths[u]) - lost.get(u, 0) >= need:
+        gone = dead.get(u, ())
+        if u == hub or len(paths[u]) - len(gone) >= need:
             continue
         start, killed = [], []
         for i, p in enumerate(paths[u]):
-            (killed if (u, i) in dead else start).append(p)
-        if killed and engine.reroute(hub, u, start, killed,
-                                     need) is not None:
-            continue
-        flow = engine.max_flow(u, hub, need, start)
-        if flow < need:
-            yield u, flow
+            (killed if i in gone else start).append(p)
+        if killed:
+            start += engine.reroute(hub, u, killed)
+        if len(start) < need:
+            flow = engine.max_flow(u, hub, need, start)
+            if flow < need:
+                yield u, flow
 
 
 def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:

@@ -29,28 +29,11 @@ read.
   layout, whose fault mask is the set of closed pairs, so campaigns can
   re-query thousands of fault sets without rebuilding anything.
 
-UnitFlowEngine serves the SMEC hub check (see
-_campaign_exec.deficient_vertices). It picks a few hubs of maximum degree
-and lazily stores, per hub and per vertex u, up to deg(u) edge-disjoint
-u->hub paths of the fault-free graph, with an index from each edge to the
-stored paths through it. `hub_losses` finds the paths the installed
-faults kill from the fault edges alone and counts, per hub, the vertices
-left short; the check picks its hub from those counts and lists live
-paths only for the vertices left short. Before such a vertex's flow,
-`reroute` tries to mend its killed paths: each fault arc a -> b on one
-becomes a -> x -> b through a common neighbour x whose two edges are
-live, on none of its stored paths and on no other detour (in a line
-graph the two ends of an edge share n-2 neighbours). Each arc's
-(a -> x, x -> b) pairs are tabled on first use, never when the engine
-is built, and cut to the live ones once per fault set. When the live
-paths and the mended ones reach deg u, they are edge-disjoint u->hub
-trails, and no flow runs. A query may start from any feasible flow
-(`start`), such as the live paths: augmenting from a feasible flow is
-exact, so only the missing units cost a search. A failing fault set's
-witness comes from the hub check's deficient vertices and capped
-single-pair flows; a campaign computes it only for a chunk's first
-failing set and decides the chunk's later sets by the hub check's first
-deficient vertex alone.
+UnitFlowEngine also keeps the hub paths, their edge index and the
+detours of the SMEC hub check, which _campaign_exec.deficient_vertices
+describes with its proof. A query may start from any feasible flow
+(`start`, edge-disjoint s-t trails): augmenting from a feasible flow is
+exact, so only the missing units cost a search.
 `min_cuts(s, targets)` returns the minimum cut from one source to each of
 many targets, as min_cut would, but confirms a target that shares the
 first target's cut with a capped flow from a neighbouring target
@@ -61,7 +44,7 @@ paths through their live common neighbours. Vertex connectivity's fans
 start likewise from paths of one and two hops (graph.vertex_connectivity).
 A capped flow from a feasible start has the same value as a cold one, and
 every cut comes from a flow without a start, so no value or cut depends
-on the starts. The hub flows start from their live stored paths alone,
+on the starts. The hub flows start from live and mended stored paths,
 and the pair flows of the SMEC scan, min_cut, max_flow_with_side and
 _route take no start: short-path starts given to every unit flow that
 had none saved a SMEC campaign no time, and _route's paths decide which
@@ -78,16 +61,17 @@ _HUBS = 3
 
 def _augment(net, cap, s: int, t: int, cutoff: int | None,
              start, log: list[int]) -> tuple[int, list[bool] | None]:
-    """Push the s-t arc paths `start` through the residual capacities
-    `cap`, then augment unit s-t paths until none is left or the flow
-    reaches cutoff. `net` holds the arcs: arc a runs from tail[a] to
-    head[a], its twin a ^ 1 runs back, adj[x] lists the arcs out of x and
-    radj[x] the arcs into x. Each arc of the start and of the augmented
-    paths is appended to `log` before its capacity changes, so the caller
-    can undo exactly the arcs in the log. Returns the flow and the source
-    side of the final residual, or None for the side when the cutoff
-    stopped the loop. Raises ValueError when s == t: the two searches
-    would close cycles through s forever.
+    """Push `start`, arc-disjoint s-t trails of arcs with capacity (a trail,
+    unlike a path, may revisit a vertex, s and t included), through the
+    residual capacities `cap`, then augment unit s-t paths until none is
+    left or the flow reaches cutoff. `net` holds the arcs: arc a runs from
+    tail[a] to head[a], its twin a ^ 1 runs back, adj[x] lists the arcs
+    out of x and radj[x] the arcs into x. Each arc of the start and of the
+    augmented paths is appended to `log` before its capacity changes, so
+    the caller can undo exactly the arcs in the log. Returns the flow and
+    the source side of the final residual, or None for the side when the
+    cutoff stopped the loop. Raises ValueError when s == t: the two
+    searches would close cycles through s forever.
 
     Each path comes from a level-synchronous bidirectional search. One
     scan loop grows both trees: a step expands one whole level of the
@@ -197,8 +181,9 @@ class DirectedFlow:
     def max_flow(self, s: int, t: int, cutoff: int | None = None,
                  start=()) -> int:
         """Maximum number of arc-disjoint s-t paths over the open arcs,
-        capped at cutoff; `start` is a list of arc-disjoint s-t paths of
-        open arcs, and augmentation continues from that flow."""
+        capped at cutoff; `start` is a list of arc-disjoint s-t trails of
+        open arcs (not only paths), and augmentation continues from that
+        flow."""
         return self._run(s, t, cutoff, start)[0]
 
     def _run(self, s: int, t: int, cutoff: int | None,
@@ -277,8 +262,9 @@ class UnitFlowEngine(DirectedFlow):
                  start=()) -> int:
         """Exact max number of edge-disjoint s-t paths, capped at cutoff.
 
-        `start` is a list of edge-disjoint s-t arc paths avoiding the
-        installed faults; augmentation continues from that flow.
+        `start` is a list of edge-disjoint s-t trails of arcs avoiding the
+        installed faults, not only paths: a trail may revisit a vertex or
+        pass through t. Augmentation continues from that flow.
         """
         return self._run(s, t, cutoff, start)[0]
 
@@ -386,61 +372,53 @@ class UnitFlowEngine(DirectedFlow):
             self._stored[hub] = stored = paths, index, short, owned
         return stored[0]
 
-    def hub_losses(self, hub: int) -> tuple[int, dict[int, int],
-                                            set[tuple[int, int]]]:
-        """(short, lost, dead) for the stored u->hub paths under the
-        installed faults: dead holds each (u, i) whose path
-        stored_paths(hub)[u][i] crosses a fault, lost[u] counts u's dead
-        paths, and short counts the u != hub with fewer than deg u live
-        ones, the flows a hub check into this hub must run.
+    def hub_losses(self, hub: int) -> tuple[int, dict[int, set[int]]]:
+        """(short, dead) for the stored u->hub paths under the installed
+        faults: dead[u] holds the indices i of u's paths
+        stored_paths(hub)[u][i] that cross a fault, and short counts the
+        u != hub with fewer than deg u live ones, the flows a hub check
+        into this hub may run.
 
-        dead is one set, filled from the edge index of each fault edge, so
-        a path through two faults is lost once. Only the vertices of dead
-        paths and the fault ends can change their short count, so nothing
-        else is looked at, and no start list is built: the hub check
-        builds a vertex's live paths only when it runs that vertex's flow.
+        dead is filled from the edge index of each fault edge, so a path
+        through two faults is dead once. Only the vertices of dead paths
+        and the fault ends can change their short count, so nothing else
+        is looked at.
         """
         self.stored_paths(hub)
         paths, index, short, _ = self._stored[hub]
-        dead: set[tuple[int, int]] = set()
+        dead: dict[int, set[int]] = {}
         for k in self.fault:
-            dead.update(index[k])
-        lost: dict[int, int] = {}
-        for u, _ in dead:
-            lost[u] = lost.get(u, 0) + 1
+            for u, i in index[k]:
+                gone = dead.get(u)
+                if gone is None:
+                    dead[u] = {i}
+                else:
+                    gone.add(i)
         deg, base, edges = self.degrees, self.base_degrees, self.edges
-        for u in lost.keys() | {x for k in self.fault for x in edges[k]}:
+        for u in dead.keys() | {x for k in self.fault for x in edges[k]}:
             if u != hub:
                 have = len(paths[u])
-                short += ((have - lost.get(u, 0) < deg[u])
+                short += ((have - len(dead.get(u, ())) < deg[u])
                           - (have < base[u]))
-        return short, lost, dead
+        return short, dead
 
-    def reroute(self, hub: int, u: int, live, dead,
-                need: int) -> list[tuple[int, ...]] | None:
-        """`need` edge-disjoint trails of G - F from u to the hub, or None.
-
-        `live` and `dead` are stored_paths(hub)[u] split into the paths
-        that avoid the installed faults F and those that cross them, with
-        len(live) < need. The trails are the live paths, then each dead
-        path, in order, with every fault arc a -> b on it replaced by
-        a -> x -> b through a common neighbour x of a and b whose edges
-        {a, x} and {x, b} are live, lie on none of u's stored paths and
-        on no detour taken before. A dead path is given up at its first
-        fault arc with no such detour, and None is returned as soon as
-        the paths left cannot reach `need`. The stored paths share no
-        edge, so each trail walks live arcs from u to the hub and no edge
-        lies on two trails: lambda(u, hub) >= need when trails are
-        returned.
+    def reroute(self, hub: int, u: int, dead_paths) -> list[tuple[int, ...]]:
+        """One mended trail for each path of `dead_paths` that can be
+        mended, in order; `dead_paths` are u's stored u->hub paths that
+        cross the installed faults F. Each fault arc a -> b on a path
+        becomes a -> x -> b through a common neighbour x of a and b whose
+        edges {a, x} and {x, b} are live, lie on none of u's stored paths
+        and on no detour taken before. A path is given up at its first
+        fault arc with no such detour. The trails walk live arcs from u to
+        the hub and share no edge with each other or with u's live paths
+        (see _campaign_exec.deficient_vertices).
         """
         cap = self._template
         owned = self._stored[hub][3][u]
         live_detours = self._live_detours
-        rerouted = []
-        taken = set()           # the detour edges of the rerouted paths
-        for i, path in enumerate(dead):
-            if len(live) + len(rerouted) + len(dead) - i < need:
-                return None
+        mended = []
+        taken = set()           # the detour edges of the mended paths
+        for path in dead_paths:
             trail = []
             mine = []           # this path's detour edges
             for a in path:
@@ -464,10 +442,8 @@ class UnitFlowEngine(DirectedFlow):
                     break
             else:
                 taken.update(mine)
-                rerouted.append(tuple(trail))
-                if len(live) + len(rerouted) >= need:
-                    return live + rerouted
-        return None
+                mended.append(tuple(trail))
+        return mended
 
     def _detours_of(self, a: int) -> tuple[tuple[int, int], ...]:
         """The (a -> x, x -> b) arc pairs of arc a from a to b, one per

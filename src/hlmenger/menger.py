@@ -16,25 +16,10 @@ is built from those indices alone.
 fault budget or construction size, component floor and the dimensions it
 holds for; the CLI, the constructions and the tests read it.
 
-All path counts are exact. Per fault set F the verdict comes from the hub
-check: with r a vertex of maximum degree in H = G - F, H is SMEC iff every
-u != r has deg_H(u) edge-disjoint u-r paths, so V-1 capped max-flows into
-r decide it. The flow engine stores fault-free paths into a few hubs on
-first use, indexed by edge; a flow into an untouched hub starts from the
-stored paths that avoid F and augments only the missing units. Of the
-untouched hubs, the one that leaves the fewest vertices short of live
-paths is taken, which moves no verdict or witness, and when F touches
-every stored hub the flows run cold into a maximum-degree vertex. A
-failing set that needs a witness runs the hub check to the end: only
-pairs with a deficient endpoint (fewer than deg u paths into r) can
-violate. Over those pairs, in ascending order, the hub flows fix the
-value of a pair with one deficient endpoint and a capped direct max-flow
-decides a pair with two; the first violating pair is the witness, and a
-min cut on it is the certificate. A report keeps only the first failure's
-witness, so a campaign computes one for each evaluation chunk's first
-failing set and decides the chunk's later sets by verdict alone: the
-hub check stops at the first deficient vertex, which by the hub lemma
-already fails the set. Counts and the first witness cannot move.
+All path counts are exact. Per fault set F the verdict comes from the
+SMEC hub check, _campaign_exec.deficient_vertices, which describes it
+with its proof, and a campaign computes a witness only for each
+evaluation chunk's first failing set (see _campaign_exec).
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
 neighbouring far vertices confirm that they share its cut. Each of those

@@ -528,20 +528,18 @@ class TestHubChoice:
         untouched = [h for h in hubs if deg[h] == base[h]]
         short_of, live_of = {}, {}
         for h in hubs:
-            short, lost, dead = engine.hub_losses(h)
+            short, dead = engine.hub_losses(h)
             paths = engine.stored_paths(h)
             reference = live_paths(engine, h)
-            assert dead == {(u, i) for u, mine in enumerate(paths)
-                            for i, p in enumerate(mine)
-                            if p not in reference[u]}, (idx, h)
-            assert lost == {u: len(paths[u]) - len(reference[u])
-                            for u in range(engine.n)
-                            if len(paths[u]) > len(reference[u])}, (idx, h)
+            assert dead == {u: {i for i, p in enumerate(mine)
+                                if p not in reference[u]}
+                            for u, mine in enumerate(paths)
+                            if len(mine) > len(reference[u])}, (idx, h)
             assert short == sum(len(reference[u]) < deg[u]
                                 for u in range(engine.n) if u != h), (idx, h)
             seen["path_crosses_two_faults"] += any(
                 len({a >> 1 for a in paths[u][i]} & set(idx)) >= 2
-                for u, i in dead)
+                for u, gone in dead.items() for i in gone)
             short_of[h], live_of[h] = short, reference
         shorts = [short_of[h] for h in untouched]
         flows = []
@@ -553,17 +551,26 @@ class TestHubChoice:
         finally:
             del engine.max_flow
         if shorts:
-            # flows run, with the live stored paths as their start, for
-            # the chosen hub's short vertices that detours leave uncovered
+            # each short vertex of the chosen hub starts from its live
+            # stored paths and the dead ones reroute mends; flows run from
+            # that whole start for exactly the vertices it leaves uncovered
             chosen = untouched[shorts.index(min(shorts))]
             live, stored = live_of[chosen], engine.stored_paths(chosen)
-            short = [u for u in range(engine.n)
-                     if u != chosen and len(live[u]) < deg[u]]
-            uncovered = [u for u in short if engine.reroute(
-                chosen, u, live[u], [p for p in stored[u] if p not in live[u]],
-                deg[u]) is None]
-            assert flows == [(u, chosen, live[u]) for u in uncovered], idx
-            seen["covered"] += len(uncovered) < len(short)
+            starts = {}
+            for u in range(engine.n):
+                if u != chosen and len(live[u]) < deg[u]:
+                    killed = [p for p in stored[u] if p not in live[u]]
+                    starts[u] = live[u] + (engine.reroute(chosen, u, killed)
+                                           if killed else [])
+                    problem = trail_problem(engine.edges, idx, u, chosen,
+                                            starts[u])
+                    assert problem is None, (idx, u, problem)
+            uncovered = [u for u, start in starts.items()
+                         if len(start) < deg[u]]
+            assert flows == [(u, chosen, starts[u]) for u in uncovered], idx
+            seen["covered"] += len(uncovered) < len(starts)
+            seen["partly_mended"] += any(len(starts[u]) > len(live[u])
+                                         for u in uncovered)
             seen["not_first_hub"] += chosen != untouched[0]
         else:
             assert all(start == [] for _, _, start in flows), idx
@@ -585,7 +592,8 @@ class TestHubChoice:
         L = lgraph("random", n, seed)
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0,
-                "path_crosses_two_faults": 0, "covered": 0}
+                "path_crosses_two_faults": 0, "covered": 0,
+                "partly_mended": 0}
         sets = TestWitnessScanAgainstTree._fault_sets(L, engine, n)
         sets += self._two_fault_sets(engine)
         for idx in sets + self._random_sets(L, n, 40):
@@ -594,11 +602,13 @@ class TestHubChoice:
 
 
 class TestDetours:
-    """Dead stored paths rerouted around their fault edges through live
-    common neighbours (UnitFlowEngine.reroute). Every covered vertex's
-    trails pass a checker that reads the edge list alone, and the hub
-    check's deficits equal those of flow-only runs, which take the flow of
-    every short vertex, and the naive pairwise verdict."""
+    """Dead stored paths mended around their fault edges through live
+    common neighbours (UnitFlowEngine.reroute). Every short vertex's
+    start, its live stored paths then its mended ones, passes a checker
+    that reads the edge list alone; a vertex runs its flow, from that
+    whole start, exactly when the start holds fewer than deg u trails;
+    and the hub check's deficits equal those of flow-only runs, which
+    mend nothing, and the naive pairwise verdict."""
 
     @staticmethod
     def _fault_sets(L, n):
@@ -621,35 +631,49 @@ class TestDetours:
         L = lgraph(kind, n, seed)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        calls = []
+        calls, flows = {}, {}
 
-        def reroute(r, u, live, dead, need):
-            trails = UnitFlowEngine.reroute(engine, r, u, live, dead, need)
-            calls.append((r, u, live, dead, need, trails))
+        def reroute(r, u, dead_paths):
+            trails = UnitFlowEngine.reroute(engine, r, u, dead_paths)
+            calls[u] = r, dead_paths, trails
             return trails
 
-        seen = {"covered": 0, "uncovered": 0, "violating": 0}
+        def max_flow(s, t, cutoff=None, start=()):
+            flows[s] = t, cutoff, start
+            return UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+
+        seen = {"covered": 0, "uncovered": 0, "partly_mended": 0,
+                "violating": 0}
         step = 15 if n == 5 else 1      # naive: 0.6 s per passing set at n=5
         for i, idx in enumerate(self._fault_sets(L, n)):
             engine.set_fault_indices(idx)
             faulty = remove_edges(g, [g.edges[k] for k in idx])
             calls.clear()
+            flows.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "reroute", reroute)
+                mp.setattr(engine, "max_flow", max_flow)
                 deficits = hub_deficits(engine)
-            for r, u, live, dead, need, trails in calls:
+            live_of = {}
+            for u, (r, dead_paths, trails) in calls.items():
+                if r not in live_of:
+                    live_of[r] = live_paths(engine, r)
+                live, need = live_of[r][u], faulty.degree(u)
                 stored = engine.stored_paths(r)[u]
-                assert dead and sorted(live + dead) == sorted(stored), idx
-                assert need == faulty.degree(u), idx
-                if trails is None:
-                    seen["uncovered"] += 1
-                    continue
-                seen["covered"] += 1
-                assert len(trails) == need, (idx, u)
-                problem = trail_problem(g.edges, idx, u, r, trails)
+                assert dead_paths == [p for p in stored if p not in live], idx
+                assert len(live) < need, (idx, u)
+                start = live + trails
+                problem = trail_problem(g.edges, idx, u, r, start)
                 assert problem is None, (idx, u, problem)
+                if len(start) >= need:
+                    seen["covered"] += 1
+                    assert u not in flows, (idx, u)
+                else:
+                    seen["uncovered"] += 1
+                    assert flows[u] == (r, need, start), (idx, u)
+                    seen["partly_mended"] += bool(trails)
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "reroute", lambda *args: None)
+                mp.setattr(engine, "reroute", lambda *args: [])
                 assert hub_deficits(engine) == deficits, idx
             seen["violating"] += bool(deficits)
             if i % step == 0:
