@@ -72,32 +72,35 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
 
     Hubs: the engine stores, on first use, for each of a few vertices of
     maximum degree in G (engine.hubs) and each vertex u, up to deg_G(u)
-    edge-disjoint u -> hub paths of G, indexed by edge. engine.hub_losses
-    finds the paths F kills, dead[u], through the index of F's edges, and
-    counts the u != hub left with fewer than deg_H(u) live stored paths.
-    A stored hub that F leaves untouched keeps its maximum degree in H.
-    Of those, the one with the fewest such short vertices is r, the
-    earlier in engine.hubs on ties. When F touches every stored hub,
-    flows into the lowest vertex of maximum degree in H run cold. A
-    vertex with deg_H(u) live stored paths is not deficient and gets no
-    further look.
+    edge-disjoint u -> hub paths of G, indexed by edge.
+    engine.hub_losses(hub) gives the short vertices: each u != hub left
+    with fewer than deg_H(u) live stored paths, with the indices of its
+    dead paths, found through the index of F's edges. A stored hub that
+    F leaves untouched keeps its maximum degree in H. Of those, the one
+    with the fewest short vertices is r, the earlier in engine.hubs on
+    ties. Only r's short vertices are looked at further, in id order: a
+    vertex with deg_H(u) live stored paths is not deficient. When F
+    touches every stored hub, flows into the lowest vertex of maximum
+    degree in H run cold, one for each u != r of positive degree, in id
+    order.
 
-    Starts: a short u's start is its live stored paths, then the dead
-    ones engine.reroute mends, in stored order: each fault arc a -> b on
-    one becomes a -> x -> b through a common neighbour x whose edges
-    {a, x} and {x, b} are live in H and lie on none of u's stored paths
-    and on no detour taken before (in a line graph the two ends of an
-    edge share n - 2 neighbours). The stored paths share no edge, so the
-    start is a list of edge-disjoint u -> r trails of H. A mended trail
-    may revisit a vertex or pass through r, but as arc flows the trails
-    keep conservation at every vertex but u and r, so they are a
-    feasible flow of value len(start). If len(start) >= deg_H(u), each
-    trail holds a u-r path on its own edges, so lambda_H(u, r) >=
-    deg_H(u): u is covered and no flow runs. Otherwise the flow, capped
-    at deg_H(u), augments from the whole start; augmenting from a
-    feasible flow is exact, so its value is a cold flow's and only the
-    missing units cost a search. So the items and their order are those
-    of cold flows into r, whatever the stored paths and the mends.
+    Starts: engine.hub_start gives a short u's start, its live stored
+    paths, then the dead ones it mends, both in stored order. Each fault
+    arc a -> b on a dead path becomes a -> x -> b through a common neighbour x
+    whose edges {a, x} and {x, b} are live in H and lie on none of u's
+    stored paths and on no detour taken before (in a line graph the two
+    ends of an edge share n - 2 neighbours). The stored paths share no
+    edge, so the start is a list of edge-disjoint u -> r trails of H. A
+    mended trail may revisit a vertex or pass through r, but as arc
+    flows the trails keep conservation at every vertex but u and r, so
+    they are a feasible flow of value len(start). If len(start) >=
+    deg_H(u), each trail holds a u-r path on its own edges, so
+    lambda_H(u, r) >= deg_H(u): u is covered and no flow runs. Otherwise
+    the flow, capped at deg_H(u), augments from the whole start;
+    augmenting from a feasible flow is exact, so its value is a cold
+    flow's and only the missing units cost a search. So the items and
+    their order are those of cold flows into r, whatever the stored
+    paths and the mends.
 
     The choice of r changes no verdict and no witness. By the lemma, H
     is SMEC iff no u is deficient, for every r of maximum degree, and
@@ -114,27 +117,20 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     best = None
     for h in engine.hubs:
         if deg[h] == base[h]:
-            short, dead = engine.hub_losses(h)
-            if best is None or short < best[0]:
-                best = short, h, dead
+            short = engine.hub_losses(h)
+            if best is None or len(short) < len(best[1]):
+                best = h, short
             if not short:
                 break
     if best is None:
         hub = max(range(engine.n), key=deg.__getitem__, default=None)
-        paths, dead = [()] * engine.n, {}
+        starts = ((u, []) for u in range(engine.n) if u != hub)
     else:
-        _, hub, dead = best
-        paths = engine.stored_paths(hub)
-    for u in range(engine.n):
+        hub, short = best
+        starts = ((u, engine.hub_start(hub, u, short[u]))
+                  for u in sorted(short))
+    for u, start in starts:
         need = deg[u]
-        gone = dead.get(u, ())
-        if u == hub or len(paths[u]) - len(gone) >= need:
-            continue
-        start, killed = [], []
-        for i, p in enumerate(paths[u]):
-            (killed if i in gone else start).append(p)
-        if killed:
-            start += engine.reroute(hub, u, killed)
         if len(start) < need:
             flow = engine.max_flow(u, hub, need, start)
             if flow < need:

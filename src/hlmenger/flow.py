@@ -29,9 +29,11 @@ read.
   layout, whose fault mask is the set of closed pairs, so campaigns can
   re-query thousands of fault sets without rebuilding anything.
 
-UnitFlowEngine also keeps the hub paths, their edge index and the
-detours of the SMEC hub check, which _campaign_exec.deficient_vertices
-describes with its proof. A query may start from any feasible flow
+UnitFlowEngine also owns the stored hub paths of the SMEC hub check:
+hub_losses finds the vertices a fault set leaves short of live stored
+paths, and hub_start builds each one's start from its paths and their
+detours. _campaign_exec.deficient_vertices describes the check with its
+proof. A query may start from any feasible flow
 (`start`, edge-disjoint s-t trails): augmenting from a feasible flow is
 exact, so only the missing units cost a search.
 `min_cuts(s, targets)` returns the minimum cut from one source to each of
@@ -214,7 +216,8 @@ class UnitFlowEngine(DirectedFlow):
     keeps its slots, so edge indices stay stable across queries; between
     queries `_template` is exactly the fault mask. Paths into a hub and
     their edge index, and each arc's detours, are stored on first use,
-    never here.
+    never here; they depend on the edge layout alone, so installing a
+    fault set resets nothing of the hub check.
     """
 
     _BACK = 1
@@ -232,22 +235,19 @@ class UnitFlowEngine(DirectedFlow):
         top = max(self.base_degrees, default=0)
         tops = [v for v, d in enumerate(self.base_degrees) if d == top]
         self.hubs = tops[::max(1, len(tops) // _HUBS)][:_HUBS]
-        # per hub: (paths, index, short, owned); paths[u] are the stored
+        # per hub: (paths, index, few, owned); paths[u] are the stored
         # u->hub paths, index[k] lists the (u, i) whose path paths[u][i]
-        # uses edge k, short counts the u != hub with fewer paths than
-        # deg u, and owned[u] holds the edges of all of paths[u]
-        self._stored: dict[int, tuple[list, list, int, list]] = {}
-        # arc a -> its detours (a -> x, x -> b), filled on first use; and
-        # per installed fault set, a fault arc -> its detours that are live
+        # uses edge k, few lists the u != hub with fewer paths than deg u
+        # (none when G is SMEC), and owned[u] holds the edges of paths[u]
+        self._stored: dict[int, tuple[list, list, list, list]] = {}
+        # arc a -> its detours (a -> x, x -> b), filled on first use
         self._detours: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._live_detours: dict[int, list[tuple[int, int]]] = {}
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
         for k in self.fault:
             self.set_open(2 * k, True)
         self.fault = tuple(edge_indices)
-        self._live_detours = {}
         deg = self.base_degrees[:]
         for k in self.fault:
             self.set_open(2 * k, False)
@@ -353,7 +353,8 @@ class UnitFlowEngine(DirectedFlow):
 
         Paths are arc tuples in the fault-free graph (none for the hub
         itself), computed on the first call for each hub, together with
-        their edge index and each vertex's set of path edges.
+        their edge index, the vertices with fewer than deg u of them and
+        each vertex's set of path edges.
         """
         stored = self._stored.get(hub)
         if stored is None:
@@ -365,27 +366,28 @@ class UnitFlowEngine(DirectedFlow):
                     for a in path:
                         index[a >> 1].append((u, i))
             base = self.base_degrees
-            short = sum(len(mine) < base[u] for u, mine in enumerate(paths)
-                        if u != hub)
+            few = [u for u, mine in enumerate(paths)
+                   if u != hub and len(mine) < base[u]]
             owned = [frozenset(a >> 1 for path in mine for a in path)
                      for mine in paths]
-            self._stored[hub] = stored = paths, index, short, owned
+            self._stored[hub] = stored = paths, index, few, owned
         return stored[0]
 
-    def hub_losses(self, hub: int) -> tuple[int, dict[int, set[int]]]:
-        """(short, dead) for the stored u->hub paths under the installed
-        faults: dead[u] holds the indices i of u's paths
-        stored_paths(hub)[u][i] that cross a fault, and short counts the
-        u != hub with fewer than deg u live ones, the flows a hub check
-        into this hub may run.
+    def hub_losses(self, hub: int) -> dict[int, set[int]]:
+        """The vertices short of stored paths into the hub under the
+        installed faults: each u != hub with fewer than deg u live paths
+        in stored_paths(hub)[u], mapped to the indices i of its paths
+        stored_paths(hub)[u][i] that cross a fault. These are the flows a
+        hub check into this hub may run.
 
-        dead is filled from the edge index of each fault edge, so a path
-        through two faults is dead once. Only the vertices of dead paths
-        and the fault ends can change their short count, so nothing else
-        is looked at.
+        The dead paths come from the edge index of each fault edge, so a
+        path through two faults is dead once. A vertex with no dead path
+        keeps all its stored paths and its degree does not grow, so it is
+        short only if it is in `few`: the vertices with dead paths and
+        `few` are the only ones tested.
         """
         self.stored_paths(hub)
-        paths, index, short, _ = self._stored[hub]
+        paths, index, few, _ = self._stored[hub]
         dead: dict[int, set[int]] = {}
         for k in self.fault:
             for u, i in index[k]:
@@ -394,45 +396,45 @@ class UnitFlowEngine(DirectedFlow):
                     dead[u] = {i}
                 else:
                     gone.add(i)
-        deg, base, edges = self.degrees, self.base_degrees, self.edges
-        for u in dead.keys() | {x for k in self.fault for x in edges[k]}:
-            if u != hub:
-                have = len(paths[u])
-                short += ((have - len(dead.get(u, ())) < deg[u])
-                          - (have < base[u]))
-        return short, dead
+        deg = self.degrees
+        short = {}
+        for u in (*dead, *few):
+            gone = dead.get(u) or set()
+            if len(paths[u]) - len(gone) < deg[u]:
+                short[u] = gone
+        return short
 
-    def reroute(self, hub: int, u: int, dead_paths) -> list[tuple[int, ...]]:
-        """One mended trail for each path of `dead_paths` that can be
-        mended, in order; `dead_paths` are u's stored u->hub paths that
-        cross the installed faults F. Each fault arc a -> b on a path
-        becomes a -> x -> b through a common neighbour x of a and b whose
-        edges {a, x} and {x, b} are live, lie on none of u's stored paths
-        and on no detour taken before. A path is given up at its first
-        fault arc with no such detour. The trails walk live arcs from u to
-        the hub and share no edge with each other or with u's live paths
-        (see _campaign_exec.deficient_vertices).
+    def hub_start(self, hub: int, u: int, dead) -> list[tuple[int, ...]]:
+        """u's start into the hub under the installed faults F: its stored
+        u->hub paths but those of the indices `dead`, which cross F (as
+        hub_losses gives them), then one mended trail for each dead path
+        that can be mended, each list in stored order. The hub's paths
+        must be stored. Each fault arc a -> b on a dead path becomes
+        a -> x -> b through a common neighbour x of a and b whose edges
+        {a, x} and {x, b} are live, lie on none of u's stored paths and
+        on no detour taken before. A path is given up at its first fault
+        arc with no such detour. The trails walk live arcs from u to the
+        hub and share no edge (see _campaign_exec.deficient_vertices).
         """
+        paths, _, _, owned = self._stored[hub]
+        owned = owned[u]
         cap = self._template
-        owned = self._stored[hub][3][u]
-        live_detours = self._live_detours
-        mended = []
+        start, mended = [], []
         taken = set()           # the detour edges of the mended paths
-        for path in dead_paths:
+        for i, path in enumerate(paths[u]):
+            if i not in dead:
+                start.append(path)
+                continue
             trail = []
             mine = []           # this path's detour edges
             for a in path:
                 if cap[a]:
                     trail.append(a)
                     continue
-                ways = live_detours.get(a)
-                if ways is None:
-                    live_detours[a] = ways = [
-                        (p, q) for p, q in self._detours_of(a)
-                        if cap[p] and cap[q]]
-                for p, q in ways:
+                for p, q in self._detours_of(a):
                     e, f = p >> 1, q >> 1
-                    if (e not in owned and f not in owned and e not in taken
+                    if (cap[p] and cap[q] and e not in owned
+                            and f not in owned and e not in taken
                             and f not in taken and e not in mine
                             and f not in mine):
                         mine += (e, f)
@@ -443,7 +445,7 @@ class UnitFlowEngine(DirectedFlow):
             else:
                 taken.update(mine)
                 mended.append(tuple(trail))
-        return mended
+        return start + mended
 
     def _detours_of(self, a: int) -> tuple[tuple[int, int], ...]:
         """The (a -> x, x -> b) arc pairs of arc a from a to b, one per

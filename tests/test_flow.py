@@ -267,19 +267,16 @@ def mend_back(engine, cap, s, t, path, used):
 def mended_starts(engine, cap):
     """(s, t, start) for starts made of mended trails: first, per vertex
     u but the first hub, the hub check's start into that hub, u's live
-    stored paths then the dead ones UnitFlowEngine.reroute mends; then,
+    stored paths then the dead ones UnitFlowEngine.hub_start mends; then,
     per ordered pair, up to two depth-first paths mended back onto their
     own vertices and t."""
     hub = engine.hubs[0]
-    _, dead = engine.hub_losses(hub)
     paths = engine.stored_paths(hub)
+    live = live_paths(engine, hub)
     for u in range(engine.n):
         if u != hub:
-            gone = dead.get(u, ())
-            start = [p for i, p in enumerate(paths[u]) if i not in gone]
-            start += engine.reroute(hub, u,
-                                    [paths[u][i] for i in sorted(gone)])
-            yield u, hub, start
+            dead = {i for i, p in enumerate(paths[u]) if p not in live[u]}
+            yield u, hub, engine.hub_start(hub, u, dead)
     for s in range(engine.n):
         for t in range(engine.n):
             if s == t:

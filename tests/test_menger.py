@@ -306,6 +306,29 @@ class TestSmecUnderFaultsDifferential:
             assert fast == (u, v, max_edge_disjoint_paths(faulty, u, v).value,
                             min(faulty.degree(u), faulty.degree(v))), idx
 
+    def test_faulted_random_graphs_match_naive(self):
+        # bases that need not be SMEC, where some vertex may have fewer
+        # stored hub paths than its degree; 1-3 seeded faults per set
+        seen = {"holds": 0, "violates": 0}
+        for seed in range(60):
+            g = random_graph(seed)
+            m = len(g.edges)
+            if not m:
+                continue
+            engine = UnitFlowEngine(g.n_vertices, g.edges)
+            rng = SplitMix64(seed)
+            for _ in range(8):
+                k = 1 + rng.randbelow(min(3, m))
+                idx = tuple(rng.sample_indices(m, k))
+                engine.set_fault_indices(idx)
+                faulty = remove_edges(g, [g.edges[i] for i in idx])
+                holds, pair = naive_is_smec(faulty)
+                assert (not hub_deficits(engine)) == holds, (seed, idx)
+                hit = smec_violation(engine)
+                assert (hit[:2] if hit else None) == pair, (seed, idx)
+                seen["holds" if holds else "violates"] += 1
+        assert all(seen.values()), seen
+
     @staticmethod
     def _engine(kind, n):
         g = lgraph(kind, n, 1 if kind == "random" else None).graph
@@ -528,20 +551,19 @@ class TestHubChoice:
         untouched = [h for h in hubs if deg[h] == base[h]]
         short_of, live_of = {}, {}
         for h in hubs:
-            short, dead = engine.hub_losses(h)
+            short = engine.hub_losses(h)
             paths = engine.stored_paths(h)
             reference = live_paths(engine, h)
-            assert dead == {u: {i for i, p in enumerate(mine)
-                                if p not in reference[u]}
-                            for u, mine in enumerate(paths)
-                            if len(mine) > len(reference[u])}, (idx, h)
-            assert short == sum(len(reference[u]) < deg[u]
-                                for u in range(engine.n) if u != h), (idx, h)
+            assert short == {u: {i for i, p in enumerate(mine)
+                                 if p not in reference[u]}
+                             for u, mine in enumerate(paths)
+                             if u != h and len(reference[u]) < deg[u]}, \
+                (idx, h)
             seen["path_crosses_two_faults"] += any(
                 len({a >> 1 for a in paths[u][i]} & set(idx)) >= 2
-                for u, gone in dead.items() for i in gone)
+                for u, gone in short.items() for i in gone)
             short_of[h], live_of[h] = short, reference
-        shorts = [short_of[h] for h in untouched]
+        shorts = [len(short_of[h]) for h in untouched]
         flows = []
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
             flows.append((s, t, start)) or \
@@ -552,20 +574,20 @@ class TestHubChoice:
             del engine.max_flow
         if shorts:
             # each short vertex of the chosen hub starts from its live
-            # stored paths and the dead ones reroute mends; flows run from
-            # that whole start for exactly the vertices it leaves uncovered
+            # stored paths and the dead ones hub_start mends; flows run
+            # from that whole start for exactly the vertices it leaves
+            # uncovered
             chosen = untouched[shorts.index(min(shorts))]
             live, stored = live_of[chosen], engine.stored_paths(chosen)
             starts = {}
-            for u in range(engine.n):
-                if u != chosen and len(live[u]) < deg[u]:
-                    killed = [p for p in stored[u] if p not in live[u]]
-                    starts[u] = live[u] + (engine.reroute(chosen, u, killed)
-                                           if killed else [])
-                    problem = trail_problem(engine.edges, idx, u, chosen,
-                                            starts[u])
-                    assert problem is None, (idx, u, problem)
-            uncovered = [u for u, start in starts.items()
+            for u, dead in short_of[chosen].items():
+                starts[u] = engine.hub_start(chosen, u, dead)
+                assert starts[u][:len(live[u])] == live[u], (idx, u)
+                assert len(starts[u]) <= len(stored[u]), (idx, u)
+                problem = trail_problem(engine.edges, idx, u, chosen,
+                                        starts[u])
+                assert problem is None, (idx, u, problem)
+            uncovered = [u for u, start in sorted(starts.items())
                          if len(start) < deg[u]]
             assert flows == [(u, chosen, starts[u]) for u in uncovered], idx
             seen["covered"] += len(uncovered) < len(starts)
@@ -603,12 +625,13 @@ class TestHubChoice:
 
 class TestDetours:
     """Dead stored paths mended around their fault edges through live
-    common neighbours (UnitFlowEngine.reroute). Every short vertex's
-    start, its live stored paths then its mended ones, passes a checker
-    that reads the edge list alone; a vertex runs its flow, from that
-    whole start, exactly when the start holds fewer than deg u trails;
-    and the hub check's deficits equal those of flow-only runs, which
-    mend nothing, and the naive pairwise verdict."""
+    common neighbours (UnitFlowEngine.hub_start). The hub check builds a
+    start for exactly the vertices short of live stored paths; each
+    start, the vertex's live stored paths then its mended ones, passes a
+    checker that reads the edge list alone; a vertex runs its flow, from
+    that whole start, exactly when the start holds fewer than deg u
+    trails; and the hub check's deficits equal those of flow-only runs,
+    which mend nothing, and the naive pairwise verdict."""
 
     @staticmethod
     def _fault_sets(L, n):
@@ -633,10 +656,14 @@ class TestDetours:
         engine = UnitFlowEngine(g.n_vertices, g.edges)
         calls, flows = {}, {}
 
-        def reroute(r, u, dead_paths):
-            trails = UnitFlowEngine.reroute(engine, r, u, dead_paths)
-            calls[u] = r, dead_paths, trails
-            return trails
+        def hub_start(r, u, dead):
+            start = UnitFlowEngine.hub_start(engine, r, u, dead)
+            calls[u] = r, dead, start
+            return start
+
+        def live_only(r, u, dead):
+            return [p for i, p in enumerate(engine.stored_paths(r)[u])
+                    if i not in dead]
 
         def max_flow(s, t, cutoff=None, start=()):
             flows[s] = t, cutoff, start
@@ -651,18 +678,23 @@ class TestDetours:
             calls.clear()
             flows.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "reroute", reroute)
+                mp.setattr(engine, "hub_start", hub_start)
                 mp.setattr(engine, "max_flow", max_flow)
                 deficits = hub_deficits(engine)
             live_of = {}
-            for u, (r, dead_paths, trails) in calls.items():
+            for u, (r, dead, start) in calls.items():
                 if r not in live_of:
-                    live_of[r] = live_paths(engine, r)
+                    live_of[r] = scan = live_paths(engine, r)
+                    assert set(calls) == {
+                        x for x in range(g.n_vertices)
+                        if x != r and len(scan[x]) < faulty.degree(x)}, idx
                 live, need = live_of[r][u], faulty.degree(u)
                 stored = engine.stored_paths(r)[u]
-                assert dead_paths == [p for p in stored if p not in live], idx
+                assert dead == {i for i, p in enumerate(stored)
+                                if p not in live}, idx
                 assert len(live) < need, (idx, u)
-                start = live + trails
+                assert start[:len(live)] == live, (idx, u)
+                trails = start[len(live):]
                 problem = trail_problem(g.edges, idx, u, r, start)
                 assert problem is None, (idx, u, problem)
                 if len(start) >= need:
@@ -673,7 +705,7 @@ class TestDetours:
                     assert flows[u] == (r, need, start), (idx, u)
                     seen["partly_mended"] += bool(trails)
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "reroute", lambda *args: [])
+                mp.setattr(engine, "hub_start", live_only)
                 assert hub_deficits(engine) == deficits, idx
             seen["violating"] += bool(deficits)
             if i % step == 0:

@@ -256,9 +256,10 @@ def all_pairs_min_cut(engine) -> list[list[int]]:
 def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
     """Per vertex u, the stored u->hub paths that avoid the engine's
     installed faults, by a scan of every stored path: the reference for
-    dead[u], the indices of u's paths that UnitFlowEngine.hub_losses
-    finds dead through its edge index, and for the live paths that open
-    each start the hub check builds."""
+    UnitFlowEngine.hub_losses, which finds through its edge index the
+    vertices short of live paths and their dead paths' indices, and for
+    the live paths that open each start UnitFlowEngine.hub_start
+    builds."""
     dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
     return [[p for p in paths if dead.isdisjoint(p)]
             for paths in engine.stored_paths(hub)]
@@ -270,8 +271,8 @@ def trail_problem(edges, faults, u: int, r: int, trails) -> str | None:
     list `edges`: arc 2k runs edges[k][0] -> edges[k][1] and arc 2k + 1
     back; F is the edge indices `faults`. A trail may revisit a vertex,
     u and r included. Reads the edge list alone, no flow code: the oracle
-    for the hub check's starts, the live stored paths of u followed by
-    the trails UnitFlowEngine.reroute mends."""
+    for the hub check's starts, which UnitFlowEngine.hub_start builds
+    from the live stored paths of u followed by the trails it mends."""
     faulted = set(faults)
     taken = set()
     for trail in trails:
