@@ -29,12 +29,16 @@ and a minimum cut of it.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
-of the chunk is decided by its verdict alone: its hub check stops at the
-first deficient vertex and runs no pair scan and no min cut. The hub
-lemma makes that verdict the full check's, so the failure count cannot
-move. Each chunk still computes the witness of its own first failure, and
-_merge keeps it from the first chunk that has one: that is the stream's
-first failure, at any worker count.
+of the chunk is decided by its verdict alone. First pocket_fails looks
+for a small cut around a fault end of degree 1 or 2, the shape both
+sharp constructions leave; a hit fails the set with no hub work.
+Otherwise the hub check stops at the first deficient vertex. Neither
+runs a pair scan or a min cut. A pocket claims only failures that the
+hub check finds too, and the hub lemma makes the hub check's verdict
+the full check's, so the failure count cannot move. Each chunk still
+computes the witness of its own first failure, and _merge keeps it from
+the first chunk that has one: that is the stream's first failure, at
+any worker count.
 """
 
 from __future__ import annotations
@@ -135,6 +139,39 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
             flow = engine.max_flow(u, hub, need, start)
             if flow < need:
                 yield u, flow
+
+
+def pocket_fails(engine: UnitFlowEngine) -> bool:
+    """True when a pocket around a fault end proves H = G - F not SMEC,
+    for the faults F installed in the engine; False says nothing.
+
+    A pocket is S = N_H[x], the closed neighbourhood of a fault end x with
+    deg_H x in {1, 2}. Its cut is |delta_H(S)|, the sum of deg_H y over
+    y in S minus twice the live edges inside S, counted here as the live
+    arcs from S to the rest of H. Let d be the largest degree in S, held
+    by u. If |delta_H(S)| < d and some w outside S has deg_H w >= d, then
+    lambda_H(u, w) <= |delta_H(S)| < d = min(deg u, deg w), so (u, w)
+    violates and H is not SMEC: the hub check would find it too. The
+    2n-3 construction leaves such a pocket of two vertices (a dead end
+    and its neighbour), and the 4n-9 one a triangle; either cut has
+    2n-3 edges, one less than a full degree of L(HL_n).
+    """
+    deg = engine.degrees
+    # live arcs: the engine's residual template between queries is its
+    # fault mask, 1 on both arcs of a live edge and 0 on a faulted one
+    cap, head, adj = engine._template, engine.head, engine.adj
+    for k in engine.fault:
+        for x in engine.edges[k]:
+            if not 0 < deg[x] < 3:
+                continue
+            pocket = {x, *(head[a] for a in adj[x] if cap[a])}
+            cut = sum(1 for y in pocket for a in adj[y]
+                      if cap[a] and head[a] not in pocket)
+            d = max(deg[y] for y in pocket)
+            if cut < d and any(deg[w] >= d for w in range(engine.n)
+                               if w not in pocket):
+                return True
+    return False
 
 
 def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
@@ -355,8 +392,9 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
     """None when the fault set passes, else its failure witness. Component
     checks read the component index and have no engine; SMEC checks have
     an engine and no index. A failing SMEC set checked with `witness`
-    false gives {}: its check stops at the first deficient vertex, with
-    no pair scan and no min cut."""
+    false gives {}: a pocket's cut (pocket_fails) fails it with no hub
+    work, or else its hub check stops at the first deficient vertex,
+    with no pair scan and no min cut either way."""
     if kind == "component":
         size = largest_component_under_faults(index, idx)
         if size < floor:
@@ -369,7 +407,9 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
 
     engine.set_fault_indices(idx)
     if not witness:
-        return None if next(deficient_vertices(engine), None) is None else {}
+        failed = (pocket_fails(engine)
+                  or next(deficient_vertices(engine), None) is not None)
+        return {} if failed else None
     w = smec_witness(engine)
     if w is None:
         return None

@@ -481,7 +481,9 @@ class UnitFlowEngine(DirectedFlow):
                 v = head[a]
                 if v == t:
                     break
-                a = next(b for b in adj[v] if not cap[b])
+                for a in adj[v]:
+                    if not cap[a]:
+                        break
             paths.append(tuple(path))
         return paths
 

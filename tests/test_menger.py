@@ -20,7 +20,7 @@ from hlmenger import (
 )
 from hlmenger import _campaign_exec
 from hlmenger._campaign_exec import deficient_vertices, hub_deficits, \
-    smec_violation, smec_witness
+    pocket_fails, smec_violation, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
@@ -713,11 +713,85 @@ class TestDetours:
         assert all(seen.values()), seen
 
 
+class TestPocket:
+    """pocket_fails claims a failure only from a cut around a fault end of
+    degree 1 or 2: checked against smec_witness on suites and random sets,
+    and required to fire on both sharp constructions."""
+
+    @pytest.mark.parametrize("kind", [*NAMED_FAMILIES, "random"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_fires_only_where_the_witness_fails(self, kind, n):
+        L = lgraph(kind, n, 1 if kind == "random" else None)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        rng = SplitMix64(9100 + n)
+        sets = [*adversarial_fault_indices(L, 2 * n - 3),
+                *adversarial_fault_indices(L, 4 * n - 9)]
+        sets += [tuple(rng.sample_indices(len(g.edges),
+                                          1 + rng.randbelow(4 * n - 7)))
+                 for _ in range(300)]
+        seen = {"fired": 0, "passed": 0}
+        for idx in sets:
+            engine.set_fault_indices(idx)
+            fails = smec_witness(engine) is not None
+            if pocket_fails(engine):
+                assert fails, idx
+                seen["fired"] += 1
+            seen["passed"] += not fails
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("kind", [*NAMED_FAMILIES, "random"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fires_on_both_constructions(self, kind, n):
+        L = lgraph(kind, n, 1 if kind == "random" else None)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        index = {e: k for k, e in enumerate(g.edges)}
+        for tw in (tightness_unconditional(L), tightness_conditional(L)):
+            engine.set_fault_indices(sorted(index[e] for e in tw.fault_set))
+            assert pocket_fails(engine), tw.core
+
+    def test_needs_a_far_vertex_of_the_pocket_degree(self):
+        # path 0-1-2 with fault 0-3: the pocket {0, 1} of dead end 0 has
+        # one cut edge against deg 1 = 2, but no vertex outside it has
+        # degree 2, and the path is SMEC
+        g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        engine.set_fault_indices([g.edges.index((0, 3))])
+        assert smec_witness(engine) is None
+        assert not pocket_fails(engine)
+
+
 class TestVerdictOnly:
     """A chunk decides each set after its first failure by the verdict
-    alone: the hub check stops at its first deficient vertex, and no pair
-    scan or min cut runs. Checked per set against hub_deficits, and per
-    campaign against a loop that runs smec_witness on every set."""
+    alone: a pocket's cut fails it with no hub work, or else the hub check
+    stops at its first deficient vertex, and no pair scan or min cut runs.
+    Checked per set against hub_deficits, and per campaign against a loop
+    that runs smec_witness on every set."""
+
+    @staticmethod
+    def _wide_cuts(L, n):
+        """Sets that fail with no pocket. At n >= 4, for some base vertices
+        b, every edge from the line vertices at b but the last to line
+        vertices away from b: the clique at b keeps n - 1 edges out, fewer
+        than its last vertex's 2n - 2, while the stripped vertices keep
+        degree n - 1 >= 3 and the far fault ends lose at most two edges.
+        At n = 3, random sets of 2n faults, some of which fail through a
+        larger cut."""
+        g = L.graph
+        if n == 3:
+            rng = SplitMix64(3)
+            return [tuple(rng.sample_indices(len(g.edges), 2 * n))
+                    for _ in range(200)]
+        sets = []
+        for b in range(0, L.base.n_vertices, 5):
+            clique = {i for i, e in enumerate(L.edge_of_vertex) if b in e}
+            stripped = clique - {max(clique)}
+            sets.append(tuple(
+                k for k, (x, y) in enumerate(g.edges)
+                if (x in stripped and y not in clique)
+                or (y in stripped and x not in clique)))
+        return sets
 
     @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3), (5, 1)])
     def test_verdict_stops_at_the_first_deficient_vertex(self, n, seed,
@@ -729,17 +803,22 @@ class TestVerdictOnly:
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
             flows.append((s, t)) or \
             UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+        losses = []
+        engine.hub_losses = lambda hub: \
+            losses.append(hub) or UnitFlowEngine.hub_losses(engine, hub)
 
         def refused(*args):
             raise AssertionError("pair scan or min cut in a verdict check")
 
-        failing = 0
-        for idx in TestWitnessScanAgainstTree._fault_sets(L, engine, n):
+        seen = {"pocket": 0, "hub_check": 0}
+        for idx in [*TestWitnessScanAgainstTree._fault_sets(L, engine, n),
+                    *self._wide_cuts(L, n)]:
             engine.set_fault_indices(idx)
             flows.clear()
             deficits = hub_deficits(engine)
             every = flows[:]
             flows.clear()
+            losses.clear()
             with monkeypatch.context() as m:
                 m.setattr(_campaign_exec, "smec_violation", refused)
                 m.setattr(engine, "min_cut", refused)
@@ -748,22 +827,31 @@ class TestVerdictOnly:
             if not deficits:
                 assert out is None and flows == every, idx
                 continue
-            failing += 1
             assert out == {}, idx
+            if pocket_fails(engine):
+                # the pocket's cut fails the set before any hub work
+                seen["pocket"] += 1
+                assert not flows and not losses, idx
+                continue
+            seen["hub_check"] += 1
             u = min(deficits)
             # the verdict's flows are the hub check's, up to u's
             assert flows == every[:len(flows)] and flows[-1][0] == u, idx
             assert next(deficient_vertices(engine)) == (u, deficits[u]), idx
-        assert failing
+        assert all(seen.values()), seen
 
-    @pytest.mark.parametrize("kind,seed", [("random", 1), ("random", 2),
-                                           ("random", 3), ("crossed", None)])
-    def test_campaign_matches_a_witness_for_every_set(self, kind, seed,
+    @pytest.mark.parametrize("kind,seed,m,conditional", [
+        ("random", 1, 5, False), ("random", 2, 5, False),
+        ("random", 3, 5, False), ("crossed", None, 5, False),
+        # one past 4n - 10 with min degree 2: the pockets are triangles
+        ("crossed", None, 7, True)])
+    def test_campaign_matches_a_witness_for_every_set(self, kind, seed, m,
+                                                      conditional,
                                                       monkeypatch):
         L = lgraph(kind, 4, seed)
         g = L.graph
-        c = FaultCampaign(mode="sampled", m=5, samples=60, seed=seed or 1,
-                          adversarial=True)
+        c = FaultCampaign(mode="sampled", m=m, conditional=conditional,
+                          samples=60, seed=seed or 1, adversarial=True)
         streams = []
         evaluate = _campaign_exec.evaluate_stream
 
@@ -783,20 +871,26 @@ class TestVerdictOnly:
         sets = streams[0]
         assert streams[1] == sets
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        failed, first = [], None
+        failed, first, pockets = [], None, 0
         for idx in sets:
             engine.set_fault_indices(idx)
             w = smec_witness(engine)
             failed.append(w is not None)
+            if pocket_fails(engine):
+                assert w is not None, idx
+                pockets += 1
             if w is not None and first is None:
                 first = {"fault_edges": [list(g.edges[k]) for k in idx],
                          **w.to_dict()}
         chunks = [failed[i:i + 7] for i in range(0, len(failed), 7)]
         assert sum(any(ch) for ch in chunks) >= 3
         assert any(sum(ch) >= 2 for ch in chunks)
+        assert pockets
+        skipped = solo.counts["skipped_conditional"]
+        assert bool(skipped) == conditional
         for report in (solo, parallel):
             assert report.counts == {"visited": len(sets),
-                                     "skipped_conditional": 0,
+                                     "skipped_conditional": skipped,
                                      "failures": sum(failed)}
             assert report.witness == first
         assert solo.canonical_json() == parallel.canonical_json()
