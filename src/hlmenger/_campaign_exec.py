@@ -22,23 +22,31 @@ whose far end closed joins what is left of each component of G. So a
 set that splits nothing usually costs a few lookups per fault edge and
 no search, not a pass over every edge (Even and Shiloach 1981).
 
-Per fault set F the SMEC decision is the hub check, deficient_vertices,
-whose docstring describes it with its proof; smec_violation and
-smec_witness turn its deficient vertices into the first violating pair
-and a minimum cut of it.
+Per fault set F the SMEC verdict comes from the small sides on the base
+network when the campaign has a line graph L(H) of an HL network with
+kappa(H) > mu (smallsides, whose module docstring holds the proof): the
+parent hands (L, m) to the workers, and each builds smallsides.layout
+on its first set, so a campaign of no sets builds none and checks no
+kappa. smallsides.fails then decides every set with no flow. Otherwise
+(kappa(H) <= mu, n <= 2, or a graph with no HL base) the verdict is the
+hub check, deficient_vertices, whose docstring describes it with its
+proof. Either way a failing set that needs a witness runs smec_witness,
+whose smec_violation turns the hub check's deficient vertices into the
+first violating pair, cut by a minimum cut: the witness is a fact of
+G - F, whichever path gave the verdict.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
 of the chunk is decided by its verdict alone. First pocket_fails looks
 for a small cut around a fault end of degree 1 or 2, the shape both
-sharp constructions leave; a hit fails the set with no hub work.
-Otherwise the hub check stops at the first deficient vertex. Neither
-runs a pair scan or a min cut. A pocket claims only failures that the
-hub check finds too, and the hub lemma makes the hub check's verdict
-the full check's, so the failure count cannot move. Each chunk still
-computes the witness of its own first failure, and _merge keeps it from
-the first chunk that has one: that is the stream's first failure, at
-any worker count.
+sharp constructions leave; a hit fails the set with no further work.
+Otherwise the small sides decide it or, without a layout, the hub check
+stops at the first deficient vertex. None of them runs a pair scan or a
+min cut. A pocket claims only failures that the hub check finds too, and
+the small sides and the hub lemma each give the full check's verdict, so
+the failure count cannot move. Each chunk still computes the witness of
+its own first failure, and _merge keeps it from the first chunk that
+has one: that is the stream's first failure, at any worker count.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from itertools import islice
 from multiprocessing import Pool
 from typing import Callable, Iterator, Optional
 
+from . import smallsides
 from .flow import UnitFlowEngine
 from .graph import Edge, Graph, components, incidence
 
@@ -386,15 +395,18 @@ def largest_component_under_faults(index: tuple, fault_idx) -> int:
     return best
 
 
-def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
+def _evaluate_one(engine: Optional[UnitFlowEngine], index,
                   edges, idx, kind: str, floor: int,
                   witness: bool) -> Optional[dict]:
     """None when the fault set passes, else its failure witness. Component
     checks read the component index and have no engine; SMEC checks have
-    an engine and no index. A failing SMEC set checked with `witness`
-    false gives {}: a pocket's cut (pocket_fails) fails it with no hub
-    work, or else its hub check stops at the first deficient vertex,
-    with no pair scan and no min cut either way."""
+    an engine, and as index the small-side layout (smallsides.layout) or
+    None when there is none. A failing SMEC set checked with `witness`
+    false gives {}: a pocket's cut (pocket_fails) fails it with no
+    further work, or else smallsides.fails decides it with no flow or,
+    without a layout, its hub check stops at the first deficient vertex;
+    no pair scan and no min cut runs either way. A set checked with
+    `witness` runs smec_witness unless the small sides pass it."""
     if kind == "component":
         size = largest_component_under_faults(index, idx)
         if size < floor:
@@ -407,11 +419,16 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index: Optional[tuple],
 
     engine.set_fault_indices(idx)
     if not witness:
-        failed = (pocket_fails(engine)
-                  or next(deficient_vertices(engine), None) is not None)
+        failed = pocket_fails(engine) or (
+            smallsides.fails(index, idx, engine.degrees) if index is not None
+            else next(deficient_vertices(engine), None) is not None)
         return {} if failed else None
+    if index is not None and not smallsides.fails(index, idx, engine.degrees):
+        return None
     w = smec_witness(engine)
     if w is None:
+        if index is not None:
+            raise RuntimeError("small sides and hub check disagree")
         return None
     return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
@@ -423,7 +440,13 @@ def _init_worker(n, edges, kind, floor, index):
 
 
 def _run_chunk(chunk):
+    global _WORKER_STATE
     engine, index, edges, kind, floor = _WORKER_STATE
+    if kind == "smec" and isinstance(index, tuple):
+        # this worker's first SMEC set: the (L, m) source becomes the
+        # small-side layout, or None where it would not be exact
+        index = smallsides.layout(*index)
+        _WORKER_STATE = (engine, index, edges, kind, floor)
     failures = 0
     first = None
     for idx in chunk:
@@ -447,15 +470,18 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
 
 def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
                     jobs: int,
-                    progress: Optional[Callable[[], None]] = None
-                    ) -> Optional[dict]:
+                    progress: Optional[Callable[[], None]] = None,
+                    sides: Optional[tuple] = None) -> Optional[dict]:
     """Evaluate every fault set; returns the first-in-order failure witness.
     At most os.cpu_count() worker processes start, whatever `jobs` asks
     for, and one job runs in process. `progress`, when given, is called
-    after each chunk's tallies are merged into counters."""
+    after each chunk's tallies are merged into counters. `sides` is
+    (L, m), g = L.graph, which SMEC checks read: each worker builds
+    smallsides.layout(L, m) on its first set, so a campaign of no sets
+    builds none."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
-    index = component_index(g) if kind == "component" else None
+    index = component_index(g) if kind == "component" else sides
     initargs = (g.n_vertices, g.edges, kind, floor, index)
     chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:

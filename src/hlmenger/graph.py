@@ -239,8 +239,11 @@ def split_network(g: Graph) -> DirectedFlow:
     return net
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(g: Graph, cap: Optional[int] = None) -> int:
     """Exact kappa(G) via vertex splitting; 0 for disconnected graphs.
+    With `cap`, min(kappa(G), cap): every flow below is capped at best,
+    and best starts at min(delta, cap), so a caller that only asks
+    whether kappa reaches some value runs fewer and smaller flows.
 
     Local vertex connectivity between non-adjacent u, v is the max flow
     from u_out to v_in in split_network(g) (Even and Tarjan 1975). Its
@@ -252,8 +255,9 @@ def vertex_connectivity(g: Graph) -> int:
     the arc unless it runs from the source into the sink, and that arc
     would need the edge {u, v}, which non-adjacency excludes.
 
-    Take v0 of minimum degree delta; kappa <= best = delta. Two kinds of
-    flow, each capped at best, lower best:
+    Take v0 of minimum degree delta; kappa <= best = delta, or
+    best = min(delta, cap) with a cap. Two kinds of flow, each capped at
+    best, lower best:
     - Pairs (Esfahanian and Hakimi, Networks 14, 1984): kappa(x, y) for
       each non-adjacent pair of v0's neighbours.
     - Prefix fans (Even, SIAM J. Comput. 4, 1975): order the vertices
@@ -276,16 +280,17 @@ def vertex_connectivity(g: Graph) -> int:
     x are distinct later vertices, so none is an earlier w; and every
     w's source arc is open, as v or x is a later neighbour of w.
 
-    Exactness. No flow is below kappa: a pair flow is min(kappa(x, y),
-    best). A fan's minimum cut is a vertex set T, without v, that meets
-    every path from an earlier vertex to v. If T holds every earlier
-    vertex, |T| >= delta + 1 > best, as v0 and N(v0) come first.
-    Otherwise T separates some earlier w from v, w is not adjacent to v,
-    and |T| >= kappa(w, v) >= kappa. And some flow reaches kappa when
-    kappa < delta. Take a minimum separator S. If v0 is in S, v0 has a
-    neighbour in every component of G - S, or S - v0 would separate;
-    two of them, in different components, are a non-adjacent pair that
-    S separates.
+    Exactness. No flow is below min(kappa, best): a pair flow is
+    min(kappa(x, y), best). A fan's minimum cut is a vertex set T,
+    without v, that meets every path from an earlier vertex to v. If T
+    holds every earlier vertex, |T| >= delta + 1 > best, as v0 and N(v0)
+    come first. Otherwise T separates some earlier w from v, w is not
+    adjacent to v, and |T| >= kappa(w, v) >= kappa. And when
+    kappa < delta some flow is at most kappa, so the result is
+    min(kappa, delta, cap) = min(kappa, cap). Take a minimum separator
+    S. If v0 is in S, v0 has a neighbour in every component of G - S, or
+    S - v0 would separate; two of them, in different components, are a
+    non-adjacent pair that S separates.
     If v0 is not in S, let C be v0's component of G - S and v the first
     vertex in the order outside C and S. It exists, it comes after
     N(v0), which lies in C and S, and every earlier vertex lies in C or
@@ -295,14 +300,14 @@ def vertex_connectivity(g: Graph) -> int:
     if n <= 1 or not is_connected(g):
         return 0
     if len(g.edges) == n * (n - 1) // 2:
-        return n - 1
+        return n - 1 if cap is None else min(n - 1, cap)
 
     net = split_network(g)
     source = 2 * n
     first = 2 * (n + 2 * len(g.edges))       # the source arc of vertex 0
     adj = g._adj
     v0 = min(range(n), key=g.degree)
-    best = len(adj[v0])
+    best = len(adj[v0]) if cap is None else min(len(adj[v0]), cap)
     for x, y in combinations(adj[v0], 2):
         if not g.has_edge(x, y):
             best = min(best, net.max_flow(x + n, y, best))

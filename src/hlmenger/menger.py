@@ -16,10 +16,14 @@ is built from those indices alone.
 fault budget or construction size, component floor and the dimensions it
 holds for; the CLI, the constructions and the tests read it.
 
-All path counts are exact. Per fault set F the verdict comes from the
-SMEC hub check, _campaign_exec.deficient_vertices, which describes it
-with its proof, and a campaign computes a witness only for each
-evaluation chunk's first failing set (see _campaign_exec).
+All path counts are exact. Per fault set F of a campaign on L(HL_n) the
+verdict comes from the small sides of L - F on the base network
+(smallsides.fails, no flow) whenever kappa(HL_n) > mu at the campaign's
+budget; otherwise, and in is_smec, from the SMEC hub check,
+_campaign_exec.deficient_vertices. Each module describes its check with
+its proof. A campaign computes a witness, by the hub check and a minimum
+cut, only for each evaluation chunk's first failing set (see
+_campaign_exec).
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
 neighbouring far vertices confirm that they share its cut. Each of those
@@ -178,7 +182,9 @@ def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]
       neighbors (a near-isolating split, leaving only the v-u link), the
       pattern of the 2n-3 construction (tightness_unconditional);
     * for every triangle and vertex assignment (u, u1, u2): the 4n-9
-      pattern of the conditional construction (_triangle_faults);
+      pattern of the conditional construction (_triangle_faults), which
+      has deg u1 + deg u2 - 5 edges, so no triangle is listed when twice
+      the minimum degree less 5 passes the budget;
     * every contiguous window of `budget` f-incident edges, when the line
       graph knows its f-vertices.
     Every pattern comes as ascending edge indices read off incidence(g),
@@ -207,11 +213,12 @@ def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]
             for u in at_v:
                 push(_strip(inc, v, (u,))[:budget])
 
-    for triangle in _triangles(inc):
-        for u, u1, u2 in permutations(triangle):
-            faults = _triangle_faults(inc, u, u1, u2)
-            if faults is not None:
-                push(faults)
+    if 2 * g.min_degree() - 5 <= budget:
+        for triangle in _triangles(inc):
+            for u, u1, u2 in permutations(triangle):
+                faults = _triangle_faults(inc, u, u1, u2)
+                if faults is not None:
+                    push(faults)
 
     if L.f_vertices and budget >= 1:
         fv = L.f_vertices
@@ -328,7 +335,7 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
                      time.perf_counter() - started)
     witness = _exec.evaluate_stream(
         g, chain(admit(adversarial), sweep), kind, floor, counters, jobs,
-        on_chunk)
+        on_chunk, (L, c.m))
 
     if target is None:
         target = {"line_vertices": g.n_vertices, "line_edges": n_edges}

@@ -12,13 +12,14 @@ from hlmenger import (
     check_tightness,
     is_smec,
     largest_component_size,
+    line_graph,
     max_edge_disjoint_paths,
     remove_edges,
     run_campaign,
     tightness_conditional,
     tightness_unconditional,
 )
-from hlmenger import _campaign_exec
+from hlmenger import _campaign_exec, menger, smallsides
 from hlmenger._campaign_exec import deficient_vertices, hub_deficits, \
     pocket_fails, smec_violation, smec_witness
 from hlmenger.flow import UnitFlowEngine
@@ -764,10 +765,12 @@ class TestPocket:
 
 class TestVerdictOnly:
     """A chunk decides each set after its first failure by the verdict
-    alone: a pocket's cut fails it with no hub work, or else the hub check
-    stops at its first deficient vertex, and no pair scan or min cut runs.
-    Checked per set against hub_deficits, and per campaign against a loop
-    that runs smec_witness on every set."""
+    alone. With a small-side layout, smallsides.fails decides it with no
+    flow and no hub work (a pocket may fail it first). Without one, a
+    pocket's cut fails it with no hub work, or else the hub check stops
+    at its first deficient vertex. No pair scan or min cut runs either
+    way. Checked per set against hub_deficits, and per campaign against
+    a loop that runs smec_witness on every set."""
 
     @staticmethod
     def _wide_cuts(L, n):
@@ -796,6 +799,11 @@ class TestVerdictOnly:
     @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3), (5, 1)])
     def test_verdict_stops_at_the_first_deficient_vertex(self, n, seed,
                                                          monkeypatch):
+        """Each set is checked as a campaign with m = |F| would check it:
+        with smallsides.layout(L, |F|), which at n = 3 always refuses
+        (kappa(H) = 3 <= mu once |F| >= 3) and at n >= 4 refuses the
+        larger sets. A set with a layout runs no flow and no hub_losses;
+        a set without one keeps the hub check's rule."""
         L = lgraph("random", n, seed)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
@@ -810,9 +818,11 @@ class TestVerdictOnly:
         def refused(*args):
             raise AssertionError("pair scan or min cut in a verdict check")
 
-        seen = {"pocket": 0, "hub_check": 0}
+        seen = {"decided_fail": 0, "decided_pass": 0, "pocket": 0,
+                "hub_check": 0}
         for idx in [*TestWitnessScanAgainstTree._fault_sets(L, engine, n),
                     *self._wide_cuts(L, n)]:
+            layout = smallsides.layout(L, len(idx))
             engine.set_fault_indices(idx)
             flows.clear()
             deficits = hub_deficits(engine)
@@ -823,11 +833,16 @@ class TestVerdictOnly:
                 m.setattr(_campaign_exec, "smec_violation", refused)
                 m.setattr(engine, "min_cut", refused)
                 out = _campaign_exec._evaluate_one(
-                    engine, None, g.edges, idx, "smec", 0, False)
-            if not deficits:
-                assert out is None and flows == every, idx
+                    engine, layout, g.edges, idx, "smec", 0, False)
+            assert out == ({} if deficits else None), idx
+            if layout is not None:
+                # the small sides settle the set: no flow, no hub work
+                seen["decided_fail" if deficits else "decided_pass"] += 1
+                assert not flows and not losses, idx
                 continue
-            assert out == {}, idx
+            if not deficits:
+                assert flows == every, idx
+                continue
             if pocket_fails(engine):
                 # the pocket's cut fails the set before any hub work
                 seen["pocket"] += 1
@@ -838,7 +853,9 @@ class TestVerdictOnly:
             # the verdict's flows are the hub check's, up to u's
             assert flows == every[:len(flows)] and flows[-1][0] == u, idx
             assert next(deficient_vertices(engine)) == (u, deficits[u]), idx
-        assert all(seen.values()), seen
+        decided = seen["decided_fail"] + seen["decided_pass"]
+        assert seen["pocket"] and seen["hub_check"], seen
+        assert all(seen.values()) if n >= 4 else not decided, seen
 
     @pytest.mark.parametrize("kind,seed,m,conditional", [
         ("random", 1, 5, False), ("random", 2, 5, False),
@@ -972,6 +989,31 @@ class TestAdversarialFaultSets:
         if n >= BOUNDS["tight-cond"].min_n:
             assert tightness_conditional(L).fault_set == \
                 reference_tightness_faults(L, True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_triangles_are_listed_only_when_a_pattern_fits(self, seed,
+                                                           monkeypatch):
+        """A triangle pattern has deg u1 + deg u2 - 5 edges, so no triangle
+        is listed below twice the minimum degree less 5; the suite equals
+        the reference on both sides of that budget, on L(HL_4), L(HL_5)
+        (4n - 10 and 4n - 9) and line graphs of random graphs of mixed
+        degrees."""
+        listed = []
+        triangles = menger._triangles
+        monkeypatch.setattr(menger, "_triangles", lambda inc:
+                            listed.append(1) or triangles(inc))
+        kind = NAMED_FAMILIES[seed % len(NAMED_FAMILIES)]
+        for L in (lgraph(kind, 4 + seed % 2),
+                  line_graph(random_graph(seed, max_vertices=8,
+                                          max_edges=16))):
+            g = L.graph
+            fits = 2 * g.min_degree() - 5
+            for budget in range(max(0, fits - 1),
+                                min(fits + 1, len(g.edges)) + 1):
+                listed.clear()
+                assert adversarial_fault_indices(L, budget) == \
+                    reference_suite(L, budget), budget
+                assert bool(listed) == (budget >= fits), budget
 
     def test_budget_zero_is_empty_set_only(self):
         assert adversarial_fault_indices(lgraph("hypercube", 3), 0) == [()]

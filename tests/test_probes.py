@@ -91,12 +91,26 @@ def test_every_kappa_flow_goes_through_directed_max_flow(monkeypatch):
 
 
 def test_smec_campaign_makes_no_directed_flow(monkeypatch, capsys):
-    """A SMEC campaign's flows are all unit flows: none reaches
-    DirectedFlow.max_flow, where the benchmark counts kappa's."""
+    """A SMEC campaign with a small-side layout runs no unit flow on these
+    passing sets, and its directed flows are exactly those of one capped
+    vertex_connectivity on the base network, the layout's kappa check:
+    none runs on the line graph. At n = 4, m = 4n - 10 = 6 the check is
+    kappa(H) >= mu + 1 = 4."""
+    L = lgraph("crossed", 4)
     calls = count_flows(monkeypatch)
+    assert vertex_connectivity(L.base, 4) == 4
+    kappa = calls.copy()
+    calls.clear()
+    nodes = []
+    directed = flow.DirectedFlow.max_flow
+    monkeypatch.setattr(flow.DirectedFlow, "max_flow", lambda net, *args:
+                        nodes.append(len(net.adj)) or directed(net, *args))
     code = main(["verify", "--check", "cond-ft-smec", "--family", "crossed",
                  "--n", "4", "--mode", "sample", "--samples", "20",
                  "--adversarial"])
     capsys.readouterr()
     assert code == 0
-    assert calls["directed"] == 0 and calls["unit"] > 0, calls
+    assert calls["unit"] == 0 and calls["directed"] == kappa["directed"] > 0, \
+        (calls, kappa)
+    # the split network of the 16-vertex base, not of the 32-vertex L
+    assert set(nodes) == {2 * L.base.n_vertices + 1}, nodes

@@ -123,6 +123,21 @@ def test_faulted_line_graphs(n):
         check(g, naive=n == 3)
 
 
+@pytest.mark.parametrize("first", range(0, 120, 40))
+def test_cap_gives_the_smaller_of_kappa_and_the_cap(first):
+    """vertex_connectivity(g, cap) == min(kappa, cap) for every cap from 0
+    to one past the minimum degree, on random and bottleneck graphs."""
+    seen = Counter()
+    for g in (*random_graphs(range(first, first + 40)),
+              *bottleneck_graphs(range(first, first + 10))):
+        kappa = naive_vertex_connectivity(g)
+        for cap in range(g.min_degree() + 2):
+            assert vertex_connectivity(g, cap) == min(kappa, cap), \
+                (g.n_vertices, g.edges, cap)
+            seen["capped" if cap < kappa else "exact"] += 1
+    assert seen["capped"] and seen["exact"], seen
+
+
 def test_both_separator_cases_occur():
     cases = Counter(
         separator_case(g, eh_vertex_connectivity(g))
