@@ -27,7 +27,8 @@ network when the campaign has a line graph L(H) of an HL network with
 kappa(H) > mu (smallsides, whose module docstring holds the proof): the
 parent hands (L, m) to the workers, and each builds smallsides.layout
 on its first set, so a campaign of no sets builds none and checks no
-kappa. smallsides.fails then decides every set with no flow. Otherwise
+kappa. smallsides.fails then decides every set from F alone, with no
+flow and without installing F in the flow engine. Otherwise
 (kappa(H) <= mu, n <= 2, or a graph with no HL base) the verdict is the
 hub check, deficient_vertices, whose docstring describes it with its
 proof. Either way a failing set that needs a witness runs smec_witness,
@@ -37,16 +38,17 @@ G - F, whichever path gave the verdict.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
-of the chunk is decided by its verdict alone. First pocket_fails looks
-for a small cut around a fault end of degree 1 or 2, the shape both
-sharp constructions leave; a hit fails the set with no further work.
-Otherwise the small sides decide it or, without a layout, the hub check
-stops at the first deficient vertex. None of them runs a pair scan or a
-min cut. A pocket claims only failures that the hub check finds too, and
-the small sides and the hub lemma each give the full check's verdict, so
-the failure count cannot move. Each chunk still computes the witness of
-its own first failure, and _merge keeps it from the first chunk that
-has one: that is the stream's first failure, at any worker count.
+of the chunk is decided by its verdict alone: by the small sides where
+there is a layout, and otherwise first by pocket_fails, which looks for
+a small cut around a fault end of degree 1 or 2, the shape both sharp
+constructions leave, and fails the set on a hit with no further work,
+then by the hub check, stopped at the first deficient vertex. None of
+them runs a pair scan or a min cut. A pocket claims only failures that
+the hub check finds too, and the small sides and the hub lemma each
+give the full check's verdict, so the failure count cannot move. Each
+chunk still computes the witness of its own first failure, and _merge
+keeps it from the first chunk that has one: that is the stream's first
+failure, at any worker count.
 """
 
 from __future__ import annotations
@@ -401,12 +403,13 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
     """None when the fault set passes, else its failure witness. Component
     checks read the component index and have no engine; SMEC checks have
     an engine, and as index the small-side layout (smallsides.layout) or
-    None when there is none. A failing SMEC set checked with `witness`
-    false gives {}: a pocket's cut (pocket_fails) fails it with no
-    further work, or else smallsides.fails decides it with no flow or,
-    without a layout, its hub check stops at the first deficient vertex;
-    no pair scan and no min cut runs either way. A set checked with
-    `witness` runs smec_witness unless the small sides pass it."""
+    None when there is none. With a layout, smallsides.fails decides the
+    set from F alone, with no flow and without installing F in the
+    engine; only a failing set checked with `witness` runs smec_witness.
+    Without one, a failing set checked with `witness` false gives {}: a
+    pocket's cut (pocket_fails) fails it with no further work, or else
+    its hub check stops at the first deficient vertex; no pair scan and
+    no min cut runs either way."""
     if kind == "component":
         size = largest_component_under_faults(index, idx)
         if size < floor:
@@ -417,14 +420,16 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
             }
         return None
 
+    if index is not None:
+        if not smallsides.fails(index, idx):
+            return None
+        if not witness:
+            return {}
     engine.set_fault_indices(idx)
     if not witness:
-        failed = pocket_fails(engine) or (
-            smallsides.fails(index, idx, engine.degrees) if index is not None
-            else next(deficient_vertices(engine), None) is not None)
+        failed = pocket_fails(engine) or \
+            next(deficient_vertices(engine), None) is not None
         return {} if failed else None
-    if index is not None and not smallsides.fails(index, idx, engine.degrees):
-        return None
     w = smec_witness(engine)
     if w is None:
         if index is not None:
@@ -433,20 +438,20 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
     return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
 
-def _init_worker(n, edges, kind, floor, index):
+def _init_worker(n, edges, kind, floor, index, sides):
     global _WORKER_STATE
     engine = UnitFlowEngine(n, edges) if kind == "smec" else None
-    _WORKER_STATE = (engine, index, edges, kind, floor)
+    _WORKER_STATE = (engine, index, sides, edges, kind, floor)
 
 
 def _run_chunk(chunk):
     global _WORKER_STATE
-    engine, index, edges, kind, floor = _WORKER_STATE
-    if kind == "smec" and isinstance(index, tuple):
+    engine, index, sides, edges, kind, floor = _WORKER_STATE
+    if sides is not None:
         # this worker's first SMEC set: the (L, m) source becomes the
         # small-side layout, or None where it would not be exact
-        index = smallsides.layout(*index)
-        _WORKER_STATE = (engine, index, edges, kind, floor)
+        index = smallsides.layout(*sides)
+        _WORKER_STATE = (engine, index, None, edges, kind, floor)
     failures = 0
     first = None
     for idx in chunk:
@@ -476,13 +481,13 @@ def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
     At most os.cpu_count() worker processes start, whatever `jobs` asks
     for, and one job runs in process. `progress`, when given, is called
     after each chunk's tallies are merged into counters. `sides` is
-    (L, m), g = L.graph, which SMEC checks read: each worker builds
+    (L, m), g = L.graph, given to SMEC checks only: each worker builds
     smallsides.layout(L, m) on its first set, so a campaign of no sets
     builds none."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
-    index = component_index(g) if kind == "component" else sides
-    initargs = (g.n_vertices, g.edges, kind, floor, index)
+    index = component_index(g) if kind == "component" else None
+    initargs = (g.n_vertices, g.edges, kind, floor, index, sides)
     chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:
         _init_worker(*initargs)

@@ -335,7 +335,7 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
                      time.perf_counter() - started)
     witness = _exec.evaluate_stream(
         g, chain(admit(adversarial), sweep), kind, floor, counters, jobs,
-        on_chunk, (L, c.m))
+        on_chunk, (L, c.m) if kind == "smec" else None)
 
     if target is None:
         target = {"line_vertices": g.n_vertices, "line_edges": n_edges}

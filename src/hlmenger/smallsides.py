@@ -80,20 +80,22 @@ from .linegraph import LineGraph
 
 class Layout:
     """The base layout of a campaign on L = L(H): H's degree n and
-    adjacency, the host at[k] of each edge k of L (the base vertex its two
-    ends share), the ends of each edge of L, and the map from base edge to
-    line vertex. It depends on L alone; layout() builds it once the
-    campaign's kappa check has passed."""
+    adjacency, L's adjacency, the host at[k] of each edge k of L (the
+    base vertex its two ends share), the ends of each edge of L, and the
+    maps between base edges and line vertices. It depends on L alone;
+    layout() builds it once the campaign's kappa check has passed."""
 
-    __slots__ = ("n", "adj", "at", "ends", "vertex")
+    __slots__ = ("n", "adj", "line_adj", "at", "ends", "vertex", "edge")
 
     def __init__(self, L: LineGraph):
         base = L.base
         self.n = L.base_dimension
         self.adj = tuple(base.neighbors(u) for u in range(base.n_vertices))
+        self.line_adj = tuple(map(L.graph.neighbors,
+                                  range(L.graph.n_vertices)))
         self.vertex = L.vertex_of_edge
+        self.edge = be = L.edge_of_vertex
         self.ends = L.graph.edges
-        be = L.edge_of_vertex
         self.at = [be[x][0] if be[x][0] in be[y] else be[x][1]
                    for x, y in self.ends]
 
@@ -117,7 +119,7 @@ def layout(L: LineGraph, m: int) -> Optional[Layout]:
 
 def connected_edge_sets(adj: Sequence[Sequence[int]], roots: Sequence[int],
                         size: int, weight: Sequence[int], cap: int,
-                        gain: Sequence[int] = (), need: int = 0
+                        gain: Sequence[int], need: int
                         ) -> Iterator[tuple[tuple[int, ...], list[Edge]]]:
     """Yield (M, X) once for each connected edge set X of the graph with
     adjacency `adj` whose vertex set is M, for every M of 2 to `size`
@@ -143,7 +145,7 @@ def connected_edge_sets(adj: Sequence[Sequence[int]], roots: Sequence[int],
         rank[v] = i
     gains = [0] * len(adj)
     top = [0]                  # top[j]: the gains of roots[:j], summed
-    for v, g in zip(roots, gain or [0] * n_roots):
+    for v, g in zip(roots, gain):
         gains[v] = g
         top.append(top[-1] + g)
     top += [top[-1]] * size
@@ -197,51 +199,73 @@ def _spanning(adj, verts: tuple[int, ...]) -> Iterator[list[Edge]]:
             yield chosen
 
 
-def fails(layout: Layout, fault_idx: Sequence[int],
-          degrees: Sequence[int]) -> bool:
+def fails(layout: Layout, fault_idx: Sequence[int]) -> bool:
     """True iff L' = L - F is not SMEC, F the edges of L with indices
-    fault_idx and degrees the degrees of L', for a layout that
-    layout(L, m) gave with m >= |F|: iff some connected edge set X of H
-    spanning at most mu base vertices, at most one of them hosting no
-    fault, has |delta'(X)| < min(max deg' in X, max deg' outside X). The
-    module docstring holds the proof, the bound on the fault-free
-    vertices and the fault-count filter that passes most sets first.
+    fault_idx, for a layout that layout(L, m) gave with m >= |F|: iff
+    some connected edge set X of H spanning at most mu base vertices, at
+    most one of them hosting no fault, has |delta'(X)| < min(max deg' in
+    X, max deg' outside X). The module docstring holds the proof, the
+    bound on the fault-free vertices and the fault-count filter that
+    passes most sets first.
 
-    The search grows M from the fault hosts, ranked first, and keeps only
-    the M whose hosted faults number 2n - 3 or more. Each X is charged
-    exactly: |delta_L(X)| = sum of t_u (n - t_u) over M, less the faults
-    hosted in M with one end in X (a fault hosted outside M has no end
-    in X, whose edges lie in H[M])."""
+    Degrees come from F alone: deg' y is 2n - 2 less the faults at y, so
+    the largest degree outside X is 2n - 2 when more line vertices have
+    no fault than X holds. Each X is charged exactly: |delta'(X)| is
+    |delta_L(X)|, the sum of t_u (n - t_u) over the base vertices u of
+    X, less the faults hosted at them with one end in X (a fault hosted
+    elsewhere has no end in X). By the reduction any X that passes the
+    test proves L' is not SMEC, so other sets may be tried first: each
+    fault end y of deg' 1 or 2 offers its pocket, y with its live
+    neighbours, the side that both sharp constructions leave. Then the
+    search grows M from the fault hosts, ranked first, and keeps only the
+    M whose hosted faults number 2n - 3 or more."""
     n = layout.n
     slack = 2 * n - 3          # a violating cut is at most this
-    at, ends = layout.at, layout.ends
+    top = slack + 1            # 2n - 2, every degree of L
+    at, ends, edge = layout.at, layout.ends, layout.edge
     hosted: dict[int, list[Edge]] = {}
     for k in fault_idx:
         hosted.setdefault(at[k], []).append(ends[k])
     mu = (slack + len(fault_idx)) // (n - 1)
     if sum(sorted(map(len, hosted.values()), reverse=True)[:mu]) < slack:
         return False
+    lost: dict[int, int] = {}  # line vertex -> the faults at it
+    for k in fault_idx:
+        for y in ends[k]:
+            lost[y] = lost.get(y, 0) + 1
+    free = len(edge) - len(lost)   # line vertices with no fault
+
+    def violates(side: set[int]) -> bool:
+        t: dict[int, int] = {}
+        for y in side:
+            for u in edge[y]:
+                t[u] = t.get(u, 0) + 1
+        cut = sum(c * (n - c) for c in t.values())
+        for u in t:
+            for a, b in hosted.get(u, ()):
+                if (a in side) != (b in side):
+                    cut -= 1
+        if cut >= top - min(lost.get(y, 0) for y in side):
+            return False
+        return free > len(side) or cut < max(
+            (top - lost.get(y, 0) for y in range(len(edge))
+             if y not in side), default=0)
+
+    for y, c in lost.items():
+        if 0 < top - c < 3:    # y's pocket: y and its live neighbours
+            side = {y, *layout.line_adj[y]}
+            for k in fault_idx:
+                if y in ends[k]:
+                    side.difference_update(ends[k])
+            side.add(y)
+            if violates(side):
+                return True
     weight = [n - 1] * len(layout.adj)
     for u, fs in hosted.items():
         weight[u] = max(0, n - 1 - len(fs))
     roots = sorted(hosted, key=lambda u: (-len(hosted[u]), u))
     vertex = layout.vertex
-    for sub, x in connected_edge_sets(layout.adj, roots, mu, weight, slack,
-                                      [len(hosted[u]) for u in roots],
-                                      slack):
-        t = dict.fromkeys(sub, 0)
-        side = set()
-        for u, w in x:
-            t[u] += 1
-            t[w] += 1
-            side.add(vertex[u, w])
-        cut = sum(c * (n - c) for c in t.values())
-        for u in sub:
-            for a, b in hosted.get(u, ()):
-                if (a in side) != (b in side):
-                    cut -= 1
-        if (cut < max(degrees[y] for y in side)
-                and cut < max(d for y, d in enumerate(degrees)
-                              if y not in side)):
-            return True
-    return False
+    return any(violates({vertex[e] for e in x})
+               for _, x in connected_edge_sets(
+                   layout.adj, roots, mu, weight, slack,
+                   [len(hosted[u]) for u in roots], slack))

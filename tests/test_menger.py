@@ -766,7 +766,7 @@ class TestPocket:
 class TestVerdictOnly:
     """A chunk decides each set after its first failure by the verdict
     alone. With a small-side layout, smallsides.fails decides it with no
-    flow and no hub work (a pocket may fail it first). Without one, a
+    flow, no hub work and no pocket check. Without one, a
     pocket's cut fails it with no hub work, or else the hub check stops
     at its first deficient vertex. No pair scan or min cut runs either
     way. Checked per set against hub_deficits, and per campaign against
@@ -814,6 +814,9 @@ class TestVerdictOnly:
         losses = []
         engine.hub_losses = lambda hub: \
             losses.append(hub) or UnitFlowEngine.hub_losses(engine, hub)
+        installs = []
+        engine.set_fault_indices = lambda idx: installs.append(idx) or \
+            UnitFlowEngine.set_fault_indices(engine, idx)
 
         def refused(*args):
             raise AssertionError("pair scan or min cut in a verdict check")
@@ -829,6 +832,7 @@ class TestVerdictOnly:
             every = flows[:]
             flows.clear()
             losses.clear()
+            installs.clear()
             with monkeypatch.context() as m:
                 m.setattr(_campaign_exec, "smec_violation", refused)
                 m.setattr(engine, "min_cut", refused)
@@ -836,9 +840,10 @@ class TestVerdictOnly:
                     engine, layout, g.edges, idx, "smec", 0, False)
             assert out == ({} if deficits else None), idx
             if layout is not None:
-                # the small sides settle the set: no flow, no hub work
+                # the small sides settle the set from F alone: no flow,
+                # no hub work, and F is not even installed in the engine
                 seen["decided_fail" if deficits else "decided_pass"] += 1
-                assert not flows and not losses, idx
+                assert not flows and not losses and not installs, idx
                 continue
             if not deficits:
                 assert flows == every, idx

@@ -5,7 +5,8 @@ of H that span at most mu base vertices. Every case here compares its
 verdict with smec_witness, the hub check with its pair scan, on the six
 families at n = 4 and 5: the adversarial suites at 2n-4, 2n-3, 4n-10 and
 4n-9, both sharp constructions and seeded random sets, with both
-verdicts required. The layout must refuse wherever kappa(H) <= mu: at
+verdicts required, as built and with the pockets emptied so that the
+search decides alone. The layout must refuse wherever kappa(H) <= mu: at
 n = 4, m = 7 and on two copies of K_4 - e joined by two edges, where
 the search without the check misses failing sets. The enumerator is
 checked against all edge subsets of small graphs.
@@ -79,7 +80,7 @@ class TestLayout:
         for k in range(len(g.edges)):
             engine.set_fault_indices((k,))
             if smec_witness(engine) is not None:
-                assert not smallsides.fails(unchecked, (k,), engine.degrees)
+                assert not smallsides.fails(unchecked, (k,))
                 missed += 1
         assert missed
 
@@ -118,6 +119,8 @@ class TestFails:
     @pytest.mark.parametrize("kind", FAMILIES)
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_the_witness(self, kind, n):
+        """With the layout as built, and with L's adjacency emptied in it
+        so that no pocket settles a set and the search decides alone."""
         L = lgraph(kind, n, 1 if kind == "random" else None)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
@@ -126,28 +129,46 @@ class TestFails:
             layout = smallsides.layout(L, m)
             if layout is None:
                 continue
+            search = smallsides.layout(L, m)
+            search.line_adj = [()] * g.n_vertices
             for idx in self._sets(L, n, m):
                 engine.set_fault_indices(idx)
                 fails = smec_witness(engine) is not None
-                assert smallsides.fails(layout, idx, engine.degrees) == fails, \
-                    (m, idx)
+                assert smallsides.fails(layout, idx) == fails, (m, idx)
+                assert smallsides.fails(search, idx) == fails, (m, idx)
                 seen["fails" if fails else "passes"] += 1
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("kind", FAMILIES)
-    def test_fails_both_constructions(self, kind):
+    def test_the_search_fails_both_constructions(self, kind):
         """The 2n-3 construction's side is the dead end u0 with its kept
         neighbour, whose far base vertex hosts no fault; the 4n-9 one's is
-        the triangle, three edges at one base vertex."""
+        the triangle, three edges at one base vertex. With L's adjacency
+        emptied in the layout, every pocket is a lone fault end, whose cut
+        is its own degree, so the search alone must find these sides."""
         L = lgraph(kind, 5, 1 if kind == "random" else None)
-        g = L.graph
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
-        index = {e: k for k, e in enumerate(g.edges)}
+        index = {e: k for k, e in enumerate(L.graph.edges)}
         for tw in (tightness_unconditional(L), tightness_conditional(L)):
             idx = sorted(index[e] for e in tw.fault_set)
-            engine.set_fault_indices(idx)
             layout = smallsides.layout(L, len(idx))
-            assert smallsides.fails(layout, idx, engine.degrees), tw.core
+            layout.line_adj = [()] * L.graph.n_vertices
+            assert smallsides.fails(layout, idx), tw.core
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_pockets_settle_both_constructions_before_the_search(
+            self, kind, monkeypatch):
+        """Each construction leaves a fault end of degree 1 or 2 whose
+        pocket, the end with its live neighbours, is a violating side."""
+        def refused(*args):
+            raise AssertionError("search run on a set with a pocket")
+
+        monkeypatch.setattr(smallsides, "connected_edge_sets", refused)
+        L = lgraph(kind, 5, 1 if kind == "random" else None)
+        index = {e: k for k, e in enumerate(L.graph.edges)}
+        for tw in (tightness_unconditional(L), tightness_conditional(L)):
+            idx = sorted(index[e] for e in tw.fault_set)
+            layout = smallsides.layout(L, len(idx))
+            assert smallsides.fails(layout, idx), tw.core
 
 
 def brute_force_edge_sets(g, size):
@@ -206,5 +227,6 @@ class TestConnectedEdgeSets:
         adj = [h.neighbors(v) for v in range(h.n_vertices)]
         listed = [(tuple(sorted(m)), tuple(x))
                   for m, x in smallsides.connected_edge_sets(
-                      adj, range(h.n_vertices), 4, [0] * h.n_vertices, 0)]
+                      adj, range(h.n_vertices), 4, [0] * h.n_vertices, 0,
+                      [0] * h.n_vertices, 0)]
         assert sorted(listed) == sorted(brute_force_edge_sets(h, 4))
