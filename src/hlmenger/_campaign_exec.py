@@ -22,33 +22,31 @@ whose far end closed joins what is left of each component of G. So a
 set that splits nothing usually costs a few lookups per fault edge and
 no search, not a pass over every edge (Even and Shiloach 1981).
 
-Per fault set F the SMEC verdict comes from the small sides on the base
-network when the campaign has a line graph L(H) of an HL network with
-kappa(H) > mu (smallsides, whose module docstring holds the proof): the
+Per fault set F the SMEC check is decided from the small sides on the
+base network when the campaign has a line graph L(H) of an HL network
+with kappa(H) > mu (smallsides, whose docstrings hold the proofs): the
 parent hands (L, m) to the workers, and each builds smallsides.layout
 on its first set, so a campaign of no sets builds none and checks no
-kappa. smallsides.fails then decides every set from F alone, with no
-flow and without installing F in the flow engine. Otherwise
+kappa. smallsides.fails gives the verdict from F alone, with no flow and
+without installing F in the flow engine, and smallsides.least_pair gives
+a failing set's witness pair, the first violating pair in ascending
+order. F is installed only then, and one min_cut of the pair gives its
+path count and cut. So such a campaign runs no hub check. Otherwise
 (kappa(H) <= mu, n <= 2, or a graph with no HL base) the verdict is the
-hub check, deficient_vertices, whose docstring describes it with its
-proof. Either way a failing set that needs a witness runs smec_witness,
-whose smec_violation turns the hub check's deficient vertices into the
-first violating pair, cut by a minimum cut: the witness is a fact of
-G - F, whichever path gave the verdict.
+cold hub check, deficient_vertices, and the witness is smec_witness's:
+smec_violation turns the hub check's deficient vertices into the first
+violating pair, cut by the same min_cut. The witness is a fact of G - F,
+whichever path gave it.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
-of the chunk is decided by its verdict alone: by the small sides where
-there is a layout, and otherwise first by pocket_fails, which looks for
-a small cut around a fault end of degree 1 or 2, the shape both sharp
-constructions leave, and fails the set on a hit with no further work,
-then by the hub check, stopped at the first deficient vertex. None of
-them runs a pair scan or a min cut. A pocket claims only failures that
-the hub check finds too, and the small sides and the hub lemma each
-give the full check's verdict, so the failure count cannot move. Each
-chunk still computes the witness of its own first failure, and _merge
-keeps it from the first chunk that has one: that is the stream's first
-failure, at any worker count.
+of the chunk is decided by its verdict alone: by smallsides.fails where
+there is a layout, and otherwise by the hub check, stopped at the first
+deficient vertex. Neither runs a pair scan or a min cut, and each gives
+the full check's verdict, so the failure count cannot move. Each chunk
+still computes the witness of its own first failure, and _merge keeps it
+from the first chunk that has one: that is the stream's first failure,
+at any worker count.
 """
 
 from __future__ import annotations
@@ -72,8 +70,9 @@ _WORKER_STATE = None
 def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     """Yield (u, lambda_H(u, r)) for each u != r with lambda_H(u, r) <
     deg_H u, in id order, where H = G - F for the faults F installed in
-    the engine. Flows run only as items are asked for, so a reader that
-    stops after the first item runs no flow past that vertex's.
+    the engine and r is the lowest vertex of maximum degree in H. Flows
+    run only as items are asked for, so a reader that stops after the
+    first item runs no flow past that vertex's.
 
     This is the SMEC hub check, described here once.
 
@@ -81,108 +80,26 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     lambda_H(u, r) >= deg_H(u) for every u != r. A violating pair (u, v)
     has a cut delta(S) with u in S, v outside, smaller than deg u and
     deg v; if r is outside S then (u, r) violates, as deg r >= deg v,
-    else (v, r) does. So V-1 flows into r, each capped at deg_H(u),
-    find every deficient u, and a capped flow that falls short is exact;
-    H fails as soon as one u falls short.
+    else (v, r) does. So the flows into r, one from each u != r of
+    positive degree, each cold and capped at deg_H(u), find every
+    deficient u, and a capped flow that falls short is exact; H fails
+    as soon as one u falls short.
 
-    Hubs: the engine stores, on first use, for each of a few vertices of
-    maximum degree in G (engine.hubs) and each vertex u, up to deg_G(u)
-    edge-disjoint u -> hub paths of G, indexed by edge.
-    engine.hub_losses(hub) gives the short vertices: each u != hub left
-    with fewer than deg_H(u) live stored paths, with the indices of its
-    dead paths, found through the index of F's edges. A stored hub that
-    F leaves untouched keeps its maximum degree in H. Of those, the one
-    with the fewest short vertices is r, the earlier in engine.hubs on
-    ties. Only r's short vertices are looked at further, in id order: a
-    vertex with deg_H(u) live stored paths is not deficient. When F
-    touches every stored hub, flows into the lowest vertex of maximum
-    degree in H run cold, one for each u != r of positive degree, in id
-    order.
-
-    Starts: engine.hub_start gives a short u's start, its live stored
-    paths, then the dead ones it mends, both in stored order. Each fault
-    arc a -> b on a dead path becomes a -> x -> b through a common neighbour x
-    whose edges {a, x} and {x, b} are live in H and lie on none of u's
-    stored paths and on no detour taken before (in a line graph the two
-    ends of an edge share n - 2 neighbours). The stored paths share no
-    edge, so the start is a list of edge-disjoint u -> r trails of H. A
-    mended trail may revisit a vertex or pass through r, but as arc
-    flows the trails keep conservation at every vertex but u and r, so
-    they are a feasible flow of value len(start). If len(start) >=
-    deg_H(u), each trail holds a u-r path on its own edges, so
-    lambda_H(u, r) >= deg_H(u): u is covered and no flow runs. Otherwise
-    the flow, capped at deg_H(u), augments from the whole start;
-    augmenting from a feasible flow is exact, so its value is a cold
-    flow's and only the missing units cost a search. So the items and
-    their order are those of cold flows into r, whatever the stored
-    paths and the mends.
-
-    The choice of r changes no verdict and no witness. By the lemma, H
-    is SMEC iff no u is deficient, for every r of maximum degree, and
-    every violating pair has an endpoint that is deficient for every
-    such r, so each r's pair scan (smec_violation) reaches every
-    violating pair. That scan goes over pairs in ascending order and
-    decides each one exactly, so its first violating pair and that
-    pair's path count are facts of H alone. smec_witness then cuts the
-    pair with a flow of its own, whose residual s-side is the smallest
-    s-side of a minimum cut of the pair, whichever r came before.
+    Every violating pair has an endpoint that is deficient for every r
+    of maximum degree, so the pair scan (smec_violation) reaches every
+    violating pair whichever r it starts from. That scan goes over pairs
+    in ascending order and decides each one exactly, so its first
+    violating pair and that pair's path count are facts of H alone.
+    smec_witness then cuts the pair with a flow of its own, whose
+    residual s-side is the smallest s-side of a minimum cut of the pair.
     """
     deg = engine.degrees
-    base = engine.base_degrees
-    best = None
-    for h in engine.hubs:
-        if deg[h] == base[h]:
-            short = engine.hub_losses(h)
-            if best is None or len(short) < len(best[1]):
-                best = h, short
-            if not short:
-                break
-    if best is None:
-        hub = max(range(engine.n), key=deg.__getitem__, default=None)
-        starts = ((u, []) for u in range(engine.n) if u != hub)
-    else:
-        hub, short = best
-        starts = ((u, engine.hub_start(hub, u, short[u]))
-                  for u in sorted(short))
-    for u, start in starts:
-        need = deg[u]
-        if len(start) < need:
-            flow = engine.max_flow(u, hub, need, start)
-            if flow < need:
+    hub = max(range(engine.n), key=deg.__getitem__, default=None)
+    for u in range(engine.n):
+        if u != hub and deg[u]:
+            flow = engine.max_flow(u, hub, deg[u])
+            if flow < deg[u]:
                 yield u, flow
-
-
-def pocket_fails(engine: UnitFlowEngine) -> bool:
-    """True when a pocket around a fault end proves H = G - F not SMEC,
-    for the faults F installed in the engine; False says nothing.
-
-    A pocket is S = N_H[x], the closed neighbourhood of a fault end x with
-    deg_H x in {1, 2}. Its cut is |delta_H(S)|, the sum of deg_H y over
-    y in S minus twice the live edges inside S, counted here as the live
-    arcs from S to the rest of H. Let d be the largest degree in S, held
-    by u. If |delta_H(S)| < d and some w outside S has deg_H w >= d, then
-    lambda_H(u, w) <= |delta_H(S)| < d = min(deg u, deg w), so (u, w)
-    violates and H is not SMEC: the hub check would find it too. The
-    2n-3 construction leaves such a pocket of two vertices (a dead end
-    and its neighbour), and the 4n-9 one a triangle; either cut has
-    2n-3 edges, one less than a full degree of L(HL_n).
-    """
-    deg = engine.degrees
-    # live arcs: the engine's residual template between queries is its
-    # fault mask, 1 on both arcs of a live edge and 0 on a faulted one
-    cap, head, adj = engine._template, engine.head, engine.adj
-    for k in engine.fault:
-        for x in engine.edges[k]:
-            if not 0 < deg[x] < 3:
-                continue
-            pocket = {x, *(head[a] for a in adj[x] if cap[a])}
-            cut = sum(1 for y in pocket for a in adj[y]
-                      if cap[a] and head[a] not in pocket)
-            d = max(deg[y] for y in pocket)
-            if cut < d and any(deg[w] >= d for w in range(engine.n)
-                               if w not in pocket):
-                return True
-    return False
 
 
 def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
@@ -403,13 +320,11 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
     """None when the fault set passes, else its failure witness. Component
     checks read the component index and have no engine; SMEC checks have
     an engine, and as index the small-side layout (smallsides.layout) or
-    None when there is none. With a layout, smallsides.fails decides the
-    set from F alone, with no flow and without installing F in the
-    engine; only a failing set checked with `witness` runs smec_witness.
-    Without one, a failing set checked with `witness` false gives {}: a
-    pocket's cut (pocket_fails) fails it with no further work, or else
-    its hub check stops at the first deficient vertex; no pair scan and
-    no min cut runs either way."""
+    None when there is none. With a layout, the small sides decide the
+    set from F alone, and only a failing set checked with `witness`
+    installs F, for one min_cut of its least pair. Without one, the hub
+    check decides. A failing set checked with `witness` false gives {}:
+    no pair scan and no min cut runs for it."""
     if kind == "component":
         size = largest_component_under_faults(index, idx)
         if size < floor:
@@ -420,21 +335,27 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
             }
         return None
 
-    if index is not None:
-        if not smallsides.fails(index, idx):
-            return None
+    if index is None:
+        engine.set_fault_indices(idx)
         if not witness:
-            return {}
-    engine.set_fault_indices(idx)
-    if not witness:
-        failed = pocket_fails(engine) or \
-            next(deficient_vertices(engine), None) is not None
-        return {} if failed else None
-    w = smec_witness(engine)
-    if w is None:
-        if index is not None:
-            raise RuntimeError("small sides and hub check disagree")
-        return None
+            failed = next(deficient_vertices(engine), None) is not None
+            return {} if failed else None
+        w = smec_witness(engine)
+        if w is None:
+            return None
+    elif not witness:
+        return {} if smallsides.fails(index, idx) else None
+    else:
+        pair = smallsides.least_pair(index, idx)
+        if pair is None:
+            return None
+        engine.set_fault_indices(idx)
+        u, v = pair
+        req = min(engine.degrees[u], engine.degrees[v])
+        paths, cut = engine.min_cut(u, v)
+        if paths >= req:
+            raise RuntimeError("small sides and min cut disagree")
+        w = SmecWitness(u, v, paths, req, tuple(cut))
     return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
 

@@ -29,13 +29,9 @@ read.
   layout, whose fault mask is the set of closed pairs, so campaigns can
   re-query thousands of fault sets without rebuilding anything.
 
-UnitFlowEngine also owns the stored hub paths of the SMEC hub check:
-hub_losses finds the vertices a fault set leaves short of live stored
-paths, and hub_start builds each one's start from its paths and their
-detours. _campaign_exec.deficient_vertices describes the check with its
-proof. A query may start from any feasible flow
-(`start`, edge-disjoint s-t trails): augmenting from a feasible flow is
-exact, so only the missing units cost a search.
+A query may start from a feasible flow (`start`, short arc-disjoint s-t
+paths): augmenting from a feasible flow is exact, so only the missing
+units cost a search.
 `min_cuts(s, targets)` returns the minimum cut from one source to each of
 many targets, as min_cut would, but confirms a target that shares the
 first target's cut with a capped flow from a neighbouring target
@@ -46,26 +42,19 @@ paths through their live common neighbours. Vertex connectivity's fans
 start likewise from paths of one and two hops (graph.vertex_connectivity).
 A capped flow from a feasible start has the same value as a cold one, and
 every cut comes from a flow without a start, so no value or cut depends
-on the starts. The hub flows start from live and mended stored paths,
-and the pair flows of the SMEC scan, min_cut, max_flow_with_side and
-_route take no start: short-path starts given to every unit flow that
-had none saved a SMEC campaign no time, and _route's paths decide which
-hub a campaign takes.
+on the starts. The flows of the SMEC hub check and its pair scan
+(_campaign_exec), min_cut and max_flow_with_side take no start.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-# hubs per engine; a fault set must touch all of them to force cold flows
-_HUBS = 3
-
 
 def _augment(net, cap, s: int, t: int, cutoff: int | None,
              start, log: list[int]) -> tuple[int, list[bool] | None]:
-    """Push `start`, arc-disjoint s-t trails of arcs with capacity (a trail,
-    unlike a path, may revisit a vertex, s and t included), through the
-    residual capacities `cap`, then augment unit s-t paths until none is
+    """Push `start`, arc-disjoint s-t paths of arcs with capacity, through
+    the residual capacities `cap`, then augment unit s-t paths until none is
     left or the flow reaches cutoff. `net` holds the arcs: arc a runs from
     tail[a] to head[a], its twin a ^ 1 runs back, adj[x] lists the arcs
     out of x and radj[x] the arcs into x. Each arc of the start and of the
@@ -183,9 +172,8 @@ class DirectedFlow:
     def max_flow(self, s: int, t: int, cutoff: int | None = None,
                  start=()) -> int:
         """Maximum number of arc-disjoint s-t paths over the open arcs,
-        capped at cutoff; `start` is a list of arc-disjoint s-t trails of
-        open arcs (not only paths), and augmentation continues from that
-        flow."""
+        capped at cutoff; `start` is a list of arc-disjoint s-t paths of
+        open arcs, and augmentation continues from that flow."""
         return self._run(s, t, cutoff, start)[0]
 
     def _run(self, s: int, t: int, cutoff: int | None,
@@ -214,10 +202,7 @@ class UnitFlowEngine(DirectedFlow):
     Edge k of the canonical edge list is arc pair k, open both ways: arcs
     2k (u->v) and 2k+1 (v->u). A fault closes its edge's pair, which
     keeps its slots, so edge indices stay stable across queries; between
-    queries `_template` is exactly the fault mask. Paths into a hub and
-    their edge index, and each arc's detours, are stored on first use,
-    never here; they depend on the edge layout alone, so installing a
-    fault set resets nothing of the hub check.
+    queries `_template` is exactly the fault mask.
     """
 
     _BACK = 1
@@ -229,19 +214,6 @@ class UnitFlowEngine(DirectedFlow):
         self.base_degrees = [len(a) for a in self.adj]
         self.fault: tuple[int, ...] = ()  # installed fault edge indices
         self.degrees = self.base_degrees[:]
-        # up to _HUBS vertices of maximum degree, spread over the id range:
-        # in a line graph nearby ids tend to share a base vertex, so faults
-        # bunched around one vertex seldom touch two hubs
-        top = max(self.base_degrees, default=0)
-        tops = [v for v, d in enumerate(self.base_degrees) if d == top]
-        self.hubs = tops[::max(1, len(tops) // _HUBS)][:_HUBS]
-        # per hub: (paths, index, few, owned); paths[u] are the stored
-        # u->hub paths, index[k] lists the (u, i) whose path paths[u][i]
-        # uses edge k, few lists the u != hub with fewer paths than deg u
-        # (none when G is SMEC), and owned[u] holds the edges of paths[u]
-        self._stored: dict[int, tuple[list, list, list, list]] = {}
-        # arc a -> its detours (a -> x, x -> b), filled on first use
-        self._detours: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def set_fault_indices(self, edge_indices) -> None:
         """Install a fault set given as indices into the canonical edge list."""
@@ -262,9 +234,8 @@ class UnitFlowEngine(DirectedFlow):
                  start=()) -> int:
         """Exact max number of edge-disjoint s-t paths, capped at cutoff.
 
-        `start` is a list of edge-disjoint s-t trails of arcs avoiding the
-        installed faults, not only paths: a trail may revisit a vertex or
-        pass through t. Augmentation continues from that flow.
+        `start` is a list of edge-disjoint s-t paths of arcs avoiding the
+        installed faults. Augmentation continues from that flow.
         """
         return self._run(s, t, cutoff, start)[0]
 
@@ -347,143 +318,3 @@ class UnitFlowEngine(DirectedFlow):
                         queue.append(w)
         return [(k, cut[:]) if t in same else self.min_cut(s, t)
                 for t in targets]
-
-    def stored_paths(self, hub: int) -> list[list[tuple[int, ...]]]:
-        """Per vertex u, min(deg u, lambda(u, hub)) edge-disjoint u->hub paths.
-
-        Paths are arc tuples in the fault-free graph (none for the hub
-        itself), computed on the first call for each hub, together with
-        their edge index, the vertices with fewer than deg u of them and
-        each vertex's set of path edges.
-        """
-        stored = self._stored.get(hub)
-        if stored is None:
-            paths = [self._route(u, hub) if u != hub else []
-                     for u in range(self.n)]
-            index = [[] for _ in self.edges]
-            for u, mine in enumerate(paths):
-                for i, path in enumerate(mine):
-                    for a in path:
-                        index[a >> 1].append((u, i))
-            base = self.base_degrees
-            few = [u for u, mine in enumerate(paths)
-                   if u != hub and len(mine) < base[u]]
-            owned = [frozenset(a >> 1 for path in mine for a in path)
-                     for mine in paths]
-            self._stored[hub] = stored = paths, index, few, owned
-        return stored[0]
-
-    def hub_losses(self, hub: int) -> dict[int, set[int]]:
-        """The vertices short of stored paths into the hub under the
-        installed faults: each u != hub with fewer than deg u live paths
-        in stored_paths(hub)[u], mapped to the indices i of its paths
-        stored_paths(hub)[u][i] that cross a fault. These are the flows a
-        hub check into this hub may run.
-
-        The dead paths come from the edge index of each fault edge, so a
-        path through two faults is dead once. A vertex with no dead path
-        keeps all its stored paths and its degree does not grow, so it is
-        short only if it is in `few`: the vertices with dead paths and
-        `few` are the only ones tested.
-        """
-        self.stored_paths(hub)
-        paths, index, few, _ = self._stored[hub]
-        dead: dict[int, set[int]] = {}
-        for k in self.fault:
-            for u, i in index[k]:
-                gone = dead.get(u)
-                if gone is None:
-                    dead[u] = {i}
-                else:
-                    gone.add(i)
-        deg = self.degrees
-        short = {}
-        for u in (*dead, *few):
-            gone = dead.get(u) or set()
-            if len(paths[u]) - len(gone) < deg[u]:
-                short[u] = gone
-        return short
-
-    def hub_start(self, hub: int, u: int, dead) -> list[tuple[int, ...]]:
-        """u's start into the hub under the installed faults F: its stored
-        u->hub paths but those of the indices `dead`, which cross F (as
-        hub_losses gives them), then one mended trail for each dead path
-        that can be mended, each list in stored order. The hub's paths
-        must be stored. Each fault arc a -> b on a dead path becomes
-        a -> x -> b through a common neighbour x of a and b whose edges
-        {a, x} and {x, b} are live, lie on none of u's stored paths and
-        on no detour taken before. A path is given up at its first fault
-        arc with no such detour. The trails walk live arcs from u to the
-        hub and share no edge (see _campaign_exec.deficient_vertices).
-        """
-        paths, _, _, owned = self._stored[hub]
-        owned = owned[u]
-        cap = self._template
-        start, mended = [], []
-        taken = set()           # the detour edges of the mended paths
-        for i, path in enumerate(paths[u]):
-            if i not in dead:
-                start.append(path)
-                continue
-            trail = []
-            mine = []           # this path's detour edges
-            for a in path:
-                if cap[a]:
-                    trail.append(a)
-                    continue
-                for p, q in self._detours_of(a):
-                    e, f = p >> 1, q >> 1
-                    if (cap[p] and cap[q] and e not in owned
-                            and f not in owned and e not in taken
-                            and f not in taken and e not in mine
-                            and f not in mine):
-                        mine += (e, f)
-                        trail += (p, q)
-                        break
-                else:
-                    break
-            else:
-                taken.update(mine)
-                mended.append(tuple(trail))
-        return start + mended
-
-    def _detours_of(self, a: int) -> tuple[tuple[int, int], ...]:
-        """The (a -> x, x -> b) arc pairs of arc a from a to b, one per
-        common neighbour x of a and b, fault-free; built on first use."""
-        pairs = self._detours.get(a)
-        if pairs is None:
-            head = self.head
-            into = {head[c]: c ^ 1 for c in self.adj[head[a]]}   # x -> b
-            pairs = self._detours[a] = tuple(
-                (p, into[head[p]]) for p in self.adj[self.tail[a]]
-                if head[p] in into)
-        return pairs
-
-    def _route(self, s: int, t: int) -> list[tuple[int, ...]]:
-        """Max s-t flow capped at deg(s) in the fault-free graph, split
-        into arc paths; it runs on its own residual, whatever faults are
-        installed."""
-        cap = [1] * len(self.head)
-        _augment(self, cap, s, t, self.base_degrees[s], (), [])
-        adj = self.adj
-        head = self.head
-        paths = []
-        # with no faults an arc carries flow iff its residual is 0; no flow
-        # enters s or leaves t, so every walk from s ends at t
-        for first in adj[s]:
-            if cap[first]:
-                continue
-            path = []
-            a = first
-            while True:
-                cap[a] = cap[a ^ 1] = 1       # consume the unit
-                path.append(a)
-                v = head[a]
-                if v == t:
-                    break
-                for a in adj[v]:
-                    if not cap[a]:
-                        break
-            paths.append(tuple(path))
-        return paths
-

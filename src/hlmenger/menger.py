@@ -17,13 +17,13 @@ fault budget or construction size, component floor and the dimensions it
 holds for; the CLI, the constructions and the tests read it.
 
 All path counts are exact. Per fault set F of a campaign on L(HL_n) the
-verdict comes from the small sides of L - F on the base network
-(smallsides.fails, no flow) whenever kappa(HL_n) > mu at the campaign's
-budget; otherwise, and in is_smec, from the SMEC hub check,
-_campaign_exec.deficient_vertices. Each module describes its check with
-its proof. A campaign computes a witness, by the hub check and a minimum
-cut, only for each evaluation chunk's first failing set (see
-_campaign_exec).
+verdict and the witness pair come from the small sides of L - F on the
+base network (smallsides, no flow) whenever kappa(HL_n) > mu at the
+campaign's budget; otherwise, and in is_smec, from the cold SMEC hub
+check, _campaign_exec.deficient_vertices, and its pair scan. Each module
+describes its check with its proof. A campaign computes a witness, one
+minimum cut of the pair, only for each evaluation chunk's first failing
+set (see _campaign_exec).
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
 neighbouring far vertices confirm that they share its cut. Each of those

@@ -17,7 +17,9 @@ outside it: lambda'(x, y) <= |delta'(X)| < min(deg' x, deg' y).
 Conversely a violating pair (x, y) has a minimum cut side S with
 |delta'(S)| = lambda'(x, y) < min(deg' x, deg' y), which is at most
 min(max deg' in S, max deg' outside S). The test is symmetric in X and
-its complement.
+its complement. violating_sides lists the violating sides of the search
+below; fails stops at the first, and least_pair reads the first
+violating pair, a campaign's witness pair, off all of them.
 
 Mixed vertices. For a set X of edges of H let t_u be the number of
 X-edges at base vertex u. The clique at u has t_u (n - t_u) edges
@@ -72,6 +74,7 @@ of F. When they do not, L' is SMEC with no search, in O(|F|).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .graph import Edge, vertex_connectivity
@@ -102,7 +105,7 @@ class Layout:
 
 def layout(L: LineGraph, m: int) -> Optional[Layout]:
     """The layout of L for fault sets of at most m edges, or None when
-    fails() would not be exact there: L has no HL base dimension, n <= 2,
+    the small sides would not be exact there: L has no HL base dimension, n <= 2,
     the base is not n-regular, or kappa(H) <= mu at |F| = m. mu grows with
     |F|, so one check at the campaign's m covers every smaller set."""
     n = L.base_dimension
@@ -199,26 +202,28 @@ def _spanning(adj, verts: tuple[int, ...]) -> Iterator[list[Edge]]:
             yield chosen
 
 
-def fails(layout: Layout, fault_idx: Sequence[int]) -> bool:
-    """True iff L' = L - F is not SMEC, F the edges of L with indices
-    fault_idx, for a layout that layout(L, m) gave with m >= |F|: iff
-    some connected edge set X of H spanning at most mu base vertices, at
-    most one of them hosting no fault, has |delta'(X)| < min(max deg' in
-    X, max deg' outside X). The module docstring holds the proof, the
-    bound on the fault-free vertices and the fault-count filter that
-    passes most sets first.
+def violating_sides(layout: Layout, fault_idx: Sequence[int]
+                    ) -> Iterator[tuple[set[int], int]]:
+    """Yield (X, |delta'(X)|) for violating sides X of L' = L - F, F the
+    edges of L with indices fault_idx, for a layout that layout(L, m)
+    gave with m >= |F|: sets of line vertices with |delta'(X)| < min(max
+    deg' in X, max deg' outside X). Every connected edge set X of H
+    spanning at most mu base vertices, at most one of them hosting no
+    fault, that violates comes up, so L' is SMEC iff none does. The
+    module docstring holds the proof, the bound on the fault-free
+    vertices and the fault-count filter that passes most sets first.
 
     Degrees come from F alone: deg' y is 2n - 2 less the faults at y, so
     the largest degree outside X is 2n - 2 when more line vertices have
     no fault than X holds. Each X is charged exactly: |delta'(X)| is
     |delta_L(X)|, the sum of t_u (n - t_u) over the base vertices u of
     X, less the faults hosted at them with one end in X (a fault hosted
-    elsewhere has no end in X). By the reduction any X that passes the
-    test proves L' is not SMEC, so other sets may be tried first: each
-    fault end y of deg' 1 or 2 offers its pocket, y with its live
-    neighbours, the side that both sharp constructions leave. Then the
-    search grows M from the fault hosts, ranked first, and keeps only the
-    M whose hosted faults number 2n - 3 or more."""
+    elsewhere has no end in X). Any X that passes the test is a
+    violating side, so other sets come first: each fault end y of deg' 1
+    or 2 offers its pocket, y with its live neighbours, the side that
+    both sharp constructions leave. Then the search grows M from the
+    fault hosts, ranked first, and keeps only the M whose hosted faults
+    number 2n - 3 or more."""
     n = layout.n
     slack = 2 * n - 3          # a violating cut is at most this
     top = slack + 1            # 2n - 2, every degree of L
@@ -228,14 +233,31 @@ def fails(layout: Layout, fault_idx: Sequence[int]) -> bool:
         hosted.setdefault(at[k], []).append(ends[k])
     mu = (slack + len(fault_idx)) // (n - 1)
     if sum(sorted(map(len, hosted.values()), reverse=True)[:mu]) < slack:
-        return False
-    lost: dict[int, int] = {}  # line vertex -> the faults at it
-    for k in fault_idx:
-        for y in ends[k]:
-            lost[y] = lost.get(y, 0) + 1
+        return
+    lost = _lost(layout, fault_idx)
     free = len(edge) - len(lost)   # line vertices with no fault
 
-    def violates(side: set[int]) -> bool:
+    pockets = []
+    for y, c in lost.items():
+        if 0 < top - c < 3:    # y's pocket: y and its live neighbours
+            side = {y, *layout.line_adj[y]}
+            for k in fault_idx:
+                if y in ends[k]:
+                    side.difference_update(ends[k])
+            side.add(y)
+            pockets.append(side)
+
+    def searched():
+        weight = [n - 1] * len(layout.adj)
+        for u, fs in hosted.items():
+            weight[u] = max(0, n - 1 - len(fs))
+        roots = sorted(hosted, key=lambda u: (-len(hosted[u]), u))
+        for _, x in connected_edge_sets(layout.adj, roots, mu, weight, slack,
+                                        [len(hosted[u]) for u in roots],
+                                        slack):
+            yield {layout.vertex[e] for e in x}
+
+    for side in chain(pockets, searched()):
         t: dict[int, int] = {}
         for y in side:
             for u in edge[y]:
@@ -245,27 +267,52 @@ def fails(layout: Layout, fault_idx: Sequence[int]) -> bool:
             for a, b in hosted.get(u, ()):
                 if (a in side) != (b in side):
                     cut -= 1
-        if cut >= top - min(lost.get(y, 0) for y in side):
-            return False
-        return free > len(side) or cut < max(
-            (top - lost.get(y, 0) for y in range(len(edge))
-             if y not in side), default=0)
+        if cut < top - min(lost.get(y, 0) for y in side) and (
+                free > len(side) or cut < max(
+                    (top - lost.get(y, 0) for y in range(len(edge))
+                     if y not in side), default=0)):
+            yield side, cut
 
-    for y, c in lost.items():
-        if 0 < top - c < 3:    # y's pocket: y and its live neighbours
-            side = {y, *layout.line_adj[y]}
-            for k in fault_idx:
-                if y in ends[k]:
-                    side.difference_update(ends[k])
-            side.add(y)
-            if violates(side):
-                return True
-    weight = [n - 1] * len(layout.adj)
-    for u, fs in hosted.items():
-        weight[u] = max(0, n - 1 - len(fs))
-    roots = sorted(hosted, key=lambda u: (-len(hosted[u]), u))
-    vertex = layout.vertex
-    return any(violates({vertex[e] for e in x})
-               for _, x in connected_edge_sets(
-                   layout.adj, roots, mu, weight, slack,
-                   [len(hosted[u]) for u in roots], slack))
+
+def _lost(layout: Layout, fault_idx: Sequence[int]) -> dict[int, int]:
+    """Each line vertex with a fault at it -> the number of its faults."""
+    lost: dict[int, int] = {}
+    for k in fault_idx:
+        for y in layout.ends[k]:
+            lost[y] = lost.get(y, 0) + 1
+    return lost
+
+
+def fails(layout: Layout, fault_idx: Sequence[int]) -> bool:
+    """True iff L - F is not SMEC (see violating_sides): stops at the
+    first violating side."""
+    return next(violating_sides(layout, fault_idx), None) is not None
+
+
+def least_pair(layout: Layout, fault_idx: Sequence[int]
+               ) -> Optional[tuple[int, int]]:
+    """The first violating pair of L' = L - F in ascending order, or None
+    when L' is SMEC; the arguments are those of violating_sides.
+
+    A side X with cut c fails exactly the pairs with one end in X, one
+    outside and both of deg' > c, so the least of them is sorted(a, b):
+    a the lowest vertex of X with deg' > c, b the lowest outside. Every
+    violating pair is failed by some side that violating_sides yields:
+    take a minimum cut side S of the pair. The kappa argument of the
+    module docstring makes S, or its complement, an edge set X of H[M],
+    and the component of (M, X) that holds the pair's end on that side
+    separates the pair with no larger cut. Both the bound on the
+    fault-free vertices and the fault-count filter hold for any cut of
+    at most 2n - 3, which a violating pair's minimum cut is. So the
+    least pair over all the sides is the first violating pair."""
+    top = 2 * layout.n - 2
+    lost = _lost(layout, fault_idx)
+    best = None
+    for side, cut in violating_sides(layout, fault_idx):
+        a = min(y for y in side if top - lost.get(y, 0) > cut)
+        b = next(y for y in range(len(layout.edge))
+                 if y not in side and top - lost.get(y, 0) > cut)
+        pair = (a, b) if a < b else (b, a)
+        if best is None or pair < best:
+            best = pair
+    return best

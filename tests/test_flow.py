@@ -1,9 +1,10 @@
 """Differential tests for flow._augment, the one augmenting loop.
 
 Each case runs the loop on a seeded network: an undirected random graph
-as UnitFlowEngine's arc pairs, with and without faults, from stored
-start paths or from starts of mended trails, which may revisit a vertex
-or pass through t, and under cutoffs, or a directed network of unit arcs
+as UnitFlowEngine's arc pairs, with and without faults, cold or from
+starts of short paths (the live edge and the two-edge paths through
+live common neighbours, as min_cuts builds them), and under cutoffs,
+or a directed network of unit arcs
 (random arcs, or the vertex split network of graph.split_network,
 between vertex pairs and in fans from its source node, some
 warm-started). The value must equal that of a one-sided BFS augmenting
@@ -24,7 +25,7 @@ from hlmenger.flow import DirectedFlow, UnitFlowEngine, _augment
 from hlmenger.graph import split_network
 from hlmenger.rng import SplitMix64
 
-from util import live_paths, random_graph
+from util import random_graph
 
 SEEDS = range(40)
 
@@ -196,100 +197,31 @@ def unit_engine(seed):
     return engine, cap
 
 
+def short_paths(engine, cap, s, t):
+    """The live edge {s, t}, then s -> x -> t through each live common
+    neighbour x, as UnitFlowEngine.min_cuts builds its starts: no two
+    share an edge."""
+    head, adj = engine.head, engine.adj
+    near = {head[b]: b for b in adj[s] if cap[b]}        # live s -> x
+    start = [(near[t],)] if t in near else []
+    return start + [(near[head[c]], c ^ 1) for c in adj[t]
+                    if cap[c] and head[c] in near]
+
+
 def unit_cases(seed):
-    """Every ordered pair of the engine; flows into the first hub start
-    from its stored paths that avoid the faults, and every third pair
-    gets a cutoff. Then the starts of mended trails (mended_starts),
-    every third pair's with a cutoff one above the start."""
+    """Every ordered pair of the engine; every other pair's flow starts
+    from its short paths, and every third pair gets a cutoff, one to
+    three above the start."""
     engine, cap = unit_engine(seed)
     rng = SplitMix64(seed + 1000)
-    hub = engine.hubs[0]
-    starts = live_paths(engine, hub)
     for s in range(engine.n):
         for t in range(engine.n):
             if s == t:
                 continue
-            start = starts[s] if t == hub else ()
+            start = short_paths(engine, cap, s, t) if (s + t) % 2 else ()
             cutoff = (len(start) + 1 + rng.randbelow(3)
                       if (s + t) % 3 == 0 else None)
             yield engine, cap, s, t, cutoff, start
-    for s, t, start in mended_starts(engine, cap):
-        cutoff = len(start) + 1 if (s + t) % 3 == 0 else None
-        yield engine, cap, s, t, cutoff, start
-
-
-def dfs_path(engine, cap, s, t, used):
-    """An s-t path of arcs with capacity whose edges are not in `used`,
-    down a depth-first tree, so seldom a shortest one; None when there is
-    none."""
-    parent = {}
-    stack = [(s, None)]
-    while stack and t not in parent:
-        x, a = stack.pop()
-        if x in parent:
-            continue
-        parent[x] = a
-        stack += [(engine.head[b], b) for b in engine.adj[x]
-                  if cap[b] and b >> 1 not in used]
-    if t not in parent:
-        return None
-    path = []
-    while parent[t] is not None:
-        path.append(parent[t])
-        t = engine.tail[parent[t]]
-    return path[::-1]
-
-
-def mend_back(engine, cap, s, t, path, used):
-    """The path with each arc a -> b that it can replace, in order,
-    replaced by a -> x -> b through a common neighbour x that is s, t or
-    a vertex of the path, over two edges with capacity that are not in
-    `used`; `used` gains them. So the trail may revisit a vertex or pass
-    through t, as the hub check's mended trails may."""
-    head, tail = engine.head, engine.tail
-    on = {s, t, *(head[a] for a in path)}
-    trail = []
-    for a in path:
-        x_of = {head[c]: c ^ 1 for c in engine.adj[head[a]]
-                if cap[c ^ 1] and c >> 1 not in used}           # x -> b
-        for p in engine.adj[tail[a]]:
-            x = head[p]
-            if (x in on and x not in (tail[a], head[a]) and x in x_of
-                    and cap[p] and p >> 1 not in used):
-                used.update((p >> 1, x_of[x] >> 1))
-                trail += (p, x_of[x])
-                break
-        else:
-            trail.append(a)
-    return tuple(trail)
-
-
-def mended_starts(engine, cap):
-    """(s, t, start) for starts made of mended trails: first, per vertex
-    u but the first hub, the hub check's start into that hub, u's live
-    stored paths then the dead ones UnitFlowEngine.hub_start mends; then,
-    per ordered pair, up to two depth-first paths mended back onto their
-    own vertices and t."""
-    hub = engine.hubs[0]
-    paths = engine.stored_paths(hub)
-    live = live_paths(engine, hub)
-    for u in range(engine.n):
-        if u != hub:
-            dead = {i for i, p in enumerate(paths[u]) if p not in live[u]}
-            yield u, hub, engine.hub_start(hub, u, dead)
-    for s in range(engine.n):
-        for t in range(engine.n):
-            if s == t:
-                continue
-            used = set()
-            start = []
-            while len(start) < 2:
-                path = dfs_path(engine, cap, s, t, used)
-                if path is None:
-                    break
-                used.update(a >> 1 for a in path)
-                start.append(mend_back(engine, cap, s, t, path, used))
-            yield s, t, start
 
 
 def open_half_fan(g, seed):
@@ -407,10 +339,9 @@ def test_both_exits_occur():
 @pytest.mark.parametrize("seed", range(0, 40, 3))
 def test_queries_restore_the_fault_mask(seed):
     """Queries augment on the engine's residual in place; after each one,
-    warm-started (from mended trails too), capped, min_cut, min_cuts or
-    refused, the residual is exactly the fault mask again."""
+    warm-started, capped, min_cut, min_cuts or refused, the residual is
+    exactly the fault mask again."""
     engine, mask = unit_engine(seed)
-    engine.hub_losses(engine.hubs[0])      # stores paths under the faults
     assert engine._template == mask
     for engine, _, s, t, cutoff, start in unit_cases(seed):
         engine.max_flow(s, t, cutoff, start)
@@ -424,28 +355,6 @@ def test_queries_restore_the_fault_mask(seed):
         with pytest.raises(ValueError, match="source and sink"):
             engine.max_flow(s, s, 1)
         assert engine._template == mask, s
-
-
-def test_mended_trails_revisit_vertices():
-    """Among the starts of mended trails that unit_cases adds, some trail
-    revisits a vertex other than its ends, some passes through t, some
-    through s, and some of the hub check's starts hold a mended trail."""
-    kinds = Counter()
-    for seed in SEEDS:
-        engine, cap = unit_engine(seed)
-        for i, (s, t, start) in enumerate(mended_starts(engine, cap)):
-            for trail in start:
-                walk = [engine.tail[trail[0]]] + [engine.head[a]
-                                                  for a in trail]
-                inner = walk[1:-1]
-                kinds["revisit"] += len(set(inner)) < len(inner)
-                kinds["through_t"] += t in inner
-                kinds["through_s"] += s in inner
-            if i < engine.n - 1:        # the hub check's starts
-                kinds["hub_mended"] += any(
-                    p not in engine.stored_paths(t)[s] for p in start)
-    assert all(kinds[k] for k in ("revisit", "through_t", "through_s",
-                                  "hub_mended")), kinds
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 3))

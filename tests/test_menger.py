@@ -21,16 +21,16 @@ from hlmenger import (
 )
 from hlmenger import _campaign_exec, menger, smallsides
 from hlmenger._campaign_exec import deficient_vertices, hub_deficits, \
-    pocket_fails, smec_violation, smec_witness
+    smec_violation, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
 from hlmenger.linegraph import line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
-from util import all_pairs_min_cut, cut_disconnects, lgraph, live_paths, \
+from util import all_pairs_min_cut, cut_disconnects, lgraph, \
     naive_is_smec, network, random_graph, reference_suite, \
-    reference_tightness_faults, trail_problem
+    reference_tightness_faults
 
 
 class TestBounds:
@@ -361,52 +361,15 @@ class TestSmecUnderFaultsDifferential:
     def test_isolated_vertices_are_vacuous_under_faults(self, kind, n):
         # unconditional sets: every edge at v (v drops to degree 0), alone
         # and with one more fault at a neighbor, for an ordinary vertex
-        # and for the first hub
+        # and for vertex 0, the hub of the fault-free line graph
         g, engine = self._engine(kind, n)
-        for v in (g.n_vertices - 1, engine.hubs[0]):
+        for v in (g.n_vertices - 1, 0):
             star = [i for i, e in enumerate(g.edges) if v in e]
             w = g.neighbors(v)[0]
             extra = next(i for i, e in enumerate(g.edges)
                          if w in e and v not in e)
             for idx in (star, sorted(star + [extra])):
                 self._assert_matches_naive(g, engine, tuple(idx))
-
-    @pytest.mark.parametrize("kind,n", [("crossed", 3), ("mobius1", 4)])
-    def test_faults_touching_every_hub_run_cold(self, kind, n, monkeypatch):
-        g, engine = self._engine(kind, n)
-        hubs = engine.hubs
-        assert len(hubs) == 3
-
-        def stored_paths(hub):
-            raise AssertionError("a touched hub was used")
-
-        monkeypatch.setattr(engine, "stored_paths", stored_paths)
-        incident = [[i for i, e in enumerate(g.edges) if h in e] for h in hubs]
-        one_each = sorted({edges[0] for edges in incident})
-        # strip the first hub to a single edge: its neighbor there loses
-        # a path, a violation found cold
-        split = sorted({*incident[0][1:], incident[1][0], incident[2][0]})
-        for idx in (one_each, split):
-            assert all(any(h in g.edges[i] for i in idx) for h in hubs)
-            self._assert_matches_naive(g, engine, tuple(idx))
-        assert hub_deficits(engine)
-
-    def test_paths_are_stored_only_for_fault_set_checks(self, monkeypatch):
-        # building an engine, a campaign over zero fault sets and a
-        # component-floor campaign never store hub paths
-        def stored_paths(self, hub):
-            raise AssertionError("hub paths stored")
-
-        monkeypatch.setattr(UnitFlowEngine, "stored_paths", stored_paths)
-        L = lgraph("crossed", 4)
-        report = run_campaign(L, FaultCampaign(mode="sampled", m=6,
-                                               samples=0, seed=1))
-        assert report.counts["visited"] == 0
-        for conditional in (False, True):
-            report = check_component_lemma(
-                L, 2, 31, FaultCampaign(mode="exhaustive", m=2,
-                                        conditional=conditional))
-            assert report.passed
 
     def test_conditional_classification_matches_recomputation(self):
         from itertools import combinations
@@ -439,12 +402,13 @@ class TestWitnessScanAgainstTree:
         return None
 
     @staticmethod
-    def _fault_sets(L, engine, n):
+    def _fault_sets(L, n):
         """Adversarial sets one fault past the budget and random sets, then
-        some of the adversarial sets plus one edge at every hub, or plus
-        every edge at one vertex, then pairs of far-apart vertices each
-        stripped to one edge: the far end of each kept edge is deficient
-        for any hub, so every hub sees at least two deficient vertices."""
+        some of the adversarial sets plus one edge at vertex 0, the hub
+        of the fault-free line graph, or plus every edge at one vertex,
+        then pairs of far-apart vertices each stripped to one edge: the
+        far end of each kept edge is deficient for any hub, so the hub
+        sees at least two deficient vertices."""
         g = L.graph
         m = len(g.edges)
         rng = SplitMix64(7000 + n)
@@ -456,18 +420,16 @@ class TestWitnessScanAgainstTree:
                     for x in range(g.n_vertices)]
         for _ in range(20):
             base = suite[rng.randbelow(len(suite))]
-            hubs = [incident[h][rng.randbelow(len(incident[h]))]
-                    for h in engine.hubs]
-            sets.append(tuple(sorted({*base, *hubs})))
-        for v in (0, g.n_vertices // 2, engine.hubs[0]):
+            sets.append(tuple(sorted(
+                {*base, incident[0][rng.randbelow(len(incident[0]))]})))
+        for v in (0, g.n_vertices // 2):
             for _ in range(3):
                 base = suite[rng.randbelow(len(suite))]
                 sets.append(tuple(sorted({*base, *incident[v]})))
         near = [{x, *g.neighbors(x)} for x in range(g.n_vertices)]
         for _ in range(6):
             v = rng.randbelow(g.n_vertices)
-            w = min((x for x in range(g.n_vertices)
-                     if x not in near[v] and x not in engine.hubs),
+            w = min((x for x in range(1, g.n_vertices) if x not in near[v]),
                     key=lambda x: len(near[x] & near[v]))
             keep = {x: incident[x][rng.randbelow(len(incident[x]))]
                     for x in (v, w)}
@@ -481,12 +443,12 @@ class TestWitnessScanAgainstTree:
         L = lgraph("random", n, seed)
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "several_deficient": 0, "mixed_witness": 0,
-                "every_hub_touched": 0, "isolated": 0}
+                "hub_touched": 0, "isolated": 0}
         flows = []
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
             flows.append((s, t)) or \
             UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
-        for idx in self._fault_sets(L, engine, n):
+        for idx in self._fault_sets(L, n):
             engine.set_fault_indices(idx)
             flows.clear()
             deficient = hub_deficits(engine)
@@ -506,7 +468,7 @@ class TestWitnessScanAgainstTree:
                 # the hub flows fix the pair's value: no direct flow
                 assert (u, v) not in direct, idx
             seen["mixed_witness"] += u not in deficient and v in deficient
-            seen["every_hub_touched"] += touched.issuperset(engine.hubs)
+            seen["hub_touched"] += 0 in touched
             seen["isolated"] += 0 in engine.degrees
         assert all(seen.values()), seen
 
@@ -519,282 +481,13 @@ class TestWitnessScanAgainstTree:
         assert is_smec(remove_edges(L.graph, L.graph.edges[:5])).witness
 
 
-class TestHubChoice:
-    """The hub check's choice of hub: the paths that the edge index finds
-    dead against a scan of every stored path, the hub it picks, the short
-    vertices that detours leave to flows and the starts those flows get,
-    and the same violation and witness cut whichever hub is forced, cold
-    flows too."""
-
-    @staticmethod
-    def _random_sets(L, n, count):
-        m = len(L.graph.edges)
-        rng = SplitMix64(8000 + n)
-        return [tuple(rng.sample_indices(m, 2 * n - 4 + rng.randbelow(4)))
-                for _ in range(count)]
-
-    @staticmethod
-    def _two_fault_sets(engine):
-        """Per hub, the first two edges of its first stored path of three
-        or more edges, which lose that path through both of them and leave
-        the hub untouched."""
-        sets = []
-        for h in engine.hubs:
-            path = next(p for mine in engine.stored_paths(h) for p in mine
-                        if len(p) >= 3)
-            sets.append(tuple(sorted({path[0] >> 1, path[1] >> 1})))
-        return sets
-
-    @staticmethod
-    def _check(engine, idx, seen):
-        engine.set_fault_indices(idx)
-        deg, base, hubs = engine.degrees, engine.base_degrees, engine.hubs
-        untouched = [h for h in hubs if deg[h] == base[h]]
-        short_of, live_of = {}, {}
-        for h in hubs:
-            short = engine.hub_losses(h)
-            paths = engine.stored_paths(h)
-            reference = live_paths(engine, h)
-            assert short == {u: {i for i, p in enumerate(mine)
-                                 if p not in reference[u]}
-                             for u, mine in enumerate(paths)
-                             if u != h and len(reference[u]) < deg[u]}, \
-                (idx, h)
-            seen["path_crosses_two_faults"] += any(
-                len({a >> 1 for a in paths[u][i]} & set(idx)) >= 2
-                for u, gone in short.items() for i in gone)
-            short_of[h], live_of[h] = short, reference
-        shorts = [len(short_of[h]) for h in untouched]
-        flows = []
-        engine.max_flow = lambda s, t, cutoff=None, start=(): \
-            flows.append((s, t, start)) or \
-            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
-        try:
-            hub_deficits(engine)
-        finally:
-            del engine.max_flow
-        if shorts:
-            # each short vertex of the chosen hub starts from its live
-            # stored paths and the dead ones hub_start mends; flows run
-            # from that whole start for exactly the vertices it leaves
-            # uncovered
-            chosen = untouched[shorts.index(min(shorts))]
-            live, stored = live_of[chosen], engine.stored_paths(chosen)
-            starts = {}
-            for u, dead in short_of[chosen].items():
-                starts[u] = engine.hub_start(chosen, u, dead)
-                assert starts[u][:len(live[u])] == live[u], (idx, u)
-                assert len(starts[u]) <= len(stored[u]), (idx, u)
-                problem = trail_problem(engine.edges, idx, u, chosen,
-                                        starts[u])
-                assert problem is None, (idx, u, problem)
-            uncovered = [u for u, start in sorted(starts.items())
-                         if len(start) < deg[u]]
-            assert flows == [(u, chosen, starts[u]) for u in uncovered], idx
-            seen["covered"] += len(uncovered) < len(starts)
-            seen["partly_mended"] += any(len(starts[u]) > len(live[u])
-                                         for u in uncovered)
-            seen["not_first_hub"] += chosen != untouched[0]
-        else:
-            assert all(start == [] for _, _, start in flows), idx
-            seen["every_hub_touched"] += 1
-        outcomes = set()
-        try:
-            for forced in (hubs, *([h] for h in untouched), []):
-                engine.hubs = forced
-                w = smec_witness(engine)
-                outcomes.add((smec_violation(engine), w and w.cut))
-        finally:
-            engine.hubs = hubs
-        assert len(outcomes) == 1, (idx, outcomes)
-        seen["violating"] += outcomes.pop()[0] is not None
-
-    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 1), (4, 3),
-                                        (5, 1)])
-    def test_every_hub_gives_the_same_witness(self, n, seed):
-        L = lgraph("random", n, seed)
-        engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
-        seen = {"violating": 0, "not_first_hub": 0, "every_hub_touched": 0,
-                "path_crosses_two_faults": 0, "covered": 0,
-                "partly_mended": 0}
-        sets = TestWitnessScanAgainstTree._fault_sets(L, engine, n)
-        sets += self._two_fault_sets(engine)
-        for idx in sets + self._random_sets(L, n, 40):
-            self._check(engine, idx, seen)
-        assert all(seen.values()), seen
-
-
-class TestDetours:
-    """Dead stored paths mended around their fault edges through live
-    common neighbours (UnitFlowEngine.hub_start). The hub check builds a
-    start for exactly the vertices short of live stored paths; each
-    start, the vertex's live stored paths then its mended ones, passes a
-    checker that reads the edge list alone; a vertex runs its flow, from
-    that whole start, exactly when the start holds fewer than deg u
-    trails; and the hub check's deficits equal those of flow-only runs,
-    which mend nothing, and the naive pairwise verdict."""
-
-    @staticmethod
-    def _fault_sets(L, n):
-        """A spread of the adversarial suite one fault past ft-smec's
-        budget, then seeded random sets of 2n-4 to 4n-10 faults."""
-        m = len(L.graph.edges)
-        suite = adversarial_fault_indices(L, 2 * n - 3)
-        rng = SplitMix64(9000 + n)
-        top = max(4 * n - 10, 2 * n - 4)
-        return suite[::max(1, len(suite) // 30)] + [
-            tuple(rng.sample_indices(m, rng.randbelow(top + 1 - (2 * n - 4))
-                                     + 2 * n - 4))
-            for _ in range(30)]
-
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("kind,seed", [("hypercube", None),
-                                           ("crossed", None), ("random", 1)])
-    def test_trails_and_deficits_match_flow_only_runs(self, kind, seed, n,
-                                                      monkeypatch):
-        L = lgraph(kind, n, seed)
-        g = L.graph
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
-        calls, flows = {}, {}
-
-        def hub_start(r, u, dead):
-            start = UnitFlowEngine.hub_start(engine, r, u, dead)
-            calls[u] = r, dead, start
-            return start
-
-        def live_only(r, u, dead):
-            return [p for i, p in enumerate(engine.stored_paths(r)[u])
-                    if i not in dead]
-
-        def max_flow(s, t, cutoff=None, start=()):
-            flows[s] = t, cutoff, start
-            return UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
-
-        seen = {"covered": 0, "uncovered": 0, "partly_mended": 0,
-                "violating": 0}
-        step = 15 if n == 5 else 1      # naive: 0.6 s per passing set at n=5
-        for i, idx in enumerate(self._fault_sets(L, n)):
-            engine.set_fault_indices(idx)
-            faulty = remove_edges(g, [g.edges[k] for k in idx])
-            calls.clear()
-            flows.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(engine, "hub_start", hub_start)
-                mp.setattr(engine, "max_flow", max_flow)
-                deficits = hub_deficits(engine)
-            live_of = {}
-            for u, (r, dead, start) in calls.items():
-                if r not in live_of:
-                    live_of[r] = scan = live_paths(engine, r)
-                    assert set(calls) == {
-                        x for x in range(g.n_vertices)
-                        if x != r and len(scan[x]) < faulty.degree(x)}, idx
-                live, need = live_of[r][u], faulty.degree(u)
-                stored = engine.stored_paths(r)[u]
-                assert dead == {i for i, p in enumerate(stored)
-                                if p not in live}, idx
-                assert len(live) < need, (idx, u)
-                assert start[:len(live)] == live, (idx, u)
-                trails = start[len(live):]
-                problem = trail_problem(g.edges, idx, u, r, start)
-                assert problem is None, (idx, u, problem)
-                if len(start) >= need:
-                    seen["covered"] += 1
-                    assert u not in flows, (idx, u)
-                else:
-                    seen["uncovered"] += 1
-                    assert flows[u] == (r, need, start), (idx, u)
-                    seen["partly_mended"] += bool(trails)
-            with monkeypatch.context() as mp:
-                mp.setattr(engine, "hub_start", live_only)
-                assert hub_deficits(engine) == deficits, idx
-            seen["violating"] += bool(deficits)
-            if i % step == 0:
-                assert naive_is_smec(faulty)[0] == (not deficits), idx
-        assert all(seen.values()), seen
-
-
-class TestPocket:
-    """pocket_fails claims a failure only from a cut around a fault end of
-    degree 1 or 2: checked against smec_witness on suites and random sets,
-    and required to fire on both sharp constructions."""
-
-    @pytest.mark.parametrize("kind", [*NAMED_FAMILIES, "random"])
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_fires_only_where_the_witness_fails(self, kind, n):
-        L = lgraph(kind, n, 1 if kind == "random" else None)
-        g = L.graph
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
-        rng = SplitMix64(9100 + n)
-        sets = [*adversarial_fault_indices(L, 2 * n - 3),
-                *adversarial_fault_indices(L, 4 * n - 9)]
-        sets += [tuple(rng.sample_indices(len(g.edges),
-                                          1 + rng.randbelow(4 * n - 7)))
-                 for _ in range(300)]
-        seen = {"fired": 0, "passed": 0}
-        for idx in sets:
-            engine.set_fault_indices(idx)
-            fails = smec_witness(engine) is not None
-            if pocket_fails(engine):
-                assert fails, idx
-                seen["fired"] += 1
-            seen["passed"] += not fails
-        assert all(seen.values()), seen
-
-    @pytest.mark.parametrize("kind", [*NAMED_FAMILIES, "random"])
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_fires_on_both_constructions(self, kind, n):
-        L = lgraph(kind, n, 1 if kind == "random" else None)
-        g = L.graph
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
-        index = {e: k for k, e in enumerate(g.edges)}
-        for tw in (tightness_unconditional(L), tightness_conditional(L)):
-            engine.set_fault_indices(sorted(index[e] for e in tw.fault_set))
-            assert pocket_fails(engine), tw.core
-
-    def test_needs_a_far_vertex_of_the_pocket_degree(self):
-        # path 0-1-2 with fault 0-3: the pocket {0, 1} of dead end 0 has
-        # one cut edge against deg 1 = 2, but no vertex outside it has
-        # degree 2, and the path is SMEC
-        g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
-        engine = UnitFlowEngine(g.n_vertices, g.edges)
-        engine.set_fault_indices([g.edges.index((0, 3))])
-        assert smec_witness(engine) is None
-        assert not pocket_fails(engine)
-
-
 class TestVerdictOnly:
     """A chunk decides each set after its first failure by the verdict
     alone. With a small-side layout, smallsides.fails decides it with no
-    flow, no hub work and no pocket check. Without one, a
-    pocket's cut fails it with no hub work, or else the hub check stops
-    at its first deficient vertex. No pair scan or min cut runs either
-    way. Checked per set against hub_deficits, and per campaign against
-    a loop that runs smec_witness on every set."""
-
-    @staticmethod
-    def _wide_cuts(L, n):
-        """Sets that fail with no pocket. At n >= 4, for some base vertices
-        b, every edge from the line vertices at b but the last to line
-        vertices away from b: the clique at b keeps n - 1 edges out, fewer
-        than its last vertex's 2n - 2, while the stripped vertices keep
-        degree n - 1 >= 3 and the far fault ends lose at most two edges.
-        At n = 3, random sets of 2n faults, some of which fail through a
-        larger cut."""
-        g = L.graph
-        if n == 3:
-            rng = SplitMix64(3)
-            return [tuple(rng.sample_indices(len(g.edges), 2 * n))
-                    for _ in range(200)]
-        sets = []
-        for b in range(0, L.base.n_vertices, 5):
-            clique = {i for i, e in enumerate(L.edge_of_vertex) if b in e}
-            stripped = clique - {max(clique)}
-            sets.append(tuple(
-                k for k, (x, y) in enumerate(g.edges)
-                if (x in stripped and y not in clique)
-                or (y in stripped and x not in clique)))
-        return sets
+    flow and no hub check. Without one, the hub check stops at its first
+    deficient vertex. No pair scan or min cut runs either way. Checked
+    per set against hub_deficits, and per campaign against smec_witness
+    on every set."""
 
     @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3), (5, 1)])
     def test_verdict_stops_at_the_first_deficient_vertex(self, n, seed,
@@ -802,8 +495,9 @@ class TestVerdictOnly:
         """Each set is checked as a campaign with m = |F| would check it:
         with smallsides.layout(L, |F|), which at n = 3 always refuses
         (kappa(H) = 3 <= mu once |F| >= 3) and at n >= 4 refuses the
-        larger sets. A set with a layout runs no flow and no hub_losses;
-        a set without one keeps the hub check's rule."""
+        larger sets. A set with a layout runs no flow and no hub check
+        and is not installed; a set without one runs a prefix of the hub
+        check's flows, all of them when it passes."""
         L = lgraph("random", n, seed)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
@@ -811,9 +505,6 @@ class TestVerdictOnly:
         engine.max_flow = lambda s, t, cutoff=None, start=(): \
             flows.append((s, t)) or \
             UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
-        losses = []
-        engine.hub_losses = lambda hub: \
-            losses.append(hub) or UnitFlowEngine.hub_losses(engine, hub)
         installs = []
         engine.set_fault_indices = lambda idx: installs.append(idx) or \
             UnitFlowEngine.set_fault_indices(engine, idx)
@@ -821,37 +512,37 @@ class TestVerdictOnly:
         def refused(*args):
             raise AssertionError("pair scan or min cut in a verdict check")
 
-        seen = {"decided_fail": 0, "decided_pass": 0, "pocket": 0,
-                "hub_check": 0}
-        for idx in [*TestWitnessScanAgainstTree._fault_sets(L, engine, n),
-                    *self._wide_cuts(L, n)]:
+        def no_hub_check(*args):
+            raise AssertionError("hub check run with a layout")
+
+        seen = {"decided_fail": 0, "decided_pass": 0, "hub_check": 0,
+                "hub_pass": 0}
+        for idx in TestWitnessScanAgainstTree._fault_sets(L, n):
             layout = smallsides.layout(L, len(idx))
             engine.set_fault_indices(idx)
             flows.clear()
             deficits = hub_deficits(engine)
             every = flows[:]
             flows.clear()
-            losses.clear()
             installs.clear()
             with monkeypatch.context() as m:
                 m.setattr(_campaign_exec, "smec_violation", refused)
                 m.setattr(engine, "min_cut", refused)
+                if layout is not None:
+                    m.setattr(_campaign_exec, "deficient_vertices",
+                              no_hub_check)
                 out = _campaign_exec._evaluate_one(
                     engine, layout, g.edges, idx, "smec", 0, False)
             assert out == ({} if deficits else None), idx
             if layout is not None:
                 # the small sides settle the set from F alone: no flow,
-                # no hub work, and F is not even installed in the engine
+                # no hub check, and F is not even installed in the engine
                 seen["decided_fail" if deficits else "decided_pass"] += 1
-                assert not flows and not losses and not installs, idx
+                assert not flows and not installs, idx
                 continue
             if not deficits:
+                seen["hub_pass"] += 1
                 assert flows == every, idx
-                continue
-            if pocket_fails(engine):
-                # the pocket's cut fails the set before any hub work
-                seen["pocket"] += 1
-                assert not flows and not losses, idx
                 continue
             seen["hub_check"] += 1
             u = min(deficits)
@@ -859,21 +550,28 @@ class TestVerdictOnly:
             assert flows == every[:len(flows)] and flows[-1][0] == u, idx
             assert next(deficient_vertices(engine)) == (u, deficits[u]), idx
         decided = seen["decided_fail"] + seen["decided_pass"]
-        assert seen["pocket"] and seen["hub_check"], seen
+        assert seen["hub_check"] and seen["hub_pass"], seen
         assert all(seen.values()) if n >= 4 else not decided, seen
 
     @pytest.mark.parametrize("kind,seed,m,conditional", [
         ("random", 1, 5, False), ("random", 2, 5, False),
         ("random", 3, 5, False), ("crossed", None, 5, False),
-        # one past 4n - 10 with min degree 2: the pockets are triangles
+        # one past 4n - 10 with min degree 2: kappa(H) = mu, so the hub
+        # check decides
         ("crossed", None, 7, True)])
     def test_campaign_matches_a_witness_for_every_set(self, kind, seed, m,
                                                       conditional,
                                                       monkeypatch):
+        """The campaign's counts and witness, at --jobs 1 and 2 with
+        chunks of 7 sets, against smec_witness on every set. Every
+        failing set's witness as the campaign computes it, from the
+        small sides where there is a layout, must equal smec_witness's.
+        A campaign with a layout never runs the hub check."""
         L = lgraph(kind, 4, seed)
         g = L.graph
         c = FaultCampaign(mode="sampled", m=m, conditional=conditional,
                           samples=60, seed=seed or 1, adversarial=True)
+        layout = smallsides.layout(L, m)
         streams = []
         evaluate = _campaign_exec.evaluate_stream
 
@@ -881,35 +579,43 @@ class TestVerdictOnly:
             streams.append(list(stream))
             return evaluate(g, iter(streams[-1]), *args)
 
+        def no_hub_check(*args):
+            raise AssertionError("hub check run with a layout")
+
         cuts = []
         min_cut = UnitFlowEngine.min_cut
         monkeypatch.setattr(_campaign_exec, "evaluate_stream", recorded)
         monkeypatch.setattr(_campaign_exec, "_CHUNK_SIZE", 7)
         monkeypatch.setattr(UnitFlowEngine, "min_cut", lambda self, s, t:
                             cuts.append((s, t)) or min_cut(self, s, t))
-        solo = run_campaign(L, c, jobs=1)
-        solo_cuts = len(cuts)
-        parallel = run_campaign(L, c, jobs=2)
+        with monkeypatch.context() as mp:
+            if layout is not None:
+                mp.setattr(_campaign_exec, "deficient_vertices",
+                           no_hub_check)
+            solo = run_campaign(L, c, jobs=1)
+            solo_cuts = len(cuts)
+            parallel = run_campaign(L, c, jobs=2)
         sets = streams[0]
         assert streams[1] == sets
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        failed, first, pockets = [], None, 0
+        failed, first = [], None
         for idx in sets:
             engine.set_fault_indices(idx)
             w = smec_witness(engine)
             failed.append(w is not None)
-            if pocket_fails(engine):
-                assert w is not None, idx
-                pockets += 1
+            expected = w and {"fault_edges": [list(g.edges[k]) for k in idx],
+                              **w.to_dict()}
+            assert _campaign_exec._evaluate_one(
+                UnitFlowEngine(g.n_vertices, g.edges), layout, g.edges, idx,
+                "smec", 0, True) == expected, idx
             if w is not None and first is None:
-                first = {"fault_edges": [list(g.edges[k]) for k in idx],
-                         **w.to_dict()}
+                first = expected
         chunks = [failed[i:i + 7] for i in range(0, len(failed), 7)]
         assert sum(any(ch) for ch in chunks) >= 3
         assert any(sum(ch) >= 2 for ch in chunks)
-        assert pockets
         skipped = solo.counts["skipped_conditional"]
         assert bool(skipped) == conditional
+        assert (layout is None) == conditional
         for report in (solo, parallel):
             assert report.counts == {"visited": len(sets),
                                      "skipped_conditional": skipped,

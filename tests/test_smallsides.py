@@ -1,14 +1,17 @@
 """smallsides: the SMEC decider on the base network, against the hub check.
 
 smallsides.fails decides a fault set of L(H) from the connected edge sets
-of H that span at most mu base vertices. Every case here compares its
-verdict with smec_witness, the hub check with its pair scan, on the six
-families at n = 4 and 5: the adversarial suites at 2n-4, 2n-3, 4n-10 and
-4n-9, both sharp constructions and seeded random sets, with both
-verdicts required, as built and with the pockets emptied so that the
-search decides alone. The layout must refuse wherever kappa(H) <= mu: at
-n = 4, m = 7 and on two copies of K_4 - e joined by two edges, where
-the search without the check misses failing sets. The enumerator is
+of H that span at most mu base vertices, and smallsides.least_pair reads
+the first violating pair off them. Every case here compares the verdict,
+the least pair and the witness a campaign builds from it with
+smec_witness, the hub check with its pair scan, on the six families at
+n = 4 and 5: the adversarial suites at 2n-4, 2n-3, 4n-10 and 4n-9, both
+sharp constructions and seeded random sets, with both verdicts
+required, as built and with the pockets emptied so that the search
+decides alone; and at n = 6 on sets that strip two line vertices. The
+layout must refuse wherever kappa(H) <= mu: at n = 4, m = 7 and on two
+copies of K_4 - e joined by two edges, where the search without the
+check misses failing sets. The enumerator is
 checked against all edge subsets of small graphs.
 """
 
@@ -20,7 +23,7 @@ import pytest
 from hlmenger import NAMED_FAMILIES, FaultCampaign, build_graph, \
     line_graph, run_campaign, smallsides, tightness_conditional, \
     tightness_unconditional
-from hlmenger._campaign_exec import smec_witness
+from hlmenger._campaign_exec import _evaluate_one, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import adversarial_fault_indices
 from hlmenger.rng import SplitMix64
@@ -120,10 +123,14 @@ class TestFails:
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_the_witness(self, kind, n):
         """With the layout as built, and with L's adjacency emptied in it
-        so that no pocket settles a set and the search decides alone."""
+        so that no pocket settles a set and the search decides alone, the
+        verdict and the least pair over all the violating sides equal
+        smec_witness's, and so does the witness a campaign computes from
+        them with one min_cut."""
         L = lgraph(kind, n, 1 if kind == "random" else None)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
+        campaign = UnitFlowEngine(g.n_vertices, g.edges)
         seen = {"fails": 0, "passes": 0}
         for m in budgets(n):
             layout = smallsides.layout(L, m)
@@ -133,11 +140,55 @@ class TestFails:
             search.line_adj = [()] * g.n_vertices
             for idx in self._sets(L, n, m):
                 engine.set_fault_indices(idx)
-                fails = smec_witness(engine) is not None
-                assert smallsides.fails(layout, idx) == fails, (m, idx)
-                assert smallsides.fails(search, idx) == fails, (m, idx)
+                w = smec_witness(engine)
+                fails = w is not None
+                pair = (w.u, w.v) if fails else None
+                for sides in (layout, search):
+                    assert smallsides.fails(sides, idx) == fails, (m, idx)
+                    assert smallsides.least_pair(sides, idx) == pair, \
+                        (m, idx)
+                expected = w and {
+                    "fault_edges": [list(g.edges[k]) for k in idx],
+                    **w.to_dict()}
+                assert _evaluate_one(campaign, layout, g.edges, idx, "smec",
+                                     0, True) == expected, (m, idx)
                 seen["fails" if fails else "passes"] += 1
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("kind", ["hypercube", "crossed", "random"])
+    def test_least_pair_of_stripped_line_vertices(self, kind):
+        """At n = 6 the layout covers up to 20 faults (mu = 5 < kappa = 6
+        at m = 18), enough to strip two line vertices, whose sides hold
+        more than one vertex above their cut or give pairs in another
+        order than their pockets: an isolated edge x-y (cut 0, both ends
+        of degree 1), a dead end x whose neighbour u keeps two edges (x's
+        degree equals the cut of {x, u}), and two dead ends far apart
+        (two pockets). least_pair must give smec_witness's pair."""
+        L = lgraph(kind, 6, 1 if kind == "random" else None)
+        g = L.graph
+        inc = [{} for _ in range(g.n_vertices)]
+        for k, (a, b) in enumerate(g.edges):
+            inc[a][b] = inc[b][a] = k
+
+        def strip(x, *keep):
+            return [k for w, k in inc[x].items() if w not in keep]
+
+        sets = []
+        for x in (0, 70, 129, 191):
+            y, u = min(inc[x]), max(inc[x])
+            w = max(set(inc[u]) - {x})
+            far = next(z for z in range(g.n_vertices - 1, -1, -1)
+                       if not set(inc[z]) & {x, *inc[x]})
+            sets += [strip(x, y) + strip(y, x), strip(x, u) + strip(u, x, w),
+                     strip(x, y) + strip(far, min(inc[far])),
+                     strip(x, u) + strip(far, max(inc[far]))]
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        for idx in map(sorted, sets):
+            layout = smallsides.layout(L, len(idx))
+            assert layout is not None, idx
+            engine.set_fault_indices(idx)
+            w = smec_witness(engine)
+            assert smallsides.least_pair(layout, idx) == (w.u, w.v), idx
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_the_search_fails_both_constructions(self, kind):

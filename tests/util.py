@@ -253,46 +253,6 @@ def all_pairs_min_cut(engine) -> list[list[int]]:
     return rows
 
 
-def live_paths(engine, hub: int) -> list[list[tuple[int, ...]]]:
-    """Per vertex u, the stored u->hub paths that avoid the engine's
-    installed faults, by a scan of every stored path: the reference for
-    UnitFlowEngine.hub_losses, which finds through its edge index the
-    vertices short of live paths and their dead paths' indices, and for
-    the live paths that open each start UnitFlowEngine.hub_start
-    builds."""
-    dead = {a for k in engine.fault for a in (2 * k, 2 * k + 1)}
-    return [[p for p in paths if dead.isdisjoint(p)]
-            for paths in engine.stored_paths(hub)]
-
-
-def trail_problem(edges, faults, u: int, r: int, trails) -> str | None:
-    """None when `trails` are u -> r trails of G - F that share no edge,
-    else the first problem found. A trail is a tuple of arcs of the edge
-    list `edges`: arc 2k runs edges[k][0] -> edges[k][1] and arc 2k + 1
-    back; F is the edge indices `faults`. A trail may revisit a vertex,
-    u and r included. Reads the edge list alone, no flow code: the oracle
-    for the hub check's starts, which UnitFlowEngine.hub_start builds
-    from the live stored paths of u followed by the trails it mends."""
-    faulted = set(faults)
-    taken = set()
-    for trail in trails:
-        at = u
-        for arc in trail:
-            k = arc >> 1
-            a, b = edges[k][::-1] if arc & 1 else edges[k]
-            if a != at:
-                return f"trail {trail} breaks at arc {arc}"
-            if k in faulted:
-                return f"trail {trail} crosses the fault edge {edges[k]}"
-            if k in taken:
-                return f"edge {edges[k]} lies on two trails"
-            taken.add(k)
-            at = b
-        if at != r:
-            return f"trail {trail} ends at {at}, not at {r}"
-    return None
-
-
 def _ref_strip(g: Graph, v: int, keep) -> list[tuple[int, int]]:
     return [canonical_edge(v, w) for w in g.neighbors(v) if w not in keep]
 
