@@ -296,23 +296,22 @@ def least_pair(layout: Layout, fault_idx: Sequence[int]
 
     A side X with cut c fails exactly the pairs with one end in X, one
     outside and both of deg' > c, so the least of them is sorted(a, b):
-    a the lowest vertex of X with deg' > c, b the lowest outside. Every
-    violating pair is failed by some side that violating_sides yields:
-    take a minimum cut side S of the pair. The kappa argument of the
-    module docstring makes S, or its complement, an edge set X of H[M],
-    and the component of (M, X) that holds the pair's end on that side
-    separates the pair with no larger cut. Both the bound on the
-    fault-free vertices and the fault-count filter hold for any cut of
-    at most 2n - 3, which a violating pair's minimum cut is. So the
-    least pair over all the sides is the first violating pair."""
+    a the lowest vertex of X with deg' > c, b the lowest such vertex
+    outside. Every violating pair is failed by some side that
+    violating_sides yields: take a minimum cut side S of the pair. The
+    kappa argument of the module docstring makes S, or its complement,
+    an edge set X of H[M], and the component of (M, X) that holds the
+    pair's end on that side separates the pair with no larger cut. Both
+    the bound on the fault-free vertices and the fault-count filter hold
+    for any cut of at most 2n - 3, which a violating pair's minimum cut
+    is. So the least pair over all the sides is the first violating
+    pair."""
     top = 2 * layout.n - 2
     lost = _lost(layout, fault_idx)
-    best = None
+    pairs = []
     for side, cut in violating_sides(layout, fault_idx):
         a = min(y for y in side if top - lost.get(y, 0) > cut)
         b = next(y for y in range(len(layout.edge))
                  if y not in side and top - lost.get(y, 0) > cut)
-        pair = (a, b) if a < b else (b, a)
-        if best is None or pair < best:
-            best = pair
-    return best
+        pairs.append((a, b) if a < b else (b, a))
+    return min(pairs, default=None)

@@ -308,8 +308,7 @@ class TestSmecUnderFaultsDifferential:
                             min(faulty.degree(u), faulty.degree(v))), idx
 
     def test_faulted_random_graphs_match_naive(self):
-        # bases that need not be SMEC, where some vertex may have fewer
-        # stored hub paths than its degree; 1-3 seeded faults per set
+        # bases that need not be SMEC; 1-3 seeded faults per set
         seen = {"holds": 0, "violates": 0}
         for seed in range(60):
             g = random_graph(seed)
