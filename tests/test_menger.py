@@ -204,6 +204,23 @@ class TestRunCampaign:
                              samples=150, seed=100))
         assert different.parameters["seed"] != a.parameters["seed"]
 
+    def test_empty_and_floor_campaigns_run_no_unit_flow(self, monkeypatch):
+        # a campaign over zero fault sets and a component-floor campaign
+        # never run a flow of the UnitFlowEngine
+        def no_flow(*args):
+            raise AssertionError("unit flow run")
+
+        monkeypatch.setattr(UnitFlowEngine, "_run", no_flow)
+        L = lgraph("crossed", 4)
+        report = run_campaign(L, FaultCampaign(mode="sampled", m=6,
+                                               samples=0, seed=1))
+        assert report.counts["visited"] == 0
+        for conditional in (False, True):
+            report = check_component_lemma(
+                L, 2, 31, FaultCampaign(mode="exhaustive", m=2,
+                                        conditional=conditional))
+            assert report.passed
+
     @pytest.mark.parametrize("kind, n, c", [
         ("ltq", 3, FaultCampaign(mode="exhaustive", m=2)),
         # skips are counted where sets are drawn, failures in the workers
@@ -478,6 +495,124 @@ class TestWitnessScanAgainstTree:
                                                adversarial=True))
         assert report.counts["failures"] > report.counts["visited"] // 2
         assert is_smec(remove_edges(L.graph, L.graph.edges[:5])).witness
+
+
+class TestHubChoice:
+    """The hub lemma whichever hub: for the lowest, the highest and a
+    seeded vertex r of maximum degree in G - F, the capped flows into r
+    find a deficient vertex exactly when smec_witness fails, and the pair
+    scan over the pairs with an endpoint deficient for r, each decided by
+    its own flow, gives smec_witness's pair and path count."""
+
+    @staticmethod
+    def _hubs(deg, rng):
+        top = [x for x, d in enumerate(deg) if d == max(deg)]
+        return sorted({top[0], top[-1], top[rng.randbelow(len(top))]})
+
+    @staticmethod
+    def _first_violation(engine, r):
+        deg = engine.degrees
+        short = {u for u in range(engine.n) if u != r and deg[u]
+                 and engine.max_flow(u, r, deg[u]) < deg[u]}
+        for u in range(engine.n):
+            for v in range(u + 1, engine.n):
+                req = min(deg[u], deg[v])
+                if req and short & {u, v}:
+                    paths = engine.max_flow(u, v, req)
+                    if paths < req:
+                        return short, (u, v, paths, req)
+        return short, None
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 1), (4, 3),
+                                        (5, 1)])
+    def test_every_hub_gives_the_same_witness(self, n, seed):
+        L = lgraph("random", n, seed)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        rng = SplitMix64(8000 + n)
+        sets = TestWitnessScanAgainstTree._fault_sets(L, n)
+        sets += [tuple(rng.sample_indices(len(g.edges),
+                                          2 * n - 4 + rng.randbelow(4)))
+                 for _ in range(30)]
+        seen = {"violating": 0, "several_hubs": 0, "hubs_disagree": 0}
+        for idx in sets:
+            engine.set_fault_indices(idx)
+            w = smec_witness(engine)
+            expected = w and (w.u, w.v, w.path_count, w.required)
+            hubs = self._hubs(engine.degrees, rng)
+            shorts = set()
+            for r in hubs:
+                short, hit = self._first_violation(engine, r)
+                assert bool(short) == (w is not None), (idx, r)
+                assert hit == expected, (idx, r)
+                shorts.add(frozenset(short))
+            seen["violating"] += w is not None
+            seen["several_hubs"] += len(hubs) > 1
+            seen["hubs_disagree"] += len(shorts) > 1
+        assert all(seen.values()), seen
+
+
+class TestColdHubCheck:
+    """deficient_vertices, the one hub check: r is the lowest vertex of
+    maximum degree in G - F, one cold flow capped at deg u runs from each
+    u != r of positive degree in id order, and the deficits are exactly
+    the u with lambda(u, r) < deg u, each with that value, as networkx
+    computes it on G - F; at n <= 4 the verdict also equals the naive
+    pairwise check's."""
+
+    @staticmethod
+    def _fault_sets(L, n):
+        """A spread of the adversarial suite one fault past ft-smec's
+        budget, seeded random sets of 2n-4 to 4n-10 faults, and the
+        suite's sets with every edge at vertex 0 added, which move the
+        hub off vertex 0."""
+        m = len(L.graph.edges)
+        suite = adversarial_fault_indices(L, 2 * n - 3)
+        rng = SplitMix64(9000 + n)
+        top = max(4 * n - 10, 2 * n - 4)
+        star = [k for k, e in enumerate(L.graph.edges) if 0 in e]
+        return suite[::max(1, len(suite) // 30)] + [
+            tuple(rng.sample_indices(m, rng.randbelow(top + 1 - (2 * n - 4))
+                                     + 2 * n - 4))
+            for _ in range(30)] + [tuple(sorted({*suite[k], *star}))
+                                   for k in range(0, len(suite), 97)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind,seed", [("hypercube", None),
+                                           ("crossed", None), ("random", 1)])
+    def test_flows_into_the_hub_give_the_deficits(self, kind, seed, n):
+        import networkx as nx
+
+        L = lgraph(kind, n, seed)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        flows = []
+        engine.max_flow = lambda s, t, cutoff=None, start=(): \
+            flows.append((s, t, cutoff, start)) or \
+            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+        seen = {"violating": 0, "holds": 0, "hub_moved": 0}
+        step = {3: 1, 4: 3, 5: 12}[n]   # networkx: 0.2 s per set at n=5
+        for i, idx in enumerate(self._fault_sets(L, n)):
+            engine.set_fault_indices(idx)
+            flows.clear()
+            deficits = hub_deficits(engine)
+            faulty = remove_edges(g, [g.edges[k] for k in idx])
+            deg = [faulty.degree(x) for x in range(g.n_vertices)]
+            r = deg.index(max(deg))
+            live = [u for u in range(g.n_vertices) if u != r and deg[u]]
+            assert flows == [(u, r, deg[u], ()) for u in live], idx
+            seen["violating" if deficits else "holds"] += 1
+            seen["hub_moved"] += r != 0
+            if i % step:
+                continue
+            h = nx.Graph(faulty.edges)
+            h.add_nodes_from(range(g.n_vertices))
+            lam = {u: nx.edge_connectivity(h, u, r) for u in live}
+            assert deficits == {u: x for u, x in lam.items()
+                                if x < deg[u]}, idx
+            if n <= 4:
+                assert naive_is_smec(faulty)[0] == (not deficits), idx
+        assert all(seen.values()), seen
 
 
 class TestVerdictOnly:

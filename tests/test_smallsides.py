@@ -11,7 +11,8 @@ required, as built and with the pockets emptied so that the search
 decides alone; and at n = 6 on sets that strip two line vertices. The
 layout must refuse wherever kappa(H) <= mu: at n = 4, m = 7 and on two
 copies of K_4 - e joined by two edges, where the search without the
-check misses failing sets. The enumerator is
+check misses failing sets. The pocket step alone is checked side by
+side, each pocket's cut counted edge by edge on L - F. The enumerator is
 checked against all edge subsets of small graphs.
 """
 
@@ -220,6 +221,120 @@ class TestFails:
             idx = sorted(index[e] for e in tw.fault_set)
             layout = smallsides.layout(L, len(idx))
             assert smallsides.fails(layout, idx), tw.core
+
+
+class TestPocket:
+    """The pocket step of violating_sides, run with the search stubbed
+    out: each side it yields is a fault end y of deg' 1 or 2 with its
+    live neighbours, whose cut, counted edge by edge in L - F, is the
+    cut yielded and lies below both the largest degree in the side and
+    the largest outside it. Checked against smec_witness on suites and
+    random sets, required to give the side of both sharp constructions,
+    and required to hold back where no vertex outside the pocket has a
+    degree above its cut."""
+
+    @staticmethod
+    def _pockets(layout, idx, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(smallsides, "connected_edge_sets",
+                       lambda *args: iter(()))
+            return list(smallsides.violating_sides(layout, idx))
+
+    @staticmethod
+    def _certify(g, idx, side, cut):
+        dead = {g.edges[k] for k in idx}
+        live = [[] for _ in range(g.n_vertices)]
+        for a, b in g.edges:
+            if (a, b) not in dead:
+                live[a].append(b)
+                live[b].append(a)
+        assert any(0 < len(live[y]) <= 2 and side == {y, *live[y]}
+                   for y in {x for e in dead for x in e}), (idx, side)
+        assert sum(w not in side for y in side for w in live[y]) == cut, \
+            (idx, side)
+        outside = max(len(live[y]) for y in range(g.n_vertices)
+                      if y not in side)
+        assert cut < min(max(len(live[y]) for y in side), outside), \
+            (idx, side)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fires_only_where_the_witness_fails(self, kind, n, monkeypatch):
+        """On a spread of the adversarial suites at every budget with a
+        layout and on seeded random sets, every pocket is a certified
+        violating side, the pockets come first among all the sides, and
+        a set with one fails smec_witness."""
+        L = lgraph(kind, n, 1 if kind == "random" else None)
+        g = L.graph
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        rng = SplitMix64(9100 + n)
+        seen = {"fired": 0, "passed": 0}
+        for m in budgets(n):
+            layout = smallsides.layout(L, m)
+            if layout is None:
+                continue
+            suite = adversarial_fault_indices(L, m)
+            sets = suite[::max(1, len(suite) // 40)] + [
+                tuple(rng.sample_indices(len(g.edges), 1 + rng.randbelow(m)))
+                for _ in range(20)]
+            for idx in sets:
+                pockets = self._pockets(layout, idx, monkeypatch)
+                for side, cut in pockets:
+                    self._certify(g, idx, side, cut)
+                sides = smallsides.violating_sides(layout, idx)
+                assert [next(sides) for _ in pockets] == pockets, idx
+                if pockets:
+                    engine.set_fault_indices(idx)
+                    assert smec_witness(engine) is not None, idx
+                    seen["fired"] += 1
+                seen["passed"] += not smallsides.fails(layout, idx)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_fires_on_both_constructions(self, kind, n, monkeypatch):
+        """The pockets hold each construction's side, its core with the
+        pair's first end (the dead end u0 with its kept neighbour, or the
+        triangle), with the construction's path count as its cut. At
+        n = 4 the 4n-9 construction has no layout (kappa = mu = 4)."""
+        L = lgraph(kind, n, 1 if kind == "random" else None)
+        g = L.graph
+        index = {e: k for k, e in enumerate(g.edges)}
+        built = 0
+        for tw in (tightness_unconditional(L), tightness_conditional(L)):
+            idx = sorted(index[e] for e in tw.fault_set)
+            layout = smallsides.layout(L, len(idx))
+            if layout is None:
+                assert n == 4 and len(idx) == 4 * n - 9, tw.core
+                continue
+            pockets = self._pockets(layout, idx, monkeypatch)
+            for side, cut in pockets:
+                self._certify(g, idx, side, cut)
+            assert ({*tw.core, tw.u}, tw.expected_max_paths) in pockets, \
+                tw.core
+            built += 1
+        assert built == (1 if n == 4 else 2)
+
+    def test_needs_a_far_vertex_of_the_pocket_degree(self, monkeypatch):
+        """L(K_4), marked as a base of dimension 3, with three of line
+        vertex 01's four edges faulted and the edge 13-23: 01's pocket
+        {01, 02} has cut 3 against deg' 02 = 4, but every vertex outside
+        it has degree 3 at most and only 02 has no fault, so the pocket
+        does not violate, and L - F is SMEC."""
+        k4 = build_graph(4, list(combinations(range(4), 2)))
+        L = replace(line_graph(k4), base_dimension=3)
+        g = L.graph
+        y, kept = L.vertex_of_edge[(0, 1)], L.vertex_of_edge[(0, 2)]
+        far = L.vertex_of_edge[(1, 3)], L.vertex_of_edge[(2, 3)]
+        idx = sorted(k for k, e in enumerate(g.edges)
+                     if (y in e and kept not in e) or set(e) == set(far))
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        engine.set_fault_indices(idx)
+        assert engine.degrees[y] == 1 and engine.degrees[kept] == 4
+        assert max(d for x, d in enumerate(engine.degrees)
+                   if x not in (y, kept)) == 3
+        assert smec_witness(engine) is None
+        assert self._pockets(smallsides.Layout(L), idx, monkeypatch) == []
 
 
 def brute_force_edge_sets(g, size):
