@@ -5,38 +5,46 @@ evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
 failure witness are identical whatever the worker count. For SMEC checks
 each worker builds its own flow engine from the (n, edges) layout once.
-For component checks the parent builds the fault-free component index
-(component_index) once per campaign and hands it to the workers, which
-inherit it when forked. The stream holds only sets to evaluate: the
-conditional mode's minimum-degree admission happens where the sets are
-produced, so every set here is visited.
+The parent hands (L, m) to the workers, and each builds what its checks
+read on its first set, so a campaign of no sets builds none. The stream
+holds only sets to evaluate: the conditional mode's minimum-degree
+admission happens where the sets are produced, so every set here is
+visited.
 
-Per fault set F the component-floor check (largest_component_under_faults)
-works only around F's edges. The ends of each F edge are first joined
-through a live common neighbour, two dictionary lookups per neighbour:
-in a line graph the two ends of an edge share a base vertex, so they
-have n-2 common neighbours. Only when none is live does a bidirectional
-search between the ends run, which either joins them or closes a whole
-component of G - F. A second pass between the live ends of F edges
-whose far end closed joins what is left of each component of G. So a
-set that splits nothing usually costs a few lookups per fault edge and
-no search, not a pass over every edge (Even and Shiloach 1981).
+Per fault set F the component-floor check is decided on the base
+network when the campaign has a line graph L(H) of an HL network with
+kappa(H) > mu = floor(m / (n - 1)): each worker builds
+smallsides.floor_layout on its first set, and
+smallsides.largest_component gives the size from the hosts of F's
+edges, searching L - F only from the line vertices between two hosts of
+n - 1 or more faults (the proof is in smallsides). Otherwise
+(kappa(H) <= mu, n <= 2, or a graph with no HL base) the worker builds
+the fault-free component index (component_index) instead, and
+largest_component_under_faults decides, working only around F's edges.
+The ends of each F edge are first joined through a live common
+neighbour, two dictionary lookups per neighbour: in a line graph the
+two ends of an edge share a base vertex, so they have n-2 common
+neighbours. Only when none is live does a bidirectional search between
+the ends run, which either joins them or closes a whole component of
+G - F. A second pass between the live ends of F edges whose far end
+closed joins what is left of each component of G. So a set that splits
+nothing usually costs a few lookups per fault edge and no search, not a
+pass over every edge (Even and Shiloach 1981).
 
 Per fault set F the SMEC check is decided from the small sides on the
 base network when the campaign has a line graph L(H) of an HL network
-with kappa(H) > mu (smallsides, whose docstrings hold the proofs): the
-parent hands (L, m) to the workers, and each builds smallsides.layout
-on its first set, so a campaign of no sets builds none and checks no
-kappa. smallsides.fails gives the verdict from F alone, with no flow and
-without installing F in the flow engine, and smallsides.least_pair gives
-a failing set's witness pair, the first violating pair in ascending
-order. F is installed only then, and one min_cut of the pair gives its
-path count and cut. So such a campaign runs no hub check. Otherwise
-(kappa(H) <= mu, n <= 2, or a graph with no HL base) the verdict is the
-cold hub check, deficient_vertices, and the witness is smec_witness's:
-smec_violation turns the hub check's deficient vertices into the first
-violating pair, cut by the same min_cut. The witness is a fact of G - F,
-whichever path gave it.
+with kappa(H) > mu (smallsides, whose docstrings hold the proofs): each
+worker builds smallsides.layout on its first set, so a campaign of no
+sets checks no kappa. smallsides.fails gives the verdict from F alone,
+with no flow and without installing F in the flow engine, and
+smallsides.least_pair gives a failing set's witness pair, the first
+violating pair in ascending order. F is installed only then, and one
+min_cut of the pair gives its path count and cut. So such a campaign
+runs no hub check. Otherwise (kappa(H) <= mu, n <= 2, or a graph with no
+HL base) the verdict is the cold hub check, deficient_vertices, and the
+witness is smec_witness's: smec_violation turns the hub check's
+deficient vertices into the first violating pair, cut by the same
+min_cut. The witness is a fact of G - F, whichever path gave it.
 
 A report keeps only the counts and the first failure's witness, so each
 chunk computes a witness only for its first failing set. Every later set
@@ -318,15 +326,19 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
                   edges, idx, kind: str, floor: int,
                   witness: bool) -> Optional[dict]:
     """None when the fault set passes, else its failure witness. Component
-    checks read the component index and have no engine; SMEC checks have
-    an engine, and as index the small-side layout (smallsides.layout) or
-    None when there is none. With a layout, the small sides decide the
-    set from F alone, and only a failing set checked with `witness`
-    installs F, for one min_cut of its least pair. Without one, the hub
-    check decides. A failing set checked with `witness` false gives {}:
-    no pair scan and no min cut runs for it."""
+    checks have no engine, and as index the floor layout
+    (smallsides.floor_layout) or, where there is none, the component
+    index. SMEC checks have an engine, and as index the small-side
+    layout (smallsides.layout) or None when there is none. With a layout,
+    the small sides decide the set from F alone, and only a failing set
+    checked with `witness` installs F, for one min_cut of its least pair.
+    Without one, the hub check decides. A failing set checked with
+    `witness` false gives {}: no pair scan and no min cut runs for it."""
     if kind == "component":
-        size = largest_component_under_faults(index, idx)
+        if isinstance(index, smallsides.Layout):
+            size = smallsides.largest_component(index, idx)
+        else:
+            size = largest_component_under_faults(index, idx)
         if size < floor:
             return {
                 "fault_edges": [list(edges[k]) for k in idx],
@@ -359,19 +371,24 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
     return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
 
 
-def _init_worker(n, edges, kind, floor, index, sides):
+def _init_worker(n, edges, kind, floor, sides):
     global _WORKER_STATE
     engine = UnitFlowEngine(n, edges) if kind == "smec" else None
-    _WORKER_STATE = (engine, index, sides, edges, kind, floor)
+    _WORKER_STATE = (engine, None, sides, edges, kind, floor)
 
 
 def _run_chunk(chunk):
     global _WORKER_STATE
     engine, index, sides, edges, kind, floor = _WORKER_STATE
     if sides is not None:
-        # this worker's first SMEC set: the (L, m) source becomes the
-        # small-side layout, or None where it would not be exact
-        index = smallsides.layout(*sides)
+        # this worker's first set: the (L, m) source becomes the layout,
+        # or where it would not be exact, None for SMEC (the hub check)
+        # and the component index for floors
+        if kind == "smec":
+            index = smallsides.layout(*sides)
+        else:
+            index = (smallsides.floor_layout(*sides)
+                     or component_index(sides[0].graph))
         _WORKER_STATE = (engine, index, None, edges, kind, floor)
     failures = 0
     first = None
@@ -402,13 +419,14 @@ def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
     At most os.cpu_count() worker processes start, whatever `jobs` asks
     for, and one job runs in process. `progress`, when given, is called
     after each chunk's tallies are merged into counters. `sides` is
-    (L, m), g = L.graph, given to SMEC checks only: each worker builds
-    smallsides.layout(L, m) on its first set, so a campaign of no sets
-    builds none."""
+    (L, m), g = L.graph, which component checks require: each worker
+    builds the layout of L for m (smallsides.layout or floor_layout), or
+    a floor check's component index, on its first set, so a campaign of
+    no sets builds none. A SMEC check given no `sides` takes the hub
+    check."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
-    index = component_index(g) if kind == "component" else None
-    initargs = (g.n_vertices, g.edges, kind, floor, index, sides)
+    initargs = (g.n_vertices, g.edges, kind, floor, sides)
     chunks = _chunks(stream, _CHUNK_SIZE)
     if jobs <= 1:
         _init_worker(*initargs)

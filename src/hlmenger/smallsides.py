@@ -1,4 +1,5 @@
-"""SMEC of a faulted line graph L(H) - F decided from small sides on H.
+"""SMEC and the largest component of a faulted line graph L(H) - F,
+decided from small sides on H.
 
 Let H be an n-regular base network with n >= 3 (HL_n is one), L = L(H)
 its line graph and F a set of edges of L. A vertex of L is an edge of H,
@@ -70,12 +71,32 @@ u to another edge at u, so u is in M, and F must remove at least
 (4n - 6) - (2n - 3) = 2n - 3 of them. So the faults hosted in M number
 2n - 3 or more; as |M| <= mu, so do the mu largest per-host fault counts
 of F. When they do not, L' is SMEC with no search, in O(|F|).
+
+Component floors. A component K of L' has no live edge leaving it, so
+delta_L(K) lies in F. Each mixed vertex u of K loses its t_u (n - t_u)
+>= n - 1 cut clique edges, all hosted at u, so u is heavy: f_u >= n - 1.
+Each fault has one host, so at most |F| / (n - 1) vertices are heavy,
+at most mu = floor(m / (n - 1)) for |F| <= m, and floor_layout requires
+kappa(H) > mu. By the kappa argument K then has no full vertex or no
+empty one. In the first case every edge of H in K joins two mixed, so
+heavy, vertices; in the second every edge outside K does. So K or its
+complement lies in C, the line vertices that join two heavy hosts. Not
+every base vertex is heavy (there are at most mu < kappa(H) < |V(H)|
+heavy ones), so C is not all of L, and two components outside C would
+each lie in the other's complement, inside C. So exactly one component,
+the giant, is not inside C, and the largest component is the giant,
+|V(L)| less the components inside C, or the largest of those. A search
+of L' from a vertex of C either stays in C and closes such a component,
+or reaches a vertex outside C, or one an earlier search reached (a
+closed component has no live edge out), and then all it saw is in the
+giant. With fewer than two heavy hosts C is empty and L' is connected,
+found in O(|F|).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import Edge, vertex_connectivity
 from .linegraph import LineGraph
@@ -104,17 +125,32 @@ class Layout:
 
 
 def layout(L: LineGraph, m: int) -> Optional[Layout]:
-    """The layout of L for fault sets of at most m edges, or None when
-    the small sides would not be exact there: L has no HL base dimension, n <= 2,
-    the base is not n-regular, or kappa(H) <= mu at |F| = m. mu grows with
-    |F|, so one check at the campaign's m covers every smaller set."""
+    """The layout of L for SMEC checks of fault sets of at most m edges,
+    or None when the small sides would not be exact there (see _checked):
+    a violating side has a cut of at most 2n - 3 + m edges in L."""
+    return _checked(L, lambda n: 2 * n - 3 + m)
+
+
+def floor_layout(L: LineGraph, m: int) -> Optional[Layout]:
+    """The layout of L for component floors under fault sets of at most m
+    edges, or None when largest_component would not be exact there (see
+    _checked): a component of L - F has a cut of at most m edges in L."""
+    return _checked(L, lambda n: m)
+
+
+def _checked(L: LineGraph, cut: Callable[[int], int]) -> Optional[Layout]:
+    """Layout(L), or None when L has no HL base dimension n, n <= 2, the
+    base is not n-regular, or kappa(H) <= mu = floor(cut(n) / (n - 1)),
+    where cut(n) bounds the cut in L of the sides the caller decides. mu
+    grows with |F|, so one check at the campaign's m covers every
+    smaller set."""
     n = L.base_dimension
     if n is None or n < 3:
         return None
     base = L.base
     if any(base.degree(u) != n for u in range(base.n_vertices)):
         return None
-    mu = (2 * n - 3 + m) // (n - 1)
+    mu = cut(n) // (n - 1)
     if vertex_connectivity(base, mu + 1) <= mu:
         return None
     return Layout(L)
@@ -315,3 +351,44 @@ def least_pair(layout: Layout, fault_idx: Sequence[int]
                  if y not in side and top - lost.get(y, 0) > cut)
         pairs.append((a, b) if a < b else (b, a))
     return min(pairs, default=None)
+
+
+def largest_component(layout: Layout, fault_idx: Sequence[int]) -> int:
+    """The size of the largest component of L - F, F the edges of L with
+    indices fault_idx, for a layout that floor_layout(L, m) gave with
+    m >= |F|. Only components inside C, the line vertices that join two
+    hosts of n - 1 or more faults each, can differ from the giant (see
+    the module docstring), so each of them is searched in L - F until
+    the search leaves C."""
+    at = layout.at
+    hosted: dict[int, int] = {}
+    for k in fault_idx:
+        hosted[at[k]] = hosted.get(at[k], 0) + 1
+    heavy = {u for u, f in hosted.items() if f >= layout.n - 1}
+    total = len(layout.edge)
+    if len(heavy) < 2:
+        return total
+    inside = {layout.vertex[u, w] for u in heavy for w in layout.adj[u]
+              if u < w and w in heavy}
+    ends, line_adj = layout.ends, layout.line_adj
+    dead = {ends[k] for k in fault_idx}
+    seen: set[int] = set()
+    closed = []
+    for y in inside:
+        if y in seen:
+            continue
+        part, stack, giant = {y}, [y], False
+        while stack and not giant:
+            x = stack.pop()
+            for z in line_adj[x]:
+                if z in part or ((x, z) if x < z else (z, x)) in dead:
+                    continue
+                if z in seen or z not in inside:
+                    giant = True
+                    break
+                part.add(z)
+                stack.append(z)
+        seen |= part
+        if not giant:
+            closed.append(len(part))
+    return max([total - sum(closed), *closed])

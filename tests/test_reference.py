@@ -11,7 +11,10 @@ SMEC paths: n = 4 ft-smec at m = 5 and 6, where the small sides decide
 and give the witnesses, and n = 3 at m >= 3 and n = 4 cond-ft-smec at
 m = 7, where kappa(H) <= mu and the hub check decides. n = 3 at m = 6,
 far past the budget, gives witness pairs with several minimum cuts, so
-only the smallest source side reproduces the cut.
+only the smallest source side reproduces the cut. Two more pin the two
+floor paths: lemma41 at n = 4, m = 11, where the floor layout exists
+(mu = 3 < kappa(H) = 4), and lemma32 at n = 3, m = 7, where
+kappa(H) = mu = 3 and the component index decides.
 """
 
 import io
@@ -93,6 +96,10 @@ def cli_json(check, family, n, seed, m, mode, samples, adversarial,
          jobs=1, chunk=3)
 @example(request=("ft-smec", "hypercube", 3, 1, 6, "sample", 6, False),
          jobs=2, chunk=512)
+@example(request=("lemma41", "crossed", 4, 1, 11, "sample", 6, True),
+         jobs=2, chunk=3)
+@example(request=("lemma32", "crossed", 3, 2, 7, "sample", 6, True),
+         jobs=1, chunk=3)
 def test_reports_equal_the_reference(request, jobs, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_campaign_exec, "_CHUNK_SIZE", chunk)

@@ -29,15 +29,9 @@ from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import adversarial_fault_indices
 from hlmenger.rng import SplitMix64
 
-from util import lgraph, random_graph
+from util import lgraph, random_graph, two_k4_minus_e
 
 FAMILIES = [*NAMED_FAMILIES, "random"]
-
-# two copies of K_4 - e, each missing the edge between its last two
-# vertices, joined at those vertices: 3-regular with kappa = 2
-TWO_K4_MINUS_E = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-                  (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (2, 6), (3, 7))
-
 
 def budgets(n):
     return (2 * n - 4, 2 * n - 3, 4 * n - 10, 4 * n - 9)
@@ -45,13 +39,6 @@ def budgets(n):
 
 def mu(n, m):
     return (2 * n - 3 + m) // (n - 1)
-
-
-def two_k4_minus_e():
-    """L of the two-K_4 - e base, marked as a base of dimension 3 so that
-    only the kappa check can refuse it."""
-    base = build_graph(8, TWO_K4_MINUS_E)
-    return replace(line_graph(base), base_dimension=3)
 
 
 class TestLayout:

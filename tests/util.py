@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
@@ -18,6 +19,7 @@ from hlmenger import (
     gen_family,
     gen_random_hl,
     largest_component_size,
+    line_graph,
     max_edge_disjoint_paths,
     remove_edges,
 )
@@ -37,6 +39,19 @@ NOT_HL4_EDGES = (
     (9, 15), (10, 11), (11, 12), (11, 13), (12, 14), (13, 15), (14, 15),
     (0, 8), (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 15),
 )
+
+
+# two copies of K_4 - e, each missing the edge between its last two
+# vertices, joined at those vertices: 3-regular with kappa = 2
+TWO_K4_MINUS_E = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                  (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (2, 6), (3, 7))
+
+
+def two_k4_minus_e() -> LineGraph:
+    """L of the two-K_4 - e base, marked as a base of dimension 3 so that
+    only the kappa check can refuse it."""
+    return replace(line_graph(build_graph(8, TWO_K4_MINUS_E)),
+                   base_dimension=3)
 
 
 @lru_cache(maxsize=None)
