@@ -419,11 +419,10 @@ def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
     At most os.cpu_count() worker processes start, whatever `jobs` asks
     for, and one job runs in process. `progress`, when given, is called
     after each chunk's tallies are merged into counters. `sides` is
-    (L, m), g = L.graph, which component checks require: each worker
-    builds the layout of L for m (smallsides.layout or floor_layout), or
-    a floor check's component index, on its first set, so a campaign of
-    no sets builds none. A SMEC check given no `sides` takes the hub
-    check."""
+    (L, m), g = L.graph: each worker builds the layout of L for m
+    (smallsides.layout or floor_layout), or a floor check's component
+    index where there is none, on its first set, so a campaign of no
+    sets builds none."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
     initargs = (g.n_vertices, g.edges, kind, floor, sides)

@@ -107,7 +107,8 @@ class Layout:
     adjacency, L's adjacency, the host at[k] of each edge k of L (the
     base vertex its two ends share), the ends of each edge of L, and the
     maps between base edges and line vertices. It depends on L alone;
-    layout() builds it once the campaign's kappa check has passed."""
+    layout() and floor_layout() build it once the campaign's kappa check
+    has passed."""
 
     __slots__ = ("n", "adj", "line_adj", "at", "ends", "vertex", "edge")
 
@@ -141,9 +142,9 @@ def floor_layout(L: LineGraph, m: int) -> Optional[Layout]:
 def _checked(L: LineGraph, cut: Callable[[int], int]) -> Optional[Layout]:
     """Layout(L), or None when L has no HL base dimension n, n <= 2, the
     base is not n-regular, or kappa(H) <= mu = floor(cut(n) / (n - 1)),
-    where cut(n) bounds the cut in L of the sides the caller decides. mu
-    grows with |F|, so one check at the campaign's m covers every
-    smaller set."""
+    where cut(n) bounds the cut in L of the sides the caller decides at
+    the campaign's m. That bound only shrinks with |F|, so one check at
+    m covers every smaller set."""
     n = L.base_dimension
     if n is None or n < 3:
         return None
@@ -358,8 +359,8 @@ def largest_component(layout: Layout, fault_idx: Sequence[int]) -> int:
     indices fault_idx, for a layout that floor_layout(L, m) gave with
     m >= |F|. Only components inside C, the line vertices that join two
     hosts of n - 1 or more faults each, can differ from the giant (see
-    the module docstring), so each of them is searched in L - F until
-    the search leaves C."""
+    the module docstring), so L - F is searched from each vertex of C
+    that no earlier search reached, until the search leaves C."""
     at = layout.at
     hosted: dict[int, int] = {}
     for k in fault_idx:

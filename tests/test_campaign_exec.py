@@ -195,7 +195,8 @@ def cut_sets(L, m, rng):
             if len(cut) > m:
                 cut = sorted(cut[i] for i in rng.sample_indices(len(cut), m))
             out.append(tuple(cut))
-            rest = [k for k in range(n_edges) if k not in set(cut)]
+            taken = set(cut)
+            rest = [k for k in range(n_edges) if k not in taken]
             extra = rng.sample_indices(len(rest), m - len(cut))
             out.append(tuple(sorted(cut + [rest[i] for i in extra])))
     return out
@@ -291,11 +292,11 @@ def test_campaigns_take_the_decider_wherever_the_layout_exists(
     c = FaultCampaign(mode="sampled", m=m, samples=100, seed=3,
                       adversarial=True)
     assert (smallsides.floor_layout(L, m) is not None) == layout
+    monkeypatch.setattr(_campaign_exec, "_CHUNK_SIZE", 16)
     with monkeypatch.context() as mp:
         # the fallback's reports, for comparison
         mp.setattr(smallsides, "floor_layout", lambda *args: None)
         expected = check_component_lemma(L, m, floor, c, jobs=jobs)
-    monkeypatch.setattr(_campaign_exec, "_CHUNK_SIZE", 16)
     monkeypatch.setattr(_campaign_exec, "largest_component_under_faults",
                         _raises)
     if not layout:
