@@ -18,18 +18,10 @@ smallsides.floor_layout on its first set, and
 smallsides.largest_component gives the size from the hosts of F's
 edges, searching L - F only from the line vertices between two hosts of
 n - 1 or more faults (the proof is in smallsides). Otherwise
-(kappa(H) <= mu, n <= 2, or a graph with no HL base) the worker builds
-the fault-free component index (component_index) instead, and
-largest_component_under_faults decides, working only around F's edges.
-The ends of each F edge are first joined through a live common
-neighbour, two dictionary lookups per neighbour: in a line graph the
-two ends of an edge share a base vertex, so they have n-2 common
-neighbours. Only when none is live does a bidirectional search between
-the ends run, which either joins them or closes a whole component of
-G - F. A second pass between the live ends of F edges whose far end
-closed joins what is left of each component of G. So a set that splits
-nothing usually costs a few lookups per fault edge and no search, not a
-pass over every edge (Even and Shiloach 1981).
+(kappa(H) <= mu, n <= 2, or a graph with no HL base)
+largest_component_under_faults runs a plain component search of the
+rebuilt G - F. On HL_n that happens only from m = n(n - 1), past every
+floor budget of the paper.
 
 Per fault set F the SMEC check is decided from the small sides on the
 base network when the campaign has a line graph L(H) of an HL network
@@ -68,7 +60,7 @@ from typing import Callable, Iterator, Optional
 
 from . import smallsides
 from .flow import UnitFlowEngine
-from .graph import Edge, Graph, components, incidence
+from .graph import Edge, Graph, largest_component_size, remove_edges
 
 _CHUNK_SIZE = 512
 
@@ -186,140 +178,12 @@ def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
     return SmecWitness(u, v, paths, req, tuple(cut))
 
 
-def component_index(g: Graph) -> tuple:
-    """(edges, inc, comp, comp_size) of G, the fault-free state of
-    largest_component_under_faults: inc = incidence(G) maps inc[x][y] to
-    the index of edge {x, y}, comp[x] is x's component in G and
-    comp_size[c] the size of component c."""
-    comp = [0] * g.n_vertices
-    comp_size = []
-    for c, members in enumerate(components(g)):
-        for x in members:
-            comp[x] = c
-        comp_size.append(len(members))
-    return g.edges, incidence(g), comp, comp_size
-
-
-def largest_component_under_faults(index: tuple, fault_idx) -> int:
-    """Size of the largest component of G - F, F the given edge indices
-    and index = component_index(G), joining the ends of F's edges
-    through live common neighbours and searching only around F's edges.
-
-    A search between a and b grows a tree from each in G - F, one whole
-    level of the smaller frontier at a time. Either the trees meet, and
-    every F endpoint either tree marked joins a's class in a union-find
-    over F's endpoints, or a tree runs dry: its marks are then a whole
-    component of G - F, which is closed, with its size and G-component.
-    1. Each F edge (u, v), in order, is skipped if an endpoint is closed
-       or u and v are already in one class. Otherwise, if some x has both
-       {u, x} and {x, v} live, u and v are joined: the path u-x-v is a
-       search between them that meets after one level, and what follows
-       uses only that u and v end up joined. Only when no such x exists
-       is (u, v) searched.
-    2. If nothing closed, every F edge's ends are joined in G - F, so any
-       path of G through F can be rerouted: G's components are intact.
-    3. Otherwise the boundary anchors are the live ends of F edges whose
-       other end is closed. Within each G-component, two live anchors of
-       different classes are searched until one class is left; each
-       search joins two classes or closes one more component.
-    4. The answer is the largest of the closed sizes and, for every
-       G-component B_c, the size of its remainder R_c = B_c minus the
-       closed vertices.
-    R_c is connected: a part P of it other than B_c has an edge of G
-    leaving P inside B_c, which must be an F edge (x, y) with x in P. If y
-    were in R_c too, step 1 joined (x, y) through a common neighbour,
-    searched it or found them joined, and a search that closes neither
-    end meets, so x and y would be joined.
-    Hence y is closed, x is a boundary anchor, and every part of R_c
-    holds one. Step 3 makes no new anchor: an F edge with no end closed
-    after step 1 has its ends joined, so they close together or not at
-    all. After step 3 the live anchors of B_c form one class, so R_c is
-    one part.
-    """
-    edges, inc, comp, comp_size = index
-    if not fault_idx:
-        return max(comp_size, default=0)
-    dead = set(fault_idx)
-    parent = {}
-    for k in fault_idx:
-        u, v = edges[k]
-        parent[u] = u
-        parent[v] = v
-    closed = set()
-    sizes = []
-    closed_in = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def search(a, b):
-        seen_a, seen_b = {a}, {b}
-        front_a, front_b = [a], [b]
-        hits = [b]        # F endpoints marked, besides a
-        while True:
-            if len(front_b) < len(front_a):
-                front, mine, other = front_b, seen_b, seen_a
-            else:
-                front, mine, other = front_a, seen_a, seen_b
-            level = []
-            for x in front:
-                for y, k in inc[x].items():
-                    if y not in mine and k not in dead:
-                        if y in other:
-                            r = find(a)
-                            for z in hits:
-                                parent[find(z)] = r
-                            return
-                        mine.add(y)
-                        level.append(y)
-                        if y in parent:
-                            hits.append(y)
-            if not level:
-                closed.update(mine)
-                sizes.append(len(mine))
-                c = comp[a]
-                closed_in[c] = closed_in.get(c, 0) + len(mine)
-                return
-            if mine is seen_a:
-                front_a = level
-            else:
-                front_b = level
-
-    for k in fault_idx:
-        u, v = edges[k]
-        if u in closed or v in closed or find(u) == find(v):
-            continue
-        at_v = inc[v]
-        for x, j in inc[u].items():
-            # k is dead, so an x that is not v's neighbour fails the test
-            if j not in dead and at_v.get(x, k) not in dead:
-                parent[find(v)] = find(u)
-                break
-        else:
-            search(u, v)
-    if not sizes:
-        return max(comp_size)
-    anchors = {}          # G-component -> its boundary anchors, in order
-    for k in fault_idx:
-        u, v = edges[k]
-        if (u in closed) != (v in closed):
-            a = v if u in closed else u
-            anchors.setdefault(comp[a], {})[a] = None
-    for group in anchors.values():
-        while True:
-            live = [a for a in group if a not in closed]
-            b = next((x for x in live if find(x) != find(live[0])), None)
-            if b is None:
-                break
-            search(live[0], b)
-    best = max(sizes)
-    for c, size in enumerate(comp_size):
-        rest = size - closed_in.get(c, 0)
-        if rest > best:
-            best = rest
-    return best
+def largest_component_under_faults(g: Graph, fault_idx) -> int:
+    """Size of the largest component of G - F, F the given edge indices:
+    the floor check where there is no floor layout. perfbench's
+    exec.union_find layer counts the calls by this name."""
+    return largest_component_size(
+        remove_edges(g, [g.edges[k] for k in fault_idx]))
 
 
 def _evaluate_one(engine: Optional[UnitFlowEngine], index,
@@ -327,9 +191,10 @@ def _evaluate_one(engine: Optional[UnitFlowEngine], index,
                   witness: bool) -> Optional[dict]:
     """None when the fault set passes, else its failure witness. Component
     checks have no engine, and as index the floor layout
-    (smallsides.floor_layout) or, where there is none, the component
-    index. SMEC checks have an engine, and as index the small-side
-    layout (smallsides.layout) or None when there is none. With a layout,
+    (smallsides.floor_layout) or, where there is none, the graph for
+    largest_component_under_faults. SMEC checks have an engine,
+    and as index the small-side layout (smallsides.layout) or None when
+    there is none. With a layout,
     the small sides decide the set from F alone, and only a failing set
     checked with `witness` installs F, for one min_cut of its least pair.
     Without one, the hub check decides. A failing set checked with
@@ -383,12 +248,11 @@ def _run_chunk(chunk):
     if sides is not None:
         # this worker's first set: the (L, m) source becomes the layout,
         # or where it would not be exact, None for SMEC (the hub check)
-        # and the component index for floors
+        # and the graph for floors (a plain component search)
         if kind == "smec":
             index = smallsides.layout(*sides)
         else:
-            index = (smallsides.floor_layout(*sides)
-                     or component_index(sides[0].graph))
+            index = smallsides.floor_layout(*sides) or sides[0].graph
         _WORKER_STATE = (engine, index, None, edges, kind, floor)
     failures = 0
     first = None
@@ -420,9 +284,8 @@ def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
     for, and one job runs in process. `progress`, when given, is called
     after each chunk's tallies are merged into counters. `sides` is
     (L, m), g = L.graph: each worker builds the layout of L for m
-    (smallsides.layout or floor_layout), or a floor check's component
-    index where there is none, on its first set, so a campaign of no
-    sets builds none."""
+    (smallsides.layout or floor_layout) on its first set, so a campaign
+    of no sets builds none."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
     initargs = (g.n_vertices, g.edges, kind, floor, sides)

@@ -1,5 +1,11 @@
 """networkx as a third oracle for the exact connectivity primitives.
 
+It also checks _campaign_exec.largest_component_under_faults, the plain
+component search of g - F that a floor campaign runs on every set where
+the floor layout refuses, against nx.connected_components: on seeded
+random graphs, disconnected ones and isolated vertices included, and
+dense ones full of triangles, with fault sets of every size.
+
 Skipped when networkx is not installed: the package itself has no
 dependencies, and networkx is only a test-time cross-check.
 """
@@ -7,13 +13,16 @@ dependencies, and networkx is only a test-time cross-check.
 import pytest
 
 from hlmenger import (
+    build_graph,
     edge_connectivity,
     max_edge_disjoint_paths,
     remove_edges,
     tightness_conditional,
     vertex_connectivity,
 )
+from hlmenger._campaign_exec import largest_component_under_faults
 from hlmenger.graph import split_network
+from hlmenger.rng import SplitMix64
 
 from util import lgraph, random_graph
 
@@ -27,6 +36,63 @@ def to_nx(g):
     h.add_nodes_from(range(g.n_vertices))
     h.add_edges_from(g.edges)
     return h
+
+
+def assert_components_match(g, sets) -> dict:
+    """largest_component_under_faults against networkx for every F;
+    returns how often it fell below the largest component of g, and how
+    often with g disconnected."""
+    h = to_nx(g)
+    whole = max(map(len, nx.connected_components(h)), default=0)
+    split = nx.number_connected_components(h) > 1
+    seen = {"shrunk": 0, "shrunk_disconnected": 0}
+    for idx in sets:
+        hf = h.copy()
+        hf.remove_edges_from(g.edges[k] for k in idx)
+        expected = max(map(len, nx.connected_components(hf)), default=0)
+        assert largest_component_under_faults(g, idx) == expected, \
+            (g.n_vertices, g.edges, idx)
+        if expected < whole:
+            seen["shrunk"] += 1
+            seen["shrunk_disconnected"] += split
+    return seen
+
+
+def test_empty_and_edgeless_graphs():
+    for n in (0, 1, 5):
+        g = build_graph(n, [])
+        assert largest_component_under_faults(g, ()) == min(n, 1)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_random_graphs_with_every_fault_set_size(block):
+    """20 graphs per block, up to 40 vertices; for each, one seeded F of
+    every size from 0 to E."""
+    totals = {"shrunk": 0, "shrunk_disconnected": 0, "isolated": 0}
+    for seed in range(20 * block, 20 * block + 20):
+        g = random_graph(seed, max_vertices=40, max_edges=90)
+        rng = SplitMix64(seed)
+        m = len(g.edges)
+        sets = [tuple(rng.sample_indices(m, k)) for k in range(m + 1)]
+        for key, count in assert_components_match(g, sets).items():
+            totals[key] += count
+        totals["isolated"] += g.min_degree() == 0
+    assert all(totals.values()), totals
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_dense_random_graphs_with_every_fault_set_size(block):
+    """10 graphs per block, up to 16 vertices and 60 edges, full of
+    triangles; for each, three seeded F of every size from 0 to E."""
+    shrunk = 0
+    for seed in range(1000 + 10 * block, 1010 + 10 * block):
+        g = random_graph(seed, max_vertices=16, max_edges=60)
+        rng = SplitMix64(seed)
+        m = len(g.edges)
+        sets = [tuple(rng.sample_indices(m, k)) for k in range(m + 1)
+                for _ in range(3)]
+        shrunk += assert_components_match(g, sets)["shrunk"]
+    assert shrunk
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -26,7 +26,7 @@ from hlmenger import NAMED_FAMILIES, FaultCampaign, build_graph, \
     tightness_unconditional
 from hlmenger._campaign_exec import _evaluate_one, smec_witness
 from hlmenger.flow import UnitFlowEngine
-from hlmenger.menger import adversarial_fault_indices
+from hlmenger.menger import BOUNDS, adversarial_fault_indices
 from hlmenger.rng import SplitMix64
 
 from util import lgraph, random_graph, two_k4_minus_e
@@ -88,6 +88,33 @@ class TestLayout:
         report = run_campaign(lgraph("crossed", 5), FaultCampaign(
             mode="sampled", m=10, conditional=True, samples=0, seed=1))
         assert report.counts["visited"] == 0
+
+
+# each campaign check of BOUNDS with the layout that decides it
+PAPER_BUDGETS = {"lemma32": smallsides.floor_layout,
+                 "lemma41": smallsides.floor_layout,
+                 "appendixA": smallsides.floor_layout,
+                 "ft-smec": smallsides.layout,
+                 "cond-ft-smec": smallsides.layout}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_no_paper_budget_reaches_a_fallback(kind, n):
+    """Every campaign check at the paper's budget, from its min_n to 7,
+    has a layout, so no such campaign takes the cold hub check or the
+    plain component search. The one exception is ft-smec at n = 2,
+    budget 0: L(HL_2) is a 4-cycle, below smallsides' n >= 3."""
+    L = lgraph(kind, n, 1 if kind == "random" else None)
+    checked = 0
+    for check, build in PAPER_BUDGETS.items():
+        bound = BOUNDS[check]
+        if n < bound.min_n or bound.max_n is not None and n > bound.max_n:
+            continue
+        laid = build(L, bound.faults(n))
+        assert (laid is None) == (n == 2), (check, bound.faults(n))
+        checked += 1
+    assert checked
 
 
 class TestFails:
