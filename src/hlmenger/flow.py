@@ -31,24 +31,29 @@ read.
 
 A query may start from a feasible flow (`start`, short arc-disjoint s-t
 paths): augmenting from a feasible flow is exact, so only the missing
-units cost a search.
-`min_cuts(s, targets)` returns the minimum cut from one source to each of
-many targets, as min_cut would, but confirms a target that shares the
-first target's cut with a capped flow from a neighbouring target
-(lambda(x, y) >= min(lambda(x, w), lambda(w, y)), Gomory and Hu 1961);
-edge connectivity and the tightness checks use it. Each confirming flow
-starts from the live edge between the two neighbours and the two-edge
-paths through their live common neighbours. Vertex connectivity's fans
-start likewise from paths of one and two hops (graph.vertex_connectivity).
-A capped flow from a feasible start has the same value as a cold one, and
-every cut comes from a flow without a start, so no value or cut depends
-on the starts. The flows of the SMEC hub check and its pair scan
-(_campaign_exec), min_cut and max_flow_with_side take no start.
+units cost a search. Vertex connectivity's fans start from paths of one
+and two hops (graph.vertex_connectivity). A capped flow from a feasible
+start has the same value as a cold one. Every other flow takes no start:
+those of the SMEC hub check and its pair scan (_campaign_exec), min_cut,
+max_flow_with_side and the capped flows of min_cuts.
+
+Dominating-set lemma (Matula 1987). Degrees and neighbourhoods count
+live edges only. If a vertex set T has |delta(T)| < k and holds a vertex
+of degree >= k, then some vertex of T has its whole closed neighbourhood
+in T. Proof: otherwise each of T's t vertices has an edge leaving T. The
+vertex of degree >= k has at most t - 1 neighbours in T, so at least
+k - t + 1 of its edges leave T, and the t - 1 others add one each:
+|delta(T)| >= k. So a set D that dominates T (each vertex of T is in D
+or next to a vertex of D) has a vertex in T: the one that dominates the
+vertex whose closed neighbourhood lies in T. UnitFlowEngine.dominating_set
+picks such a D; graph.edge_connectivity (Matula's argument) and
+`min_cuts(s, targets)` use the lemma. min_cuts returns the minimum cut
+from one source to each of many targets, as min_cut would, but confirms
+at once every target that shares the first target's cut, with one capped
+flow per dominating vertex.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 def _augment(net, cap, s: int, t: int, cutoff: int | None,
@@ -261,60 +266,73 @@ class UnitFlowEngine(DirectedFlow):
                      for a in adj[x] if cap[a] and side[head[a]] != small)
         return [self.edges[k] for k in cut]
 
+    def dominating_set(self, members: list[bool],
+                       eligible: list[bool]) -> list[int] | None:
+        """Eligible vertices that dominate the members over live edges:
+        each member is one of them or has a live edge to one. First fit
+        in id order: a member not yet dominated adds itself when
+        eligible, else its first eligible live neighbour. None when some
+        member has neither."""
+        cap, head, adj = self._template, self.head, self.adj
+        covered = [False] * self.n
+        chosen = []
+        for x in range(self.n):
+            if members[x] and not covered[x]:
+                d = x if eligible[x] else next(
+                    (head[a] for a in adj[x] if cap[a] and eligible[head[a]]),
+                    None)
+                if d is None:
+                    return None
+                chosen.append(d)
+                covered[d] = True
+                for a in adj[d]:
+                    if cap[a]:
+                        covered[head[a]] = True
+        return chosen
+
     def min_cuts(self, s: int,
                  targets: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Exactly [self.min_cut(s, t) for t in targets], with cheaper flows.
+        """Exactly [self.min_cut(s, t) for t in targets], with fewer flows.
 
         One flow from s to t0 = targets[0] gives k = lambda(s, t0) and the
-        residual s-side R, whose cut is t0's result. A BFS from t0 over
-        edges between targets then grows a tree of targets that share it:
-        a target w next to a tree vertex p joins when w is not in R and a
-        flow from p to w, capped at k, reaches k. Every other target gets
-        its own min_cut(s, w). A flow between neighbours finds its k short
-        augmenting paths fast, where a flow from s to a far target is cold
-        and long. It starts from up to k paths read off the adjacency
-        lists: the live edge {p, w}, then p -> x -> w for each live common
-        neighbour x. They share no edge, so they are a feasible flow, and
-        a capped flow from a feasible start reaches k exactly when a cold
-        one does.
+        residual s-side R, whose cut is t0's result. Every other target w
+        outside R of degree >= k shares it when a certificate holds: D, a
+        dominating set of V - R chosen among the vertices of V - R of
+        degree >= k, and a flow from t0 to each vertex of D but t0,
+        capped at k, that reaches k. Every other target, and every target
+        outside R when no such D exists or one of its flows falls short,
+        gets its own min_cut(s, w).
 
-        Exactness: lambda(s, w) >= min(lambda(s, p), lambda(p, w)) >= k
-        by induction down the tree, and w outside R makes the cut of R an
-        s-w cut of size k, so lambda(s, w) = k. The residual s-side of any
-        maximum flow is the smallest s-side of a minimum cut. R is a
-        minimum s-w cut, so R_w, the s-side min_cut(s, w) would find, is
-        inside R; then R_w is also a minimum s-t0 cut, so R is inside R_w.
-        Hence R_w = R and the cut edges are the same list. Every cut comes
-        from the first flow or a min_cut, neither with a start, so the
-        starts move no value or cut. Only public flow methods run here, so
-        wrappers of them see every flow.
+        Exactness. R is an s-w cut of size k, so lambda(s, w) <= k.
+        Suppose lambda(s, w) < k, with a minimum s-w cut of s-side A.
+        A meets t0, or it would be an s-t0 cut below k. By submodularity
+        |delta(A | R)| + |delta(A & R)| <= |delta(A)| + |delta(R)|, and
+        A & R is an s-t0 cut, so |delta(A | R)| <= |delta(A)| < k. Then
+        T = V - (A | R) lies in V - R, holds w, of degree >= k, and not
+        t0. By the lemma some vertex of T has its closed neighbourhood in
+        T, and the vertex of D that dominates it lies in T too. delta(T)
+        separates it from t0, so its flow falls short of k. Hence
+        lambda(s, w) = k. The residual s-side of any maximum flow is the
+        smallest s-side of a minimum cut. R is a minimum s-w cut, so R_w,
+        the s-side min_cut(s, w) would find, is inside R; then R_w is
+        also a minimum s-t0 cut, so R is inside R_w. Hence R_w = R and
+        the cut edges are the same list. Only public flow methods run
+        here, so wrappers of them see every flow.
         """
         if not targets:
             return []
         t0 = targets[0]
         k, side = self.max_flow_with_side(s, t0)
         cut = self._cut(side)
-        untried = set(targets)
-        untried.discard(t0)
-        same = {t0}           # targets whose result is (k, cut)
-        cap, head, adj = self._template, self.head, self.adj
-        queue = deque((t0,))
-        while queue:
-            p = queue.popleft()
-            near = {head[b]: b for b in adj[p] if cap[b]}    # live p -> x
-            for a in adj[p]:
-                w = head[a]
-                if w in untried:
-                    untried.remove(w)
-                    if side[w]:
-                        continue
-                    # the live edge {p, w}, then p -> x -> w through each
-                    # live common neighbour x: no two share an edge
-                    start = [(a,)] if cap[a] else []
-                    start += [(near[head[c]], c ^ 1) for c in adj[w]
-                              if cap[c] and head[c] in near]
-                    if self.max_flow(p, w, k, start[:k]) >= k:
-                        same.add(w)
-                        queue.append(w)
+        deg = self.degrees
+        same = {t0}             # targets whose result is (k, cut)
+        rest = [w for w in targets if not side[w] and deg[w] >= k]
+        if any(w != t0 for w in rest):
+            outside = [not x for x in side]
+            dom = self.dominating_set(
+                outside, [o and d >= k for o, d in zip(outside, deg)])
+            if dom is not None and all(self.max_flow(t0, d, k) >= k
+                                       for d in dom if d != t0):
+                same.update(rest)
         return [(k, cut[:]) if t in same else self.min_cut(s, t)
                 for t in targets]

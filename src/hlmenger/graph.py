@@ -3,11 +3,10 @@
 Vertices are integers 0..n_vertices-1, edges are canonical (min, max) pairs,
 and every operation here is a pure function of its inputs. Connectivity
 quantities are exact integers: edge-disjoint path counts come from
-unit-capacity max-flow, edge connectivity from the minimum cuts between
-vertex 0 and every other vertex (UnitFlowEngine.min_cuts, which confirms
-most of them with capped flows between neighbours), and vertex
-connectivity from a vertex-splitting reduction to a directed network of
-unit arcs, in which capped flows between the neighbours of a
+unit-capacity max-flow, edge connectivity from the minimum degree and
+capped flows from vertex 0 to the rest of a dominating set (Matula 1987),
+and vertex connectivity from a vertex-splitting reduction to a directed
+network of unit arcs, in which capped flows between the neighbours of a
 minimum-degree vertex (Esfahanian and Hakimi 1984) and fans into each
 later vertex from the vertices before it (Even 1975), each fan starting
 from paths of one and two hops read off the adjacency lists, replace a
@@ -211,13 +210,25 @@ def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> FlowResult:
 def edge_connectivity(g: Graph) -> int:
     """Exact lambda(G); 0 for disconnected or single-vertex graphs.
 
-    A minimum edge cut separates vertex 0 from some t, so lambda(G) is the
-    smallest lambda(0, t), which UnitFlowEngine.min_cuts gives exactly.
+    Matula's argument (FOCS 1987): take D, a dominating set of G picked
+    first fit in id order (UnitFlowEngine.dominating_set), whose first
+    vertex is 0. lambda(G) is the minimum of delta and the flows from 0
+    to each other vertex of D, each capped at the least value so far.
+    No flow is below lambda. If lambda < delta, let T be the side of a
+    minimum cut without 0: |delta(T)| = lambda < delta, and every vertex
+    of T has degree >= delta, so by the dominating-set lemma (flow) T
+    holds a vertex of D, whose flow from 0 is at most lambda.
     """
-    if g.n_vertices <= 1 or not is_connected(g):
+    n = g.n_vertices
+    if n <= 1:
         return 0
-    engine = UnitFlowEngine(g.n_vertices, g.edges)
-    return min(k for k, _ in engine.min_cuts(0, list(range(1, g.n_vertices))))
+    engine = UnitFlowEngine(n, g.edges)
+    every = [True] * n
+    first, *others = engine.dominating_set(every, every)
+    best = g.min_degree()
+    for d in others:
+        best = min(best, engine.max_flow(first, d, best))
+    return best
 
 
 def split_network(g: Graph) -> DirectedFlow:

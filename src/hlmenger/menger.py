@@ -25,12 +25,12 @@ describes its check with its proof. A campaign computes a witness, one
 minimum cut of the pair, only for each evaluation chunk's first failing
 set (see _campaign_exec).
 The tightness checks confirm their far vertices with
-UnitFlowEngine.min_cuts: one cold flow from u, then capped flows between
-neighbouring far vertices confirm that they share its cut. Each of those
-starts from the live edge between the two and the two-edge paths through
-their live common neighbours; a capped flow from a feasible start reaches
-the cap exactly when a cold one does, and the cuts come only from flows
-without a start, so the reports do not depend on the starts. Campaign
+UnitFlowEngine.min_cuts: one flow from u to the first far vertex gives
+the cut, and capped flows from it to a dominating set of the far side
+confirm at once that every other far vertex shares that cut (the
+dominating-set lemma, flow). A far vertex the certificate cannot confirm
+gets its own min_cut, so the reports do not depend on which path gave
+a cut. Campaign
 enumeration order is canonical (sizes ascending, then lexicographic by
 edge index) and sampled mode is reproducible from its seed, so reports
 are byte-identical across runs and worker counts.
@@ -473,8 +473,8 @@ def check_tightness(L: LineGraph, conditional: bool,
     all_witnesses=True every admissible v is checked, not only the
     deterministic lowest one. engine.min_cuts gives each candidate its
     exact path count and minimum cut: one flow from u to the first
-    candidate, then for each other one a capped flow from a neighbouring
-    candidate that confirms it shares that cut.
+    candidate, then capped flows from it to a dominating set of the far
+    side, which confirm that every other candidate shares that cut.
     """
     started = time.perf_counter()
     g = L.graph

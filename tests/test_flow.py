@@ -3,7 +3,7 @@
 Each case runs the loop on a seeded network: an undirected random graph
 as UnitFlowEngine's arc pairs, with and without faults, cold or from
 starts of short paths (the live edge and the two-edge paths through
-live common neighbours, as min_cuts builds them), and under cutoffs,
+live common neighbours), and under cutoffs,
 or a directed network of unit arcs
 (random arcs, or the vertex split network of graph.split_network,
 between vertex pairs and in fans from its source node, some
@@ -199,8 +199,7 @@ def unit_engine(seed):
 
 def short_paths(engine, cap, s, t):
     """The live edge {s, t}, then s -> x -> t through each live common
-    neighbour x, as UnitFlowEngine.min_cuts builds its starts: no two
-    share an edge."""
+    neighbour x: no two share an edge."""
     head, adj = engine.head, engine.adj
     near = {head[b]: b for b in adj[s] if cap[b]}        # live s -> x
     start = [(near[t],)] if t in near else []

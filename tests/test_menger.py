@@ -995,3 +995,22 @@ class TestTightnessAllWitnessesAgainstDirectCuts:
                              "cut": [list(e) for e in flow.cut]})
         assert expected and report.details == expected
         assert report.counts["failures"] == report.counts["visited"]
+
+    @pytest.mark.parametrize("kind,seed", [
+        *((kind, None) for kind in NAMED_FAMILIES), ("random", 3)])
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_far_vertex_is_confirmed_at_once(self, kind, seed,
+                                                   conditional, n,
+                                                   monkeypatch):
+        """The first flow's cut is every far vertex's: the flows to a
+        dominating set of the far side confirm them all, so min_cut runs
+        for none of them."""
+        L = lgraph(kind, n, seed)
+
+        def refused(self, s, t):
+            raise AssertionError(f"min_cut({s}, {t}) for a far vertex")
+
+        monkeypatch.setattr(UnitFlowEngine, "min_cut", refused)
+        report = check_tightness(L, conditional, all_witnesses=True)
+        assert report.counts["failures"] == report.counts["visited"] > 1

@@ -10,6 +10,8 @@ Skipped when networkx is not installed: the package itself has no
 dependencies, and networkx is only a test-time cross-check.
 """
 
+from itertools import combinations
+
 import pytest
 
 from hlmenger import (
@@ -105,6 +107,25 @@ def test_random_graphs_match_networkx(seed):
         for v in range(u + 1, g.n_vertices):
             assert max_edge_disjoint_paths(g, u, v).value == \
                 local_edge_connectivity(h, u, v), (u, v)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_edge_connectivity_below_min_degree_matches_networkx(seed):
+    """Two cliques joined by fewer edges than the smaller one's degree,
+    under a random relabelling: lambda is the number of joining edges,
+    below the minimum degree, so edge_connectivity must find a dominating
+    vertex in the clique away from vertex 0 and run its flow."""
+    rng = SplitMix64(seed)
+    a, b = 3 + rng.randbelow(5), 3 + rng.randbelow(5)
+    n = a + b
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [*combinations(range(a), 2), *combinations(range(a, n), 2)]
+    joins = 1 + rng.randbelow(min(a, b) - 2)
+    edges += [(k // b, a + k % b) for k in rng.sample_indices(a * b, joins)]
+    g = build_graph(n, [(label[x], label[y]) for x, y in edges])
+    assert edge_connectivity(g) == nx.edge_connectivity(to_nx(g)) == joins
+    assert joins < g.min_degree()
 
 
 def assert_local_vertex_connectivity_matches(g):

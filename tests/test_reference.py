@@ -14,7 +14,11 @@ far past the budget, gives witness pairs with several minimum cuts, so
 only the smallest source side reproduces the cut. Two more pin the two
 floor paths: lemma41 at n = 4, m = 11, where the floor layout exists
 (mu = 3 < kappa(H) = 4), and lemma32 at n = 3, m = 7, where
-kappa(H) = mu = 3 and the component index decides.
+kappa(H) = mu = 3 and a plain component search of L - F decides. The
+last, lemma32 at n = 5 and m = 19, six faults past the budget, takes
+the floor layout with many sets whose faults have several heavy hosts,
+so a layout decider that miscounts the components inside C changes its
+report.
 """
 
 import io
@@ -99,6 +103,8 @@ def cli_json(check, family, n, seed, m, mode, samples, adversarial,
 @example(request=("lemma41", "crossed", 4, 1, 11, "sample", 6, True),
          jobs=2, chunk=3)
 @example(request=("lemma32", "crossed", 3, 2, 7, "sample", 6, True),
+         jobs=1, chunk=3)
+@example(request=("lemma32", "crossed", 5, 1, 19, "sample", 20, True),
          jobs=1, chunk=3)
 def test_reports_equal_the_reference(request, jobs, chunk):
     with pytest.MonkeyPatch.context() as mp:
