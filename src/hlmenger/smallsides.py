@@ -54,12 +54,18 @@ no piece of three edges cost at least min(3(2n - 2), (2n - 2) +
 (4n - 6), 2(4n - 6)) = 6n - 8 > 6n - 12: a side that beats theta has a
 connected piece that does, and connected_edge_sets lists it.
 
-Fault-free mixed vertices. The clique edges at a mixed vertex u that
-leave X number t_u (n - t_u) >= n - 1, and only faults hosted at u can
-remove them. So u adds at least max(0, n - 1 - f_u) to |delta'(X)|, with
-f_u the faults hosted at u. Two vertices that host no fault add
-2n - 2 > 2n - 3: a violating X spans at most one of them. The search
-keeps the sum of max(0, n - 1 - f_u) over M at most 2n - 3.
+The charge bound. The clique edges at a mixed vertex u that leave X
+number t_u (n - t_u), and only faults hosted at u can remove them, so u
+adds at least max(0, t_u (n - t_u) - f_u) to |delta'(X)|, with f_u the
+faults hosted at u. Where a layout exists, mu < kappa(H) <= n, so
+mu <= n - 1, and a connected X over at most mu base vertices has
+t_u <= |M| - 1 <= mu - 1. On 1 <= t <= mu - 1, t (n - t) is concave, so
+it is at least c(t) = min(t (n - t), (mu - 1)(n - mu + 1)), and c never
+falls as t grows: t (n - t) rises up to n / 2, and past it stays at or
+above its value at mu - 1. The search charges each vertex of M
+max(0, c(t_u) - f_u), which only grows as X grows, and keeps the sum at
+most 2n - 3. With 2 <= mu <= n - 1, c(1) = n - 1, so two vertices that
+host no fault add 2n - 2 > 2n - 3: a violating X spans at most one.
 
 The fault-count filter. A single edge of H is one line vertex, whose cut
 is its degree: it never violates, so a violating X spans k >= 3 base
@@ -158,85 +164,68 @@ def _checked(L: LineGraph, cut: Callable[[int], int]) -> Optional[Layout]:
 
 
 def connected_edge_sets(adj: Sequence[Sequence[int]], roots: Sequence[int],
-                        size: int, weight: Sequence[int], cap: int,
-                        gain: Sequence[int], need: int
-                        ) -> Iterator[tuple[tuple[int, ...], list[Edge]]]:
-    """Yield (M, X) once for each connected edge set X of the graph with
-    adjacency `adj` whose vertex set is M, for every M of 2 to `size`
-    vertices that holds a vertex of `roots`, whose weights sum to at most
-    `cap` and whose gains sum to at least `need`. gain[i] is the gain of
-    roots[i], in non-increasing order; every other vertex gains 0. X is an
-    ascending list of edges (u, w), u < w.
+                        size: int, f: Sequence[int], charge: Sequence[int],
+                        cap: int, need: int) -> Iterator[tuple[Edge, ...]]:
+    """Yield once each connected edge set X of the graph with adjacency
+    `adj` whose vertex set M holds a vertex of `roots`, has at most
+    `size` vertices, charges at most `cap` and hosts at least `need`: with
+    t_u the number of X-edges at u, M charges the sum over u of
+    max(0, charge[t_u] - f[u]) and hosts the sum of f[u]. charge[0] is 0,
+    charge does not fall and has an entry for each t < size, and the
+    roots hold every vertex with f > 0, in non-increasing order of f. X
+    is a tuple of edges (u, w), u < w.
 
-    Vertex sets come from ESU (Wernicke, IEEE/ACM TCBB 2006): the roots
-    rank first in the given order, every other vertex after them by id,
-    and M grows from its lowest-ranked vertex r, each step adding a
-    vertex of the extension set, which only takes neighbours of the new
-    vertex that rank above r and lie outside M and M's neighbourhood. So
-    each connected M is reached once. A branch is cut when no superset
-    in it can qualify: the weights are not negative, so a set over the
-    cap stays over it, and the vertices still to come rank above r, so
-    their gains are at most those of the next roots after r.
-    Each M then gives the edge sets of H[M] that connect it, each once.
-    """
-    n_roots = len(roots)
-    rank = list(range(n_roots, n_roots + len(adj)))
+    The sets come from ESU (Wernicke, IEEE/ACM TCBB 2006) on the edges.
+    Vertices rank roots first, in the given order, then the others by id,
+    and an edge ranks by its ends' ranks, lower end first. So the lowest
+    edge of X has the lowest vertex a of M as its lower end, a root when
+    M holds one, and every edge of X has both ends at or above a. X grows
+    from M = {a}, with t_a = 0 and no edge yet: ESU on those edges, with a
+    as one more node, ranked first and joined to each edge at a. A step
+    adds an edge (v, w) of the extension set, v in M. The edges next to
+    the set so far are those with an end in M, so when w is new the step
+    offers the edges from w to vertices outside M that rank above a, and
+    when w is in M it offers none. So each connected X whose lowest
+    vertex is a is reached once.
+
+    A branch is cut before it is entered when no set in it can qualify.
+    Adding an edge never lowers |M| or the charge, as charge does not
+    fall in t. The vertices still to come rank above a and lie outside
+    M, so the faults they host are at most those of as many roots right
+    after a, the roots being sorted by f."""
+    rank = list(range(len(roots), len(roots) + len(adj)))
+    cost = [charge] * len(adj)
+    top = [0]                  # top[j]: the faults hosted at roots[:j]
     for i, v in enumerate(roots):
         rank[v] = i
-    gains = [0] * len(adj)
-    top = [0]                  # top[j]: the gains of roots[:j], summed
-    for v, g in zip(roots, gain):
-        gains[v] = g
-        top.append(top[-1] + g)
+        cost[v] = [max(0, c - f[v]) for c in charge]
+        top.append(top[-1] + f[v])
     top += [top[-1]] * size
 
-    def grow(sub, ext, closed, load, got, r):
-        if got >= need and len(sub) > 1:
-            yield from ((sub, x) for x in _spanning(adj, sub))
-        left = size - len(sub)
-        if not left or got + top[r + 1 + left] - top[r + 1] < need:
-            return
-        ext = ext[:]
-        while ext:
-            w = ext.pop()
-            total = load + weight[w]
-            if total <= cap:
-                fresh = [u for u in adj[w] if u not in closed and rank[u] > r]
-                yield from grow(sub + (w,), ext + fresh, closed.union(adj[w]),
-                                total, got + gains[w], r)
+    def grow(sub, ext, t, load, got, r):
+        if sub and got >= need:
+            yield tuple((v, w) if v < w else (w, v) for v, w in sub)
+        while ext:                        # each call owns its ext
+            v, w = e = ext.pop()          # v is in M
+            tv, tw = t[v], t.get(w, 0)
+            k = len(t) + (not tw)         # |M| with e
+            if k > size:
+                continue
+            cv, cw = cost[v], cost[w]
+            total = load + cv[tv + 1] - cv[tv] + cw[tw + 1] - cw[tw]
+            gain = got if tw else got + f[w]
+            if total > cap or gain + top[r + 1 + size - k] - top[r + 1] < need:
+                continue
+            fresh = [(w, x) for x in adj[w] if x not in t and rank[x] > r] \
+                if not tw and k < size else []
+            yield from grow(sub + (e,), ext + fresh,
+                            {**t, v: tv + 1, w: tw + 1}, total, gain, r)
 
-    for r, v in enumerate(roots):
-        if weight[v] <= cap:
-            ext = [u for u in adj[v] if rank[u] > r]
-            yield from grow((v,), ext, {v, *adj[v]}, weight[v], gains[v], r)
-
-
-def _spanning(adj, verts: tuple[int, ...]) -> Iterator[list[Edge]]:
-    """The edge sets of the subgraph induced on `verts` that connect all
-    of verts, each once, as ascending lists of edges (u, w), u < w."""
-    inside = set(verts)
-    edges = sorted((u, w) for u in verts for w in adj[u]
-                   if u < w and w in inside)
-    need = len(verts) - 1
-    if len(edges) == need:       # a tree: no proper subset connects it
-        yield edges
-        return
-    for mask in range(1, 1 << len(edges)):
-        if mask.bit_count() < need:
-            continue
-        chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
-        parent = {v: v for v in verts}
-        joined = 0
-        for u, w in chosen:
-            while parent[u] != u:
-                u = parent[u]
-            while parent[w] != w:
-                w = parent[w]
-            if u != w:
-                parent[u] = w
-                joined += 1
-        if joined == need:
-            yield chosen
+    for r, a in enumerate(roots):
+        if top[r + size] - top[r] < need:
+            break
+        yield from grow((), [(a, x) for x in adj[a] if rank[x] > r], {a: 0},
+                        0, f[a], r)
 
 
 def violating_sides(layout: Layout, fault_idx: Sequence[int]
@@ -247,8 +236,8 @@ def violating_sides(layout: Layout, fault_idx: Sequence[int]
     deg' in X, max deg' outside X). Every connected edge set X of H
     spanning at most mu base vertices, at most one of them hosting no
     fault, that violates comes up, so L' is SMEC iff none does. The
-    module docstring holds the proof, the bound on the fault-free
-    vertices and the fault-count filter that passes most sets first.
+    module docstring holds the proof, the charge bound and the
+    fault-count filter that passes most sets first.
 
     Degrees come from F alone: deg' y is 2n - 2 less the faults at y, so
     the largest degree outside X is 2n - 2 when more line vertices have
@@ -258,9 +247,9 @@ def violating_sides(layout: Layout, fault_idx: Sequence[int]
     elsewhere has no end in X). Any X that passes the test is a
     violating side, so other sets come first: each fault end y of deg' 1
     or 2 offers its pocket, y with its live neighbours, the side that
-    both sharp constructions leave. Then the search grows M from the
-    fault hosts, ranked first, and keeps only the M whose hosted faults
-    number 2n - 3 or more."""
+    both sharp constructions leave. Then the search grows X from the
+    fault hosts, ranked first, charges each vertex of M its charge bound
+    and keeps only the M whose hosted faults number 2n - 3 or more."""
     n = layout.n
     slack = 2 * n - 3          # a violating cut is at most this
     top = slack + 1            # 2n - 2, every degree of L
@@ -285,13 +274,14 @@ def violating_sides(layout: Layout, fault_idx: Sequence[int]
             pockets.append(side)
 
     def searched():
-        weight = [n - 1] * len(layout.adj)
+        f = [0] * len(layout.adj)
         for u, fs in hosted.items():
-            weight[u] = max(0, n - 1 - len(fs))
-        roots = sorted(hosted, key=lambda u: (-len(hosted[u]), u))
-        for _, x in connected_edge_sets(layout.adj, roots, mu, weight, slack,
-                                        [len(hosted[u]) for u in roots],
-                                        slack):
+            f[u] = len(fs)
+        roots = sorted(hosted, key=lambda u: (-f[u], u))
+        charge = [min(t * (n - t), (mu - 1) * (n - mu + 1))
+                  for t in range(mu)]
+        for x in connected_edge_sets(layout.adj, roots, mu, f, charge, slack,
+                                     slack):
             yield {layout.vertex[e] for e in x}
 
     for side in chain(pockets, searched()):
@@ -339,10 +329,9 @@ def least_pair(layout: Layout, fault_idx: Sequence[int]
     kappa argument of the module docstring makes S, or its complement,
     an edge set X of H[M], and the component of (M, X) that holds the
     pair's end on that side separates the pair with no larger cut. Both
-    the bound on the fault-free vertices and the fault-count filter hold
-    for any cut of at most 2n - 3, which a violating pair's minimum cut
-    is. So the least pair over all the sides is the first violating
-    pair."""
+    the charge bound and the fault-count filter hold for any cut of at
+    most 2n - 3, which a violating pair's minimum cut is. So the least
+    pair over all the sides is the first violating pair."""
     top = 2 * layout.n - 2
     lost = _lost(layout, fault_idx)
     pairs = []

@@ -46,6 +46,13 @@ GOLDEN = (
      "ba62b4f70a646d84954be6315b332322901c71c658db806cd282cc74679bf536"),
     ("tight-cond --family random --n 5 --seed 7 --all-witnesses", 1,
      "b1e52871dc17c9e243d4f3a2c11e2ddf44fede3f545013e6e71a7a7f0fc7071c"),
+    # small sides over mu = 4 base vertices, where H[M] can hold a 4-cycle
+    ("cond-ft-smec --family crossed --n 5 --m 10 --mode sample --samples 300 "
+     "--seed 1 --adversarial", 0,
+     "bf225d3dbf925fde7e4c9cbad3e34b83406064284a50db1fa8a8090e0cb79fec"),
+    ("cond-ft-smec --family crossed --n 5 --m 11 --mode sample --samples 100 "
+     "--seed 1 --adversarial", 1,
+     "939cb159f9f28d5047436c6c171a6f6b833c489084f72daebe39314d1602dad0"),
 )
 
 

@@ -18,7 +18,8 @@ kappa(H) = mu = 3 and a plain component search of L - F decides. The
 last, lemma32 at n = 5 and m = 19, six faults past the budget, takes
 the floor layout with many sets whose faults have several heavy hosts,
 so a layout decider that miscounts the components inside C changes its
-report.
+report. One set-level case pins the heavy threshold itself: an edge of L
+cut off by 4n - 6 faults, two of whose three hosts carry exactly n - 1.
 """
 
 import io
@@ -28,13 +29,15 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hlmenger import NAMED_FAMILIES, _campaign_exec
+from hlmenger import NAMED_FAMILIES, _campaign_exec, smallsides
 from hlmenger.cli import main
 from hlmenger.report import VerificationReport
 
 pytest.importorskip("networkx")
 
-from reference import CHECKS, reference_json  # noqa: E402
+from reference import (CHECKS, largest_component,  # noqa: E402
+                       reference_json)
+from util import lgraph  # noqa: E402
 
 # the dimensions each check is drawn at
 DIMENSIONS = {"smec": (3, 4), "ft-smec": (3, 4), "cond-ft-smec": (3, 4),
@@ -111,3 +114,26 @@ def test_reports_equal_the_reference(request, jobs, chunk):
         mp.setattr(_campaign_exec, "_CHUNK_SIZE", chunk)
         got = cli_json(*request, jobs)
     assert got == reference_json(*request), request
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("family", NAMED_FAMILIES)
+def test_floor_of_an_isolated_edge_of_the_line_graph(family, n):
+    """Line vertices x = uv and y = vw of L(HL_n), adjacent at v, with
+    every other edge of L at x or y faulted: 4n - 6 faults, of which u and
+    w host exactly n - 1 each and v hosts 2n - 4. Within lemma41's budget
+    6n - 13, the floor-layout decider must find networkx's largest
+    component, |V(L)| - 2, which a heavy threshold of n would miss."""
+    L = lgraph(family, n)
+    g = L.graph
+    u, w = L.base.neighbors(0)[:2]
+    x, y = L.vertex_of_edge[0, u], L.vertex_of_edge[0, w]
+    idx = tuple(k for k, e in enumerate(g.edges)
+                if (x in e or y in e) and set(e) != {x, y})
+    layout = smallsides.floor_layout(L, 6 * n - 13)
+    hosts = [layout.at[k] for k in idx]
+    assert len(idx) == 4 * n - 6
+    assert (hosts.count(u), hosts.count(w)) == (n - 1, n - 1)
+    size = largest_component(family, n, None, idx)
+    assert size == g.n_vertices - 2
+    assert smallsides.largest_component(layout, idx) == size

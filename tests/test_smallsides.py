@@ -8,16 +8,18 @@ smec_witness, the hub check with its pair scan, on the six families at
 n = 4 and 5: the adversarial suites at 2n-4, 2n-3, 4n-10 and 4n-9, both
 sharp constructions and seeded random sets, with both verdicts
 required, as built and with the pockets emptied so that the search
-decides alone; and at n = 6 on sets that strip two line vertices. The
-layout must refuse wherever kappa(H) <= mu: at n = 4, m = 7 and on two
-copies of K_4 - e joined by two edges, where the search without the
-check misses failing sets. The pocket step alone is checked side by
-side, each pocket's cut counted edge by edge on L - F. The enumerator is
-checked against all edge subsets of small graphs.
+decides alone; and at n = 6 on sets that strip two line vertices and on
+a four-edge star that only the capped charge keeps. The layout must
+refuse wherever kappa(H) <= mu: at n = 4, m = 7 and on two copies of
+K_4 - e joined by two edges, where the search without the check misses
+failing sets. The pocket step alone is checked side by side, each
+pocket's cut counted edge by edge on L - F. The enumerator is checked
+against all edge subsets of small graphs, with seeded charge tables.
 """
 
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -205,6 +207,40 @@ class TestFails:
             w = smec_witness(engine)
             assert smallsides.least_pair(layout, idx) == (w.u, w.v), idx
 
+    @pytest.mark.parametrize("kind", ["hypercube", "crossed", "random"])
+    @pytest.mark.parametrize("u", [0, 40])
+    def test_a_star_past_the_peak_of_t_times_n_minus_t(self, kind, u):
+        """At n = 6 and 19 faults mu is 5. Take four edges x1..x4 at base
+        vertex u, fault every clique edge of x1, x2, x3 at their far ends
+        (15 faults, each far end hosts 5) and the edges from x1 and x2 to
+        the two other edges at u (4 faults at u). The star {x1..x4} is
+        the only violating side: cut 9 against deg' x4 = 10. At t_u = 4,
+        u charges min(4 * 2, (mu - 1)(n - mu + 1)) - 4 = 4; uncapped,
+        a three-edge subset holding x4 would charge 3 * 3 - 4 = 5 at u
+        and 5 at x4's far end, 10 > 2n - 3, and cut the branch."""
+        L = lgraph(kind, 6, 1 if kind == "random" else None)
+        g = L.graph
+        index = {e: k for k, e in enumerate(g.edges)}
+        base, vertex = L.base, L.vertex_of_edge
+        near = sorted(base.neighbors(u))
+        x1, x2, x3, y1, y2, x4 = (vertex[min(u, v), max(u, v)]
+                                  for v in near)
+        idx = []
+        for x, v in zip((x1, x2, x3), near):
+            for w in base.neighbors(v):
+                z = vertex[min(v, w), max(v, w)]
+                if z != x:
+                    idx.append(index[min(x, z), max(x, z)])
+        idx = sorted(idx + [index[x, y] for x in (x1, x2) for y in (y1, y2)])
+        engine = UnitFlowEngine(g.n_vertices, g.edges)
+        engine.set_fault_indices(idx)
+        w = smec_witness(engine)
+        assert w is not None and x4 in (w.u, w.v)
+        layout = smallsides.layout(L, len(idx))
+        assert [(side, cut) for side, cut in smallsides.violating_sides(
+            layout, idx)] == [({x1, x2, x3, x4}, 9)]
+        assert smallsides.least_pair(layout, idx) == (w.u, w.v)
+
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_the_search_fails_both_constructions(self, kind):
         """The 2n-3 construction's side is the dead end u0 with its kept
@@ -374,39 +410,45 @@ def brute_force_edge_sets(g, size):
 
 
 class TestConnectedEdgeSets:
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(24))
     def test_lists_every_connected_edge_set_once(self, seed):
-        """With seeded roots, weights, cap, gains and need, the enumerator
-        lists each qualifying connected edge set once: those spanning a
-        root, at most `size` vertices, weight at most the cap and gain at
-        least the need."""
+        """With seeded roots, fault counts, a non-decreasing charge table,
+        cap and need, the enumerator lists each qualifying connected edge
+        set once: those whose vertex set M holds a root, spans at most
+        `size` vertices, charges at most the cap (max(0, charge[t_u] -
+        f_u) summed over M, t_u the set's edges at u) and hosts at least
+        the need."""
         g = random_graph(seed, max_vertices=7, max_edges=11)
         adj = [g.neighbors(v) for v in range(g.n_vertices)]
         rng = SplitMix64(seed)
         size = 2 + rng.randbelow(4)
+        f = [0] * g.n_vertices
         roots = rng.sample_indices(g.n_vertices, 1 + rng.randbelow(
             g.n_vertices))
-        gain = sorted((rng.randbelow(4) for _ in roots), reverse=True)
-        weight = [rng.randbelow(3) for _ in range(g.n_vertices)]
-        cap = rng.randbelow(5)
-        need = rng.randbelow(sum(gain) + 1)
-        gains = dict(zip(roots, gain))
-        listed = [(m, tuple(x)) for m, x in smallsides.connected_edge_sets(
-            adj, roots, size, weight, cap, gain, need)]
+        for v in roots:
+            f[v] = rng.randbelow(4)
+        roots.sort(key=lambda v: -f[v])
+        charge = [0, *accumulate(rng.randbelow(3) for _ in range(size - 1))]
+        cap = rng.randbelow(6)
+        need = rng.randbelow(sum(f) + 1)
+        listed = [tuple(sorted(x)) for x in smallsides.connected_edge_sets(
+            adj, roots, size, f, charge, cap, need)]
         assert len(listed) == len(set(listed))
-        want = {(m, x) for m, x in brute_force_edge_sets(g, size)
-                if set(m) & set(roots)
-                and sum(weight[v] for v in m) <= cap
-                and sum(gains.get(v, 0) for v in m) >= need}
-        assert {(tuple(sorted(m)), x) for m, x in listed} == want
+        want = set()
+        for m, x in brute_force_edge_sets(g, size):
+            t = Counter(v for e in x for v in e)
+            if set(m) & set(roots) and sum(
+                    max(0, charge[t[v]] - f[v]) for v in m) <= cap and sum(
+                    f[v] for v in m) >= need:
+                want.add(x)
+        assert set(listed) == want
 
     @pytest.mark.parametrize("kind,n", [("hypercube", 3), ("crossed", 3),
                                         ("mobius0", 3)])
     def test_every_set_of_a_base_network_from_every_root(self, kind, n):
         h = lgraph(kind, n).base
         adj = [h.neighbors(v) for v in range(h.n_vertices)]
-        listed = [(tuple(sorted(m)), tuple(x))
-                  for m, x in smallsides.connected_edge_sets(
-                      adj, range(h.n_vertices), 4, [0] * h.n_vertices, 0,
-                      [0] * h.n_vertices, 0)]
-        assert sorted(listed) == sorted(brute_force_edge_sets(h, 4))
+        listed = [tuple(sorted(x)) for x in smallsides.connected_edge_sets(
+            adj, range(h.n_vertices), 4, [0] * h.n_vertices, [0] * 4, 0, 0)]
+        assert sorted(listed) == sorted(
+            x for _, x in brute_force_edge_sets(h, 4))
