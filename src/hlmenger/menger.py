@@ -266,16 +266,28 @@ def _admitted(g: Graph, sets: Iterable[tuple[int, ...]],
               counters: dict) -> Iterator[tuple[int, ...]]:
     """The sets F after which every vertex of g - F keeps degree >= 2, the
     conditional mode's condition; every other set is counted in
-    counters["skipped_conditional"]."""
+    counters["skipped_conditional"]. Only the ends of F's edges lose
+    degree, so the base's minimum degree is read once and each set costs
+    O(|F|): it is admitted iff the base's minimum degree is >= 2 and each
+    end of F keeps degree >= 2."""
     edges = g.edges
-    base = [g.degree(v) for v in range(g.n_vertices)]
+    deg = [g.degree(v) for v in range(g.n_vertices)]
+    whole = min(deg) >= 2
     for idx in sets:
-        deg = base[:]
         for k in idx:
             a, b = edges[k]
             deg[a] -= 1
             deg[b] -= 1
-        if min(deg) >= 2:
+        kept = whole
+        for k in idx:
+            # each end is tested before its first restore: at its
+            # degree in g - F
+            a, b = edges[k]
+            if deg[a] < 2 or deg[b] < 2:
+                kept = False
+            deg[a] += 1
+            deg[b] += 1
+        if kept:
             yield idx
         else:
             counters["skipped_conditional"] += 1

@@ -7,14 +7,18 @@ live common neighbours), and under cutoffs,
 or a directed network of unit arcs
 (random arcs, or the vertex split network of graph.split_network,
 between vertex pairs and in fans from its source node, some
-warm-started). The value must equal that of a one-sided BFS augmenting
+warm-started). Larger cases run on L(CQ_5) and L(Q_5) under faults and
+on fans of the split network of L(HL_4), where the two trees meet in
+many vertices. The value must equal that of a one-sided BFS augmenting
 loop kept here as the reference, and the returned side must equal the
 residual closure from s, computed here from the loop's final capacities
-and by the reference. The final capacities must equal those of a second
-reference, the same bidirectional search order written over the forward
-arcs alone, so the loop takes the same augmenting paths whichever arc
-view it scans. networkx, when installed, checks the public methods that
-wrap the loop.
+and by the reference. The final capacities and the loop's log must
+equal those of a second reference, the same search order written over
+the forward arcs alone: it scans the meeting level to its end and takes
+each meeting vertex's path through the two trees, in scan order, when
+every arc still has capacity. So the loop takes the same augmenting
+paths whichever arc view it scans. networkx, when installed, checks the
+public methods that wrap the loop.
 """
 
 from collections import Counter, deque
@@ -25,7 +29,13 @@ from hlmenger.flow import DirectedFlow, UnitFlowEngine, _augment
 from hlmenger.graph import split_network
 from hlmenger.rng import SplitMix64
 
-from util import random_graph
+from util import lgraph, random_graph
+
+try:
+    import networkx as nx
+    from networkx.algorithms.flow import edmonds_karp
+except ImportError:     # optional: the references in this module still run
+    nx = None
 
 SEEDS = range(40)
 
@@ -61,57 +71,78 @@ def reference(adj, head, cap, s, t, cutoff, start):
 
 
 def expand(adj, head, cap, level, mine, other, backward):
-    """One level of a search tree: scan each arc b out of the level, or
-    its twin b ^ 1 into the level when `backward`, and mark far ends.
-    Returns the next level and the first vertex both trees mark, or -1."""
-    nxt = []
+    """One level of a search tree, scanned to its end: scan each arc b out
+    of the level, or its twin b ^ 1 into the level when `backward`, and
+    mark far ends. Returns the next level and every vertex both trees now
+    mark, in scan order."""
+    nxt, meets = [], []
     for x in level:
         for b in adj[x]:
             a = b ^ 1 if backward else b
             v = head[b]
             if cap[a] and mine[v] == -1:
                 mine[v] = a
-                if other[v] != -1:
-                    return nxt, v
-                nxt.append(v)
-    return nxt, -1
+                (nxt if other[v] == -1 else meets).append(v)
+    return nxt, meets
 
 
-def bidirectional(adj, head, cap, s, t, cutoff, start):
+def tree_path(marks, ends, v, root):
+    """The tree arcs from v to root, in walk order."""
+    path = []
+    while v != root:
+        path.append(marks[v])
+        v = ends(marks[v])
+    return path
+
+
+def bidirectional(adj, head, cap, s, t, cutoff, start, searches):
     """The loop's search order written over adj and head alone: a level of
-    the smaller frontier per step, forward on ties. Augments `cap` in
-    place along the paths the loop must take; returns the flow."""
-    for path in start:
-        for a in path:
-            cap[a] -= 1
-            cap[a ^ 1] += 1
+    the smaller frontier per step, forward on ties, until a level meets
+    the other tree. Each vertex both trees then mark, in scan order, gives
+    the path of its two tree halves, taken when every arc still has
+    capacity, until the cutoff. Augments `cap` in place along the paths
+    the loop must take and returns the flow and the arcs in the order the
+    loop logs them. Appends to `searches`, for each search that met, the
+    number of paths taken and of vertices skipped; a skipped vertex's
+    blocked arcs must all lie on earlier paths of the same search."""
+    log = [a for path in start for a in path]
+    for a in log:
+        cap[a] -= 1
+        cap[a ^ 1] += 1
     flow = len(start)
     while cutoff is None or flow < cutoff:
         fwd = [-1] * len(adj)
         bwd = [-1] * len(adj)
         fwd[s] = bwd[t] = -2
-        front, back, meet = [s], [t], -1
-        while front and back and meet == -1:
+        front, back, meets = [s], [t], []
+        while front and back and not meets:
             if len(front) <= len(back):
-                front, meet = expand(adj, head, cap, front, fwd, bwd, False)
+                front, meets = expand(adj, head, cap, front, fwd, bwd, False)
             else:
-                back, meet = expand(adj, head, cap, back, bwd, fwd, True)
-        if meet == -1:
-            return flow
-        v = meet
-        while v != s:
-            a = fwd[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = head[a ^ 1]
-        v = meet
-        while v != t:
-            a = bwd[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = head[a]
-        flow += 1
-    return flow
+                back, meets = expand(adj, head, cap, back, bwd, fwd, True)
+        if not meets:
+            return flow, log
+        used = set()
+        taken = skipped = 0
+        for meet in meets:
+            if flow == cutoff:
+                break
+            path = (tree_path(fwd, lambda a: head[a ^ 1], meet, s)
+                    + tree_path(bwd, head.__getitem__, meet, t))
+            blocked = {a for a in path if not cap[a]}
+            if blocked:
+                assert blocked <= used, (s, t, meet)
+                skipped += 1
+                continue
+            for a in path:
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+            used.update(path)
+            log += path
+            taken += 1
+            flow += 1
+        searches.append((taken, skipped))
+    return flow, log
 
 
 def closure(adj, head, cap, s):
@@ -162,18 +193,19 @@ def exit_kind(adj, head, cap, s, t):
     return "forward" if i == len(fwd) else "backward"
 
 
-def check(net, cap, s, t, cutoff=None, start=()):
+def check(net, cap, s, t, cutoff=None, start=(), searches=None):
     """Run the loop on network `net`, which carries adj, radj, head and
     tail, and the references on its adj and head, on copies of `cap`;
     return the exit kind of the loop's last search, or None when the
-    cutoff stopped it."""
+    cutoff stopped it. The mirror's per-search counts go to `searches`."""
     adj, head = net.adj, net.head
     ref_value, ref_side = reference(adj, head, cap[:], s, t, cutoff, start)
-    final = cap[:]
-    value, side = _augment(net, final, s, t, cutoff, start, [])
+    final, log = cap[:], []
+    value, side = _augment(net, final, s, t, cutoff, start, log)
     assert value == ref_value, (s, t, cutoff)
     paths = cap[:]
-    assert bidirectional(adj, head, paths, s, t, cutoff, start) == value
+    assert bidirectional(adj, head, paths, s, t, cutoff, start,
+                         [] if searches is None else searches) == (value, log)
     assert final == paths, (s, t, cutoff)
     if cutoff is not None and value >= cutoff:
         assert side is ref_side is None
@@ -242,21 +274,29 @@ def fan_start(net, n, first, opened, v):
             if n <= (x := net.tail[a]) < 2 * n and x - n in opened]
 
 
+def fan_cases(g, seed):
+    """A fan into each v_in from the source node of split_network(g), open
+    into a random half of the vertices, warm-started on every other v."""
+    net, opened, first = open_half_fan(g, seed)
+    n = g.n_vertices
+    cap = net._template[:]
+    for v in sorted(set(range(n)) - opened):
+        start = fan_start(net, n, first, opened, v) if v % 2 else ()
+        yield net, cap, 2 * n, v, None, start
+
+
 def split_cases(seed):
     """u_out -> v_in over every non-adjacent pair of random graph `seed`,
-    then a fan into each other v_in from the source node, open into a
-    random half of the vertices, warm-started on every other v."""
+    then its fans."""
     g = random_graph(seed, max_vertices=10, max_edges=24)
-    net, opened, first = open_half_fan(g, seed)
+    net = split_network(g)
     n = g.n_vertices
     cap = net._template[:]
     for u in range(n):
         for v in range(n):
             if u != v and not g.has_edge(u, v):
                 yield net, cap, u + n, v, None, ()
-    for v in set(range(n)) - opened:
-        start = fan_start(net, n, first, opened, v) if v % 2 else ()
-        yield net, cap, 2 * n, v, None, start
+    yield from fan_cases(g, seed)
 
 
 def directed_network(seed):
@@ -317,22 +357,112 @@ def test_directed_loop_matches_reference(seed):
             net.adj, net.head, cap[:], s, t, None, ())[0]
 
 
+def every_case():
+    """Each small case over SEEDS, as (kind, case): the unit cases, the
+    split network cases and the directed cases of each seed."""
+    for seed in SEEDS:
+        for case in unit_cases(seed):
+            yield "unit", case
+        for case in split_cases(seed):
+            yield "split", case
+        for net, cap, s, t in directed_cases(seed):
+            yield "directed", (net, cap, s, t, None, ())
+
+
 def test_both_exits_occur():
     """Among the cases, some last searches end with the forward frontier
     dry and some with the backward one dry (the loop then runs on over
     the forward side until it is closed), in undirected and directed
     networks."""
     unit, directed = Counter(), Counter()
-    for seed in SEEDS:
-        for engine, cap, s, t, cutoff, start in unit_cases(seed):
-            unit[check(engine, cap, s, t, cutoff, start)] += 1
-        for net, cap, s, t, cutoff, start in split_cases(seed):
-            directed[check(net, cap, s, t, cutoff, start)] += 1
-        for net, cap, s, t in directed_cases(seed):
-            directed[check(net, cap, s, t)] += 1
+    for kind, case in every_case():
+        (unit if kind == "unit" else directed)[check(*case)] += 1
     for kinds in (unit, directed):
         assert kinds["forward"] > 0 and kinds["backward"] > 0, kinds
     assert unit[None] > 0
+
+
+def test_searches_take_several_paths_and_skip_taken_arcs():
+    """Some searches take two or more paths, and some skip a meeting
+    vertex because an earlier path of the same search took one of its
+    arcs (the mirror checks that every blocked arc was taken so), in
+    undirected, split and directed networks."""
+    searches = {"unit": [], "split": [], "directed": []}
+    for kind, case in every_case():
+        check(*case, searches[kind])
+    for kind, counts in searches.items():
+        assert max(taken for taken, _ in counts) >= 2, kind
+        assert any(skipped for _, skipped in counts), kind
+
+
+def networkx_flow(net, cap, s, t):
+    """networkx's maximum s-t flow over the arcs a with cap[a], each of
+    capacity cap[a], and the vertices s reaches in its edmonds_karp
+    residual: the smallest s-side of a minimum cut."""
+    d = nx.DiGraph()
+    d.add_nodes_from(range(len(net.adj)))
+    d.add_edges_from((net.tail[a], net.head[a], {"capacity": c})
+                     for a, c in enumerate(cap) if c)
+    residual = edmonds_karp(d, s, t)
+    side = [False] * len(net.adj)
+    side[s] = True
+    stack = [s]
+    while stack:
+        x = stack.pop()
+        for y, arc in residual.succ[x].items():
+            if not side[y] and arc["capacity"] - arc["flow"] > 0:
+                side[y] = True
+                stack.append(y)
+    return residual.graph["flow_value"], side
+
+
+@pytest.mark.parametrize("family", ["crossed", "hypercube"])
+@pytest.mark.parametrize("seed", range(3))
+def test_line_graph_of_a_5_cube_under_faults(family, seed):
+    """UnitFlowEngine on L(CQ_5) or L(Q_5), 80 vertices of degree 8, with
+    5 + 6 * seed seeded faults, where the two trees meet in many places:
+    for 40 seeded ordered pairs, uncapped and capped flows through the
+    loop against the references, and max_flow and min_cut against the
+    one-sided reference and networkx."""
+    g = lgraph(family, 5).graph
+    engine = UnitFlowEngine(g.n_vertices, g.edges)
+    m = len(g.edges)
+    rng = SplitMix64(seed)
+    engine.set_fault_indices(rng.sample_indices(m, 5 + 6 * seed))
+    cap = engine._template[:]
+    searches = []
+    for _ in range(40):
+        s, t = rng.sample_indices(engine.n, 2)
+        for cutoff in (None, 1 + rng.randbelow(engine.degrees[s] or 1)):
+            check(engine, cap, s, t, cutoff, (), searches)
+            assert engine.max_flow(s, t, cutoff) == reference(
+                engine.adj, engine.head, cap[:], s, t, cutoff, ())[0]
+        value, side = reference(engine.adj, engine.head, cap[:], s, t,
+                                None, ())
+        assert engine.min_cut(s, t) == (value, engine._cut(side))
+        if nx is not None:
+            assert networkx_flow(engine, cap, s, t) == (value, side)
+    assert max(taken for taken, _ in searches) >= 3
+    assert any(skipped for _, skipped in searches)
+
+
+@pytest.mark.parametrize("family,seed", [("crossed", None), ("ltq", None),
+                                         ("random", 1), ("random", 2)])
+def test_fans_on_the_split_line_graph_of_a_4_cube(family, seed):
+    """Fans from the source node of split_network(L(HL_4)), 65 nodes, into
+    each vertex outside a random open half, cold and warm-started, against
+    the references and networkx."""
+    g = lgraph(family, 4, seed).graph
+    searches = []
+    for net, cap, s, t, cutoff, start in fan_cases(g, seed or 0):
+        check(net, cap, s, t, cutoff, start, searches)
+        value, side = net._run(s, t, cutoff, start)
+        assert net._template == cap
+        assert (value, side) == reference(net.adj, net.head, cap[:], s, t,
+                                          cutoff, start)
+        if nx is not None:
+            assert (value, side) == networkx_flow(net, cap, s, t)
+    assert max(taken for taken, _ in searches) >= 2
 
 
 @pytest.mark.parametrize("seed", range(0, 40, 3))

@@ -296,6 +296,76 @@ class TestRunCampaign:
                                           conditional=True, seed=0))
 
 
+def linear_admitted(g, sets):
+    """The admission predicate that rebuilds every degree of g - F: O(V)
+    per set. Yields whether each set is admitted."""
+    base = [g.degree(v) for v in range(g.n_vertices)]
+    for idx in sets:
+        deg = base[:]
+        for k in idx:
+            a, b = g.edges[k]
+            deg[a] -= 1
+            deg[b] -= 1
+        yield min(deg) >= 2
+
+
+class TestAdmission:
+    """menger._admitted reads only the ends of F once the base's minimum
+    degree is known; it must admit, in order, and count exactly the sets
+    the O(V) predicate does."""
+
+    @staticmethod
+    def _assert_same(g, sets):
+        counters = {"skipped_conditional": 0}
+        kept = [idx for idx, ok in zip(sets, linear_admitted(g, sets)) if ok]
+        assert list(menger._admitted(g, sets, counters)) == kept
+        assert counters["skipped_conditional"] == len(sets) - len(kept)
+        return len(kept)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sets(self, seed):
+        """Seeded sets of up to a third of the edges, on L(HL_3..5) and on
+        line graphs of random graphs of mixed degrees, some below 2."""
+        rng = SplitMix64(seed)
+        kind = NAMED_FAMILIES[seed % len(NAMED_FAMILIES)]
+        for g in (lgraph(kind, 3 + seed % 3).graph,
+                  line_graph(random_graph(seed, max_vertices=8,
+                                          max_edges=16)).graph):
+            if not g.edges:
+                continue
+            m = len(g.edges)
+            sets = [tuple(rng.sample_indices(m, rng.randbelow(m // 3 + 1)))
+                    for _ in range(200)]
+            self._assert_same(g, sets)
+
+    @pytest.mark.parametrize("kind", NAMED_FAMILIES)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_adversarial_suite_sets(self, kind, n):
+        """The suite at 4n - 10 and 4n - 9, whose strips leave vertices
+        of degree 1 and whose triangle patterns leave exactly 2."""
+        L = lgraph(kind, n)
+        for budget in (4 * n - 10, 4 * n - 9):
+            suite = adversarial_fault_indices(L, budget)
+            assert 0 < self._assert_same(L.graph, suite) < len(suite)
+
+    def test_every_set_is_skipped_below_minimum_degree_two(self):
+        """On the line graph of K_4 with a pendant path of two edges, whose
+        last edge has degree 1 in L, an exhaustive conditional campaign
+        skips every set, the empty set and sets away from that vertex
+        included."""
+        base = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                               (2, 3), (3, 4), (4, 5)])
+        L = line_graph(base)
+        g = L.graph
+        assert g.min_degree() == 1
+        sets = list(menger._exhaustive_stream(len(g.edges), 4))
+        assert self._assert_same(g, sets) == 0
+        report = run_campaign(L, FaultCampaign(mode="exhaustive", m=4,
+                                               conditional=True))
+        assert report.counts["visited"] == 0
+        assert report.counts["skipped_conditional"] == len(sets)
+
+
 class TestSmecUnderFaultsDifferential:
     """The hub check's verdict and the witness scan against the naive
     pairwise check, on faulted line graphs."""
