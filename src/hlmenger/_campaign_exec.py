@@ -3,17 +3,18 @@
 Fault sets are consumed from the caller's stream in canonical order and
 evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
-failure witness are identical whatever the worker count. For SMEC checks
-each worker builds its own flow engine from the (n, edges) layout once.
-The parent hands (L, m) to the workers, and each builds what its checks
-read on its first set, so a campaign of no sets builds none. The stream
-holds only sets to evaluate: the conditional mode's minimum-degree
-admission happens where the sets are produced, so every set here is
-visited.
+failing set are identical whatever the worker count. Each process builds
+its state from (L, m, kind, floor) alone, and each part of it when its
+checks first read it: the layout on the process's first set, the flow
+engine when a flow first runs. So a campaign of no sets builds neither,
+and a SMEC campaign its layout decides builds no engine unless a set
+fails. The stream holds only sets to evaluate: the conditional mode's
+minimum-degree admission happens where the sets are produced, so every
+set here is visited.
 
 Per fault set F the component-floor check is decided on the base
 network when the campaign has a line graph L(H) of an HL network with
-kappa(H) > mu = floor(m / (n - 1)): each worker builds
+kappa(H) > mu = floor(m / (n - 1)): each process builds
 smallsides.floor_layout on its first set, and
 smallsides.largest_component gives the size from the hosts of F's
 edges, searching L - F only from the line vertices between two hosts of
@@ -26,27 +27,29 @@ floor budget of the paper.
 Per fault set F the SMEC check is decided from the small sides on the
 base network when the campaign has a line graph L(H) of an HL network
 with kappa(H) > mu (smallsides, whose docstrings hold the proofs): each
-worker builds smallsides.layout on its first set, so a campaign of no
+process builds smallsides.layout on its first set, so a campaign of no
 sets checks no kappa. smallsides.fails gives the verdict from F alone,
 with no flow and without installing F in the flow engine, and
 smallsides.least_pair gives a failing set's witness pair, the first
 violating pair in ascending order. F is installed only then, and one
 min_cut of the pair gives its path count and cut. So such a campaign
 runs no hub check. Otherwise (kappa(H) <= mu, n <= 2, or a graph with no
-HL base) the verdict is the cold hub check, deficient_vertices, and the
+HL base) the verdict is the cold hub check, deficient_vertices, stopped
+at its first deficient vertex, which already fails the set, and the
 witness is smec_witness's: smec_violation turns the hub check's
 deficient vertices into the first violating pair, cut by the same
 min_cut. The witness is a fact of G - F, whichever path gave it.
 
-A report keeps only the counts and the first failure's witness, so each
-chunk computes a witness only for its first failing set. Every later set
-of the chunk is decided by its verdict alone: by smallsides.fails where
-there is a layout, and otherwise by the hub check, stopped at the first
-deficient vertex. Neither runs a pair scan or a min cut, and each gives
-the full check's verdict, so the failure count cannot move. Each chunk
-still computes the witness of its own first failure, and _merge keeps it
-from the first chunk that has one: that is the stream's first failure,
-at any worker count.
+A report keeps only the counts and the first failing set's witness, so
+the chunk runner gives verdicts only: no verdict runs a pair scan or a
+min cut, and each gives the full check's verdict, so the failure count
+cannot move. Each chunk returns its counts and its first failing set,
+and _merge keeps the set of the first chunk that has one. As imap keeps
+chunk order, that is the stream's first failing set at any worker count.
+evaluate_stream then computes that one set's witness in the calling
+process, from the same state: at one job the chunk runner's, at more the
+parent's own, built only then. The witness is a fact of G - F, so which
+process computes it cannot change it.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import islice
 from multiprocessing import Pool
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import smallsides
 from .flow import UnitFlowEngine
 from .graph import Edge, Graph, largest_component_size, remove_edges
+from .linegraph import LineGraph
 
 _CHUNK_SIZE = 512
 
@@ -102,17 +107,10 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
                 yield u, flow
 
 
-def hub_deficits(engine: UnitFlowEngine) -> dict[int, int]:
-    """{u: lambda_H(u, r)} over every deficient vertex of
-    deficient_vertices, H = G - F for the installed faults F: empty
-    exactly when H is SMEC."""
-    return dict(deficient_vertices(engine))
-
-
 def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
     """First (u, v, paths, required) in ascending pair order, or None.
 
-    With B the deficient vertices of hub_deficits and f_x = lambda(x, r)
+    With B the deficient vertices of deficient_vertices and f_x = lambda(x, r)
     for x in B, deg x otherwise, lambda(u, v) >= min(f_u, f_v) for every
     pair. So a pair can violate only if min(f_u, f_v) < min(deg u, deg v),
     which needs an endpoint in B. If exactly one endpoint x is in B, the
@@ -122,7 +120,7 @@ def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]
     Only pairs with both endpoints in B get a direct max-flow, capped at
     the requirement. Pairs whose smaller endpoint degree is 0 are vacuous.
     """
-    deficits = hub_deficits(engine)
+    deficits = dict(deficient_vertices(engine))
     if not deficits:
         return None
     deg = engine.degrees
@@ -165,17 +163,27 @@ class SmecWitness:
         }
 
 
+def _cut_pair(engine: UnitFlowEngine, u: int, v: int) -> SmecWitness:
+    """The violating pair (u, v) of G - F, F installed in the engine, with
+    a minimum cut of it."""
+    required = min(engine.degrees[u], engine.degrees[v])
+    paths, cut = engine.min_cut(u, v)
+    if paths >= required:
+        raise RuntimeError("violating pair has its required paths")
+    return SmecWitness(u, v, paths, required, tuple(cut))
+
+
 def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
     """None if G - F is SMEC, else the first violating pair in ascending
     order with a minimum cut of it."""
     hit = smec_violation(engine)
     if hit is None:
         return None
-    u, v, paths, req = hit
-    value, cut = engine.min_cut(u, v)
-    if value != paths:
+    u, v, paths, _ = hit
+    w = _cut_pair(engine, u, v)
+    if w.path_count != paths:
         raise RuntimeError("pair scan and direct max-flow disagree")
-    return SmecWitness(u, v, paths, req, tuple(cut))
+    return w
 
 
 def largest_component_under_faults(g: Graph, fault_idx) -> int:
@@ -186,85 +194,75 @@ def largest_component_under_faults(g: Graph, fault_idx) -> int:
         remove_edges(g, [g.edges[k] for k in fault_idx]))
 
 
-def _evaluate_one(engine: Optional[UnitFlowEngine], index,
-                  edges, idx, kind: str, floor: int,
-                  witness: bool) -> Optional[dict]:
-    """None when the fault set passes, else its failure witness. Component
-    checks have no engine, and as index the floor layout
-    (smallsides.floor_layout) or, where there is none, the graph for
-    largest_component_under_faults. SMEC checks have an engine,
-    and as index the small-side layout (smallsides.layout) or None when
-    there is none. With a layout,
-    the small sides decide the set from F alone, and only a failing set
-    checked with `witness` installs F, for one min_cut of its least pair.
-    Without one, the hub check decides. A failing set checked with
-    `witness` false gives {}: no pair scan and no min cut runs for it."""
-    if kind == "component":
-        if isinstance(index, smallsides.Layout):
-            size = smallsides.largest_component(index, idx)
-        else:
-            size = largest_component_under_faults(index, idx)
-        if size < floor:
-            return {
-                "fault_edges": [list(edges[k]) for k in idx],
-                "largest_component": size,
-                "floor": floor,
-            }
-        return None
+class _State:
+    """What one process's checks read, from (L, m, kind, floor) alone.
+    `layout` is built on the process's first set and `engine` when a
+    flow first runs."""
 
-    if index is None:
-        engine.set_fault_indices(idx)
-        if not witness:
-            failed = next(deficient_vertices(engine), None) is not None
-            return {} if failed else None
+    def __init__(self, L: LineGraph, m: int, kind: str, floor: int):
+        self.L, self.m, self.kind, self.floor = L, m, kind, floor
+
+    @cached_property
+    def layout(self) -> Optional[smallsides.Layout]:
+        """The layout of L for m (smallsides.layout, or floor_layout for
+        floors), or None where it would not be exact."""
+        if self.kind == "smec":
+            return smallsides.layout(self.L, self.m)
+        return smallsides.floor_layout(self.L, self.m)
+
+    @cached_property
+    def component_size(self) -> Callable[[Sequence[int]], int]:
+        """F -> the size of the largest component of L - F: from the
+        floor layout, or where there is none a plain component search."""
+        if self.layout is not None:
+            return partial(smallsides.largest_component, self.layout)
+        return partial(largest_component_under_faults, self.L.graph)
+
+    @cached_property
+    def engine(self) -> UnitFlowEngine:
+        g = self.L.graph
+        return UnitFlowEngine(g.n_vertices, g.edges)
+
+
+def _evaluate_one(state: _State, idx) -> bool:
+    """True when the fault set fails the check: the component floor, or
+    SMEC decided by the small sides from F alone where there is a layout
+    and otherwise by the hub check stopped at its first deficient
+    vertex. No pair scan and no min cut runs."""
+    if state.kind == "component":
+        return state.component_size(idx) < state.floor
+    if state.layout is not None:
+        return smallsides.fails(state.layout, idx)
+    engine = state.engine
+    engine.set_fault_indices(idx)
+    return next(deficient_vertices(engine), None) is not None
+
+
+def _witness(state: _State, idx) -> dict:
+    """The failure witness of a set that _evaluate_one failed: the size
+    for floors, else the least violating pair with one min_cut of it."""
+    out = {"fault_edges": [list(state.L.graph.edges[k]) for k in idx]}
+    if state.kind == "component":
+        return {**out, "largest_component": state.component_size(idx),
+                "floor": state.floor}
+    engine = state.engine
+    engine.set_fault_indices(idx)
+    if state.layout is None:
         w = smec_witness(engine)
-        if w is None:
-            return None
-    elif not witness:
-        return {} if smallsides.fails(index, idx) else None
     else:
-        pair = smallsides.least_pair(index, idx)
-        if pair is None:
-            return None
-        engine.set_fault_indices(idx)
-        u, v = pair
-        req = min(engine.degrees[u], engine.degrees[v])
-        paths, cut = engine.min_cut(u, v)
-        if paths >= req:
-            raise RuntimeError("small sides and min cut disagree")
-        w = SmecWitness(u, v, paths, req, tuple(cut))
-    return {"fault_edges": [list(edges[k]) for k in idx], **w.to_dict()}
+        w = _cut_pair(engine, *smallsides.least_pair(state.layout, idx))
+    return {**out, **w.to_dict()}
 
 
-def _init_worker(n, edges, kind, floor, sides):
+def _init_worker(*args):
     global _WORKER_STATE
-    engine = UnitFlowEngine(n, edges) if kind == "smec" else None
-    _WORKER_STATE = (engine, None, sides, edges, kind, floor)
+    _WORKER_STATE = _State(*args)
 
 
 def _run_chunk(chunk):
-    global _WORKER_STATE
-    engine, index, sides, edges, kind, floor = _WORKER_STATE
-    if sides is not None:
-        # this worker's first set: the (L, m) source becomes the layout,
-        # or where it would not be exact, None for SMEC (the hub check)
-        # and the graph for floors (a plain component search)
-        if kind == "smec":
-            index = smallsides.layout(*sides)
-        else:
-            index = smallsides.floor_layout(*sides) or sides[0].graph
-        _WORKER_STATE = (engine, index, None, edges, kind, floor)
-    failures = 0
-    first = None
-    for idx in chunk:
-        # after the chunk's first failure only verdicts count (see _merge)
-        out = _evaluate_one(engine, index, edges, idx, kind, floor,
-                            first is None)
-        if out is not None:
-            failures += 1
-            if first is None:
-                first = out
-    return len(chunk), failures, first
+    """(sets, failures, the first failing set or None) of one chunk."""
+    failing = [idx for idx in chunk if _evaluate_one(_WORKER_STATE, idx)]
+    return len(chunk), len(failing), failing[0] if failing else None
 
 
 def _chunks(stream: Iterator, size: int) -> Iterator[list]:
@@ -275,40 +273,45 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
         yield block
 
 
-def evaluate_stream(g, stream, kind: str, floor: int, counters: dict,
-                    jobs: int,
-                    progress: Optional[Callable[[], None]] = None,
-                    sides: Optional[tuple] = None) -> Optional[dict]:
-    """Evaluate every fault set; returns the first-in-order failure witness.
-    At most os.cpu_count() worker processes start, whatever `jobs` asks
-    for, and one job runs in process. `progress`, when given, is called
-    after each chunk's tallies are merged into counters. `sides` is
-    (L, m), g = L.graph: each worker builds the layout of L for m
-    (smallsides.layout or floor_layout) on its first set, so a campaign
-    of no sets builds none."""
+def evaluate_stream(L: LineGraph, m: int, stream, kind: str, floor: int,
+                    counters: dict, jobs: int,
+                    progress: Optional[Callable[[], None]] = None
+                    ) -> Optional[dict]:
+    """Evaluate every fault set of L.graph for a campaign of budget m;
+    returns the first-in-order failure witness. At most os.cpu_count()
+    worker processes start, whatever `jobs` asks for, and one job runs in
+    process. `progress`, when given, is called after each chunk's tallies
+    are merged into counters."""
     global _WORKER_STATE
     jobs = min(jobs, os.cpu_count() or 1)
-    initargs = (g.n_vertices, g.edges, kind, floor, sides)
+    initargs = (L, m, kind, floor)
     chunks = _chunks(stream, _CHUNK_SIZE)
-    if jobs <= 1:
-        _init_worker(*initargs)
-        try:
-            return _merge(map(_run_chunk, chunks), counters, progress)
-        finally:
-            _WORKER_STATE = None
-    with Pool(jobs, initializer=_init_worker, initargs=initargs) as pool:
-        return _merge(pool.imap(_run_chunk, chunks), counters, progress)
+    try:
+        if jobs <= 1:
+            _init_worker(*initargs)
+            first = _merge(map(_run_chunk, chunks), counters, progress)
+        else:
+            with Pool(jobs, initializer=_init_worker,
+                      initargs=initargs) as pool:
+                first = _merge(pool.imap(_run_chunk, chunks), counters,
+                               progress)
+        if first is None:
+            return None
+        state = _WORKER_STATE if jobs <= 1 else _State(*initargs)
+        return _witness(state, first)
+    finally:
+        _WORKER_STATE = None
 
 
 def _merge(results, counters: dict,
-           progress: Optional[Callable[[], None]]) -> Optional[dict]:
-    """Add per-chunk tallies into counters; keep the first failure witness."""
-    first_witness = None
+           progress: Optional[Callable[[], None]]):
+    """Add per-chunk tallies into counters; return the first failing set."""
+    first_failing = None
     for visited, failures, first in results:
         counters["visited"] += visited
         counters["failures"] += failures
-        if first_witness is None:
-            first_witness = first
+        if first_failing is None:
+            first_failing = first
         if progress is not None:
             progress()
-    return first_witness
+    return first_failing

@@ -21,9 +21,9 @@ verdict and the witness pair come from the small sides of L - F on the
 base network (smallsides, no flow) whenever kappa(HL_n) > mu at the
 campaign's budget; otherwise, and in is_smec, from the cold SMEC hub
 check, _campaign_exec.deficient_vertices, and its pair scan. Each module
-describes its check with its proof. A campaign computes a witness, one
-minimum cut of the pair, only for each evaluation chunk's first failing
-set (see _campaign_exec).
+describes its check with its proof. A campaign computes one witness, one
+minimum cut of the pair, for its first failing set alone, in the calling
+process (see _campaign_exec).
 The tightness checks confirm their far vertices with
 UnitFlowEngine.min_cuts: one flow from u to the first far vertex gives
 the cut, and capped flows from it to a dominating set of the far side
@@ -346,8 +346,8 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
             progress(counters["visited"], total, counters["failures"],
                      time.perf_counter() - started)
     witness = _exec.evaluate_stream(
-        g, chain(admit(adversarial), sweep), kind, floor, counters, jobs,
-        on_chunk, (L, c.m))
+        L, c.m, chain(admit(adversarial), sweep), kind, floor, counters,
+        jobs, on_chunk)
 
     if target is None:
         target = {"line_vertices": g.n_vertices, "line_edges": n_edges}

@@ -1,5 +1,7 @@
 """SMEC verification: predicate, campaigns and tightness."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,8 @@ from hlmenger import (
     tightness_unconditional,
 )
 from hlmenger import _campaign_exec, menger, smallsides
-from hlmenger._campaign_exec import deficient_vertices, hub_deficits, \
-    smec_violation, smec_witness
+from hlmenger._campaign_exec import _State, _evaluate_one, _witness, \
+    deficient_vertices, smec_violation, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
@@ -109,7 +111,7 @@ class TestIsSmec:
                              *combinations(range(10, 16), 2),
                              (4, 10), (9, 11)])
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        deficient = hub_deficits(engine)
+        deficient = dict(deficient_vertices(engine))
         assert {0, 5} <= deficient.keys()
         assert naive_is_smec(g) == (False, (0, 5))
         assert is_smec(g).witness == SmecWitness(0, 5, 1, 4, ((4, 10),))
@@ -385,7 +387,7 @@ class TestSmecUnderFaultsDifferential:
         engine.set_fault_indices(idx)
         faulty = remove_edges(g, [g.edges[i] for i in idx])
         naive = self._naive_first_violation(faulty)
-        assert (not hub_deficits(engine)) == (naive is None), idx
+        assert (not dict(deficient_vertices(engine))) == (naive is None), idx
         fast = smec_violation(engine)
         if naive is None:
             assert fast is None, idx
@@ -410,7 +412,8 @@ class TestSmecUnderFaultsDifferential:
                 engine.set_fault_indices(idx)
                 faulty = remove_edges(g, [g.edges[i] for i in idx])
                 holds, pair = naive_is_smec(faulty)
-                assert (not hub_deficits(engine)) == holds, (seed, idx)
+                assert (not dict(deficient_vertices(engine))) == holds, \
+                    (seed, idx)
                 hit = smec_violation(engine)
                 assert (hit[:2] if hit else None) == pair, (seed, idx)
                 seen["holds" if holds else "violates"] += 1
@@ -537,7 +540,7 @@ class TestWitnessScanAgainstTree:
         for idx in self._fault_sets(L, n):
             engine.set_fault_indices(idx)
             flows.clear()
-            deficient = hub_deficits(engine)
+            deficient = dict(deficient_vertices(engine))
             hub_flows = len(flows)
             expected = self._tree_first_violation(engine)
             flows.clear()
@@ -665,7 +668,7 @@ class TestColdHubCheck:
         for i, idx in enumerate(self._fault_sets(L, n)):
             engine.set_fault_indices(idx)
             flows.clear()
-            deficits = hub_deficits(engine)
+            deficits = dict(deficient_vertices(engine))
             faulty = remove_edges(g, [g.edges[k] for k in idx])
             deg = [faulty.degree(x) for x in range(g.n_vertices)]
             r = deg.index(max(deg))
@@ -686,12 +689,13 @@ class TestColdHubCheck:
 
 
 class TestVerdictOnly:
-    """A chunk decides each set after its first failure by the verdict
-    alone. With a small-side layout, smallsides.fails decides it with no
-    flow and no hub check. Without one, the hub check stops at its first
-    deficient vertex. No pair scan or min cut runs either way. Checked
-    per set against hub_deficits, and per campaign against smec_witness
-    on every set."""
+    """A chunk decides each set by its verdict alone, and the caller
+    computes one witness per campaign, for its first failing set. With a
+    small-side layout, smallsides.fails decides a set with no flow and no
+    hub check. Without one, the hub check stops at its first deficient
+    vertex. No pair scan or min cut runs either way. Checked per set
+    against the hub check, and per campaign against smec_witness on
+    every set."""
 
     @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3), (5, 1)])
     def test_verdict_stops_at_the_first_deficient_vertex(self, n, seed,
@@ -722,10 +726,12 @@ class TestVerdictOnly:
         seen = {"decided_fail": 0, "decided_pass": 0, "hub_check": 0,
                 "hub_pass": 0}
         for idx in TestWitnessScanAgainstTree._fault_sets(L, n):
-            layout = smallsides.layout(L, len(idx))
+            state = _State(L, len(idx), "smec", 0)
+            state.engine = engine
+            layout = state.layout
             engine.set_fault_indices(idx)
             flows.clear()
-            deficits = hub_deficits(engine)
+            deficits = dict(deficient_vertices(engine))
             every = flows[:]
             flows.clear()
             installs.clear()
@@ -735,9 +741,8 @@ class TestVerdictOnly:
                 if layout is not None:
                     m.setattr(_campaign_exec, "deficient_vertices",
                               no_hub_check)
-                out = _campaign_exec._evaluate_one(
-                    engine, layout, g.edges, idx, "smec", 0, False)
-            assert out == ({} if deficits else None), idx
+                out = _evaluate_one(state, idx)
+            assert out is bool(deficits), idx
             if layout is not None:
                 # the small sides settle the set from F alone: no flow,
                 # no hub check, and F is not even installed in the engine
@@ -767,10 +772,11 @@ class TestVerdictOnly:
                                                       conditional,
                                                       monkeypatch):
         """The campaign's counts and witness, at --jobs 1 and 2 with
-        chunks of 7 sets, against smec_witness on every set. Every
-        failing set's witness as the campaign computes it, from the
-        small sides where there is a layout, must equal smec_witness's.
-        A campaign with a layout never runs the hub check."""
+        chunks of 7 sets, against smec_witness on every set. Every set's
+        verdict, and every failing set's witness as the campaign would
+        compute it, from the small sides where there is a layout, must
+        equal smec_witness's. A campaign with a layout never runs the hub
+        check, and each campaign runs one min_cut, for its witness."""
         L = lgraph(kind, 4, seed)
         g = L.graph
         c = FaultCampaign(mode="sampled", m=m, conditional=conditional,
@@ -779,9 +785,9 @@ class TestVerdictOnly:
         streams = []
         evaluate = _campaign_exec.evaluate_stream
 
-        def recorded(g, stream, *args):
+        def recorded(L, m, stream, *args):
             streams.append(list(stream))
-            return evaluate(g, iter(streams[-1]), *args)
+            return evaluate(L, m, iter(streams[-1]), *args)
 
         def no_hub_check(*args):
             raise AssertionError("hub check run with a layout")
@@ -799,20 +805,23 @@ class TestVerdictOnly:
             solo = run_campaign(L, c, jobs=1)
             solo_cuts = len(cuts)
             parallel = run_campaign(L, c, jobs=2)
+            campaign_cuts = len(cuts)
         sets = streams[0]
         assert streams[1] == sets
         engine = UnitFlowEngine(g.n_vertices, g.edges)
+        state = _State(L, m, "smec", 0)
         failed, first = [], None
         for idx in sets:
             engine.set_fault_indices(idx)
             w = smec_witness(engine)
             failed.append(w is not None)
-            expected = w and {"fault_edges": [list(g.edges[k]) for k in idx],
-                              **w.to_dict()}
-            assert _campaign_exec._evaluate_one(
-                UnitFlowEngine(g.n_vertices, g.edges), layout, g.edges, idx,
-                "smec", 0, True) == expected, idx
-            if w is not None and first is None:
+            assert _evaluate_one(state, idx) is failed[-1], idx
+            if w is None:
+                continue
+            expected = {"fault_edges": [list(g.edges[k]) for k in idx],
+                        **w.to_dict()}
+            assert _witness(state, idx) == expected, idx
+            if first is None:
                 first = expected
         chunks = [failed[i:i + 7] for i in range(0, len(failed), 7)]
         assert sum(any(ch) for ch in chunks) >= 3
@@ -826,7 +835,36 @@ class TestVerdictOnly:
                                      "failures": sum(failed)}
             assert report.witness == first
         assert solo.canonical_json() == parallel.canonical_json()
-        assert solo_cuts == sum(any(ch) for ch in chunks)
+        # one witness min_cut per failing campaign, in the calling process
+        assert solo_cuts == 1 and campaign_cuts == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind,seed,m,conditional", [
+        ("random", 1, 5, False),        # the small sides decide
+        ("crossed", None, 7, True)])    # the hub check decides
+    def test_a_failing_campaign_cuts_once_in_the_caller(self, kind, seed, m,
+                                                        conditional, jobs,
+                                                        monkeypatch):
+        """Over many failing chunks of 8 sets, the campaign runs exactly
+        one min_cut, for its witness, in the calling process: a min_cut
+        in a worker raises."""
+        caller = os.getpid()
+        cuts = []
+        min_cut = UnitFlowEngine.min_cut
+
+        def recorded(self, s, t):
+            assert os.getpid() == caller, "min_cut in a worker"
+            cuts.append((s, t))
+            return min_cut(self, s, t)
+
+        monkeypatch.setattr(UnitFlowEngine, "min_cut", recorded)
+        monkeypatch.setattr(_campaign_exec, "_CHUNK_SIZE", 8)
+        report = run_campaign(lgraph(kind, 4, seed), FaultCampaign(
+            mode="sampled", m=m, conditional=conditional, samples=100,
+            seed=seed or 1, adversarial=True), jobs=jobs)
+        assert report.counts["failures"] > 8
+        assert cuts == [tuple(report.witness["pair"])]
+        assert _campaign_exec._WORKER_STATE is None
 
 
 class TestDegenerateSizes:

@@ -26,7 +26,8 @@ import pytest
 from hlmenger import NAMED_FAMILIES, FaultCampaign, build_graph, \
     line_graph, run_campaign, smallsides, tightness_conditional, \
     tightness_unconditional
-from hlmenger._campaign_exec import _evaluate_one, smec_witness
+from hlmenger._campaign_exec import _State, _evaluate_one, _witness, \
+    smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, adversarial_fault_indices
 from hlmenger.rng import SplitMix64
@@ -84,12 +85,28 @@ class TestLayout:
 
     def test_a_campaign_of_no_sets_builds_no_layout(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("layout built for a campaign of no sets")
+            raise AssertionError("built for a campaign of no sets")
 
         monkeypatch.setattr(smallsides, "layout", refused)
+        monkeypatch.setattr(UnitFlowEngine, "__init__", refused)
         report = run_campaign(lgraph("crossed", 5), FaultCampaign(
             mode="sampled", m=10, conditional=True, samples=0, seed=1))
         assert report.counts["visited"] == 0
+
+    def test_a_passing_campaign_builds_no_flow_engine(self, monkeypatch):
+        """cond-ft-smec on L(CQ_5) at its budget 4n - 10: the layout
+        decides every set with no flow, and as no set fails, no witness
+        needs the engine either. In process, as a pool restarts a worker
+        whose initializer raises without end."""
+        def refused(*args):
+            raise AssertionError("flow engine built")
+
+        L = lgraph("crossed", 5)
+        monkeypatch.setattr(UnitFlowEngine, "__init__", refused)
+        report = run_campaign(L, FaultCampaign(
+            mode="sampled", m=10, conditional=True, samples=300, seed=1,
+            adversarial=True))
+        assert report.passed and report.counts["visited"] > 300
 
 
 # each campaign check of BOUNDS with the layout that decides it
@@ -147,10 +164,10 @@ class TestFails:
         L = lgraph(kind, n, 1 if kind == "random" else None)
         g = L.graph
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        campaign = UnitFlowEngine(g.n_vertices, g.edges)
         seen = {"fails": 0, "passes": 0}
         for m in budgets(n):
-            layout = smallsides.layout(L, m)
+            campaign = _State(L, m, "smec", 0)
+            layout = campaign.layout
             if layout is None:
                 continue
             search = smallsides.layout(L, m)
@@ -164,11 +181,11 @@ class TestFails:
                     assert smallsides.fails(sides, idx) == fails, (m, idx)
                     assert smallsides.least_pair(sides, idx) == pair, \
                         (m, idx)
-                expected = w and {
-                    "fault_edges": [list(g.edges[k]) for k in idx],
-                    **w.to_dict()}
-                assert _evaluate_one(campaign, layout, g.edges, idx, "smec",
-                                     0, True) == expected, (m, idx)
+                assert _evaluate_one(campaign, idx) is fails, (m, idx)
+                if fails:
+                    assert _witness(campaign, idx) == {
+                        "fault_edges": [list(g.edges[k]) for k in idx],
+                        **w.to_dict()}, (m, idx)
                 seen["fails" if fails else "passes"] += 1
         assert all(seen.values()), seen
 
