@@ -36,9 +36,10 @@ min_cut of the pair gives its path count and cut. So such a campaign
 runs no hub check. Otherwise (kappa(H) <= mu, n <= 2, or a graph with no
 HL base) the verdict is the cold hub check, deficient_vertices, stopped
 at its first deficient vertex, which already fails the set, and the
-witness is smec_witness's: smec_violation turns the hub check's
-deficient vertices into the first violating pair, cut by the same
-min_cut. The witness is a fact of G - F, whichever path gave it.
+witness is smec_witness's: a scan of the pairs with an endpoint the
+hub check found deficient, in ascending order, each decided by one
+capped flow, gives the first violating pair, cut by the same min_cut.
+The witness is a fact of G - F, whichever path gave it.
 
 A report keeps only the counts and the first failing set's witness, so
 the chunk runner gives verdicts only: no verdict runs a pair scan or a
@@ -55,7 +56,6 @@ process computes it cannot change it.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
@@ -91,12 +91,13 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
     as soon as one u falls short.
 
     Every violating pair has an endpoint that is deficient for every r
-    of maximum degree, so the pair scan (smec_violation) reaches every
-    violating pair whichever r it starts from. That scan goes over pairs
-    in ascending order and decides each one exactly, so its first
-    violating pair and that pair's path count are facts of H alone.
-    smec_witness then cuts the pair with a flow of its own, whose
-    residual s-side is the smallest s-side of a minimum cut of the pair.
+    of maximum degree, so smec_witness's pair scan, over the pairs with
+    a deficient endpoint, reaches every violating pair whichever r it
+    starts from. That scan goes over pairs in ascending order and
+    decides each one exactly, so its first violating pair and that
+    pair's path count are facts of H alone. smec_witness then cuts the
+    pair with a flow of its own, whose residual s-side is the smallest
+    s-side of a minimum cut of the pair.
     """
     deg = engine.degrees
     hub = max(range(engine.n), key=deg.__getitem__, default=None)
@@ -105,42 +106,6 @@ def deficient_vertices(engine: UnitFlowEngine) -> Iterator[tuple[int, int]]:
             flow = engine.max_flow(u, hub, deg[u])
             if flow < deg[u]:
                 yield u, flow
-
-
-def smec_violation(engine: UnitFlowEngine) -> Optional[tuple[int, int, int, int]]:
-    """First (u, v, paths, required) in ascending pair order, or None.
-
-    With B the deficient vertices of deficient_vertices and f_x = lambda(x, r)
-    for x in B, deg x otherwise, lambda(u, v) >= min(f_u, f_v) for every
-    pair. So a pair can violate only if min(f_u, f_v) < min(deg u, deg v),
-    which needs an endpoint in B. If exactly one endpoint x is in B, the
-    test leaves deg y > f_x for the other, y, and the hub flows fix
-    lambda(x, y) = f_x: it is >= min(f_x, deg y) = f_x, and a larger
-    value would give lambda(x, r) >= min(lambda(x, y), lambda(y, r)) > f_x.
-    Only pairs with both endpoints in B get a direct max-flow, capped at
-    the requirement. Pairs whose smaller endpoint degree is 0 are vacuous.
-    """
-    deficits = dict(deficient_vertices(engine))
-    if not deficits:
-        return None
-    deg = engine.degrees
-    f = [deficits.get(x, d) for x, d in enumerate(deg)]
-    deficient = sorted(deficits)
-    for u in range(engine.n):
-        if not deg[u]:
-            continue
-        partners = (range(u + 1, engine.n) if f[u] < deg[u]
-                    else deficient[bisect_right(deficient, u):])
-        for v in partners:
-            req = deg[u] if deg[u] < deg[v] else deg[v]
-            if min(f[u], f[v]) >= req:
-                continue
-            if (f[u] < deg[u]) != (f[v] < deg[v]):
-                return u, v, min(f[u], f[v]), req
-            paths = engine.max_flow(u, v, req)
-            if paths < req:
-                return u, v, paths, req
-    raise RuntimeError("hub check and pair scan disagree")
 
 
 @dataclass(frozen=True)
@@ -175,15 +140,30 @@ def _cut_pair(engine: UnitFlowEngine, u: int, v: int) -> SmecWitness:
 
 def smec_witness(engine: UnitFlowEngine) -> Optional[SmecWitness]:
     """None if G - F is SMEC, else the first violating pair in ascending
-    order with a minimum cut of it."""
-    hit = smec_violation(engine)
-    if hit is None:
+    order with a minimum cut of it.
+
+    The pair scan: with B the deficient vertices of deficient_vertices,
+    the pairs (u, v), u < v, with min(deg u, deg v) > 0 and an endpoint
+    in B are decided in ascending order, each by one flow capped at its
+    requirement, which is exact when it falls short. Every violating pair
+    has an endpoint in B, so the first pair that falls short is the first
+    violating pair of G - F."""
+    deficient = {u for u, _ in deficient_vertices(engine)}
+    if not deficient:
         return None
-    u, v, paths, _ = hit
-    w = _cut_pair(engine, u, v)
-    if w.path_count != paths:
-        raise RuntimeError("pair scan and direct max-flow disagree")
-    return w
+    deg = engine.degrees
+    for u in range(engine.n):
+        for v in range(u + 1, engine.n):
+            req = min(deg[u], deg[v])
+            if req and (u in deficient or v in deficient):
+                paths = engine.max_flow(u, v, req)
+                if paths < req:
+                    w = _cut_pair(engine, u, v)
+                    if w.path_count != paths:
+                        raise RuntimeError(
+                            "pair scan and direct max-flow disagree")
+                    return w
+    raise RuntimeError("hub check and pair scan disagree")
 
 
 def largest_component_under_faults(g: Graph, fault_idx) -> int:

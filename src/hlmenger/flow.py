@@ -39,7 +39,8 @@ paths): augmenting from a feasible flow is exact, so only the missing
 units cost a search. Vertex connectivity's fans start from paths of one
 and two hops (graph.vertex_connectivity). A capped flow from a feasible
 start has the same value as a cold one. Every other flow takes no start:
-those of the SMEC hub check and its pair scan (_campaign_exec), min_cut,
+those of the SMEC hub check and of smec_witness's pair scan, one per
+pair with a deficient endpoint (_campaign_exec), min_cut,
 max_flow_with_side and the capped flows of min_cuts.
 
 Dominating-set lemma (Matula 1987). Degrees and neighbourhoods count

@@ -20,7 +20,8 @@ All path counts are exact. Per fault set F of a campaign on L(HL_n) the
 verdict and the witness pair come from the small sides of L - F on the
 base network (smallsides, no flow) whenever kappa(HL_n) > mu at the
 campaign's budget; otherwise, and in is_smec, from the cold SMEC hub
-check, _campaign_exec.deficient_vertices, and its pair scan. Each module
+check, _campaign_exec.deficient_vertices, and smec_witness's scan of
+the pairs with a deficient endpoint, one capped flow each. Each module
 describes its check with its proof. A campaign computes one witness, one
 minimum cut of the pair, for its first failing set alone, in the calling
 process (see _campaign_exec).
@@ -139,9 +140,9 @@ def is_smec(g: Graph) -> SmecVerdict:
     """Does every distinct pair have min(deg u, deg v) edge-disjoint paths?
 
     Decided by the hub check. On failure returns the first violating pair
-    in ascending (u, v) order among the pairs with an endpoint the hub
-    check found deficient, with a minimum-cut certificate of the deficient
-    path count.
+    in ascending (u, v) order, found by one capped flow per pair with an
+    endpoint the hub check found deficient, with a minimum-cut
+    certificate of its path count.
     """
     w = smec_witness(UnitFlowEngine(g.n_vertices, g.edges))
     return SmecVerdict(w is None, w)

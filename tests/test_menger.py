@@ -23,7 +23,7 @@ from hlmenger import (
 )
 from hlmenger import _campaign_exec, menger, smallsides
 from hlmenger._campaign_exec import _State, _evaluate_one, _witness, \
-    deficient_vertices, smec_violation, smec_witness
+    deficient_vertices, smec_witness
 from hlmenger.flow import UnitFlowEngine
 from hlmenger.menger import BOUNDS, SmecWitness, \
     adversarial_fault_indices, require_dimension
@@ -388,13 +388,14 @@ class TestSmecUnderFaultsDifferential:
         faulty = remove_edges(g, [g.edges[i] for i in idx])
         naive = self._naive_first_violation(faulty)
         assert (not dict(deficient_vertices(engine))) == (naive is None), idx
-        fast = smec_violation(engine)
+        w = smec_witness(engine)
         if naive is None:
-            assert fast is None, idx
+            assert w is None, idx
         else:
             u, v = naive
-            assert fast == (u, v, max_edge_disjoint_paths(faulty, u, v).value,
-                            min(faulty.degree(u), faulty.degree(v))), idx
+            assert (w.u, w.v, w.path_count, w.required) == (
+                u, v, max_edge_disjoint_paths(faulty, u, v).value,
+                min(faulty.degree(u), faulty.degree(v))), idx
 
     def test_faulted_random_graphs_match_naive(self):
         # bases that need not be SMEC; 1-3 seeded faults per set
@@ -414,8 +415,8 @@ class TestSmecUnderFaultsDifferential:
                 holds, pair = naive_is_smec(faulty)
                 assert (not dict(deficient_vertices(engine))) == holds, \
                     (seed, idx)
-                hit = smec_violation(engine)
-                assert (hit[:2] if hit else None) == pair, (seed, idx)
+                w = smec_witness(engine)
+                assert ((w.u, w.v) if w else None) == pair, (seed, idx)
                 seen["holds" if holds else "violates"] += 1
         assert all(seen.values()), seen
 
@@ -476,8 +477,9 @@ class TestSmecUnderFaultsDifferential:
 
 
 class TestWitnessScanAgainstTree:
-    """The deficient-set witness scan against the Gusfield-tree row scan it
-    replaced, on faulted L(HL_n): same (u, v, paths, required) per set."""
+    """smec_witness's scan of the pairs with a deficient endpoint against
+    the Gusfield-tree row scan it replaced, on faulted L(HL_n): same
+    (u, v, paths, required) per set."""
 
     @staticmethod
     def _tree_first_violation(engine):
@@ -533,19 +535,13 @@ class TestWitnessScanAgainstTree:
         engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
         seen = {"violating": 0, "several_deficient": 0, "mixed_witness": 0,
                 "hub_touched": 0, "isolated": 0}
-        flows = []
-        engine.max_flow = lambda s, t, cutoff=None, start=(): \
-            flows.append((s, t)) or \
-            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
         for idx in self._fault_sets(L, n):
             engine.set_fault_indices(idx)
-            flows.clear()
             deficient = dict(deficient_vertices(engine))
-            hub_flows = len(flows)
             expected = self._tree_first_violation(engine)
-            flows.clear()
-            assert smec_violation(engine) == expected, idx
-            direct = flows[hub_flows:]
+            w = smec_witness(engine)
+            assert (w and (w.u, w.v, w.path_count, w.required)) == expected, \
+                idx
             assert bool(deficient) == (expected is not None), idx
             touched = {x for k in idx for x in L.graph.edges[k]}
             if expected is None:
@@ -553,13 +549,46 @@ class TestWitnessScanAgainstTree:
             seen["violating"] += 1
             seen["several_deficient"] += len(deficient) >= 2
             u, v = expected[:2]
-            if (u in deficient) != (v in deficient):
-                # the hub flows fix the pair's value: no direct flow
-                assert (u, v) not in direct, idx
             seen["mixed_witness"] += u not in deficient and v in deficient
             seen["hub_touched"] += 0 in touched
             seen["isolated"] += 0 in engine.degrees
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (4, 3)])
+    def test_scan_runs_one_capped_flow_per_pair_then_one_cut(self, n, seed):
+        """The flows of one smec_witness call on a violating set: the hub
+        flows, cold and capped at deg u, then one cold flow capped at
+        min(deg u, deg v) per pair with a deficient endpoint, in
+        ascending order up to the witness pair, then one min_cut of that
+        pair. Required on sets whose witness pair has exactly one
+        deficient endpoint."""
+        L = lgraph("random", n, seed)
+        engine = UnitFlowEngine(L.graph.n_vertices, L.graph.edges)
+        log = []
+        engine.max_flow = lambda s, t, cutoff=None, start=(): \
+            log.append((s, t, cutoff, start)) or \
+            UnitFlowEngine.max_flow(engine, s, t, cutoff, start)
+        engine.min_cut = lambda s, t: log.append(("min_cut", s, t)) or \
+            UnitFlowEngine.min_cut(engine, s, t)
+        one_deficient = 0
+        for idx in self._fault_sets(L, n):
+            engine.set_fault_indices(idx)
+            deficient = {u for u, _ in deficient_vertices(engine)}
+            log.clear()
+            w = smec_witness(engine)
+            if w is None:
+                continue
+            deg = engine.degrees
+            r = deg.index(max(deg))
+            hub = [(u, r, deg[u], ()) for u in range(engine.n)
+                   if u != r and deg[u]]
+            pairs = [(u, v, min(deg[u], deg[v]), ())
+                     for u in range(engine.n) for v in range(u + 1, engine.n)
+                     if min(deg[u], deg[v]) and deficient & {u, v}]
+            upto = [p[:2] for p in pairs].index((w.u, w.v)) + 1
+            assert log == hub + pairs[:upto] + [("min_cut", w.u, w.v)], idx
+            one_deficient += len(deficient & {w.u, w.v}) == 1
+        assert one_deficient
 
     def test_violating_campaign_builds_no_flow_tree(self):
         L = lgraph("random", 4, 1)
@@ -736,7 +765,7 @@ class TestVerdictOnly:
             flows.clear()
             installs.clear()
             with monkeypatch.context() as m:
-                m.setattr(_campaign_exec, "smec_violation", refused)
+                m.setattr(_campaign_exec, "smec_witness", refused)
                 m.setattr(engine, "min_cut", refused)
                 if layout is not None:
                     m.setattr(_campaign_exec, "deficient_vertices",
