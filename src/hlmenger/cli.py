@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .graph import BudgetExceeded
 from .linegraph import bcdc, line_graph, line_graph_of_hl
 from .menger import BOUNDS, FaultCampaign, check_component_lemma, \
     check_tightness, require_dimension, run_campaign
+from .report import dumps
 from .topologies import NAMED_FAMILIES, construction_record, generate, \
     hl_from_graph
 
@@ -144,7 +144,7 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _json(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return dumps(record) + "\n"
 
 
 def _load_network(args, hl: bool = True):

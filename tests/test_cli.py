@@ -432,6 +432,32 @@ class TestProgress:
         assert f"error: --progress does not apply to --check {check}" in err
 
 
+@pytest.mark.parametrize("argv,sidecar,want", [
+    (("verify", "--check", "tight-cond", "--family", "mobius1", "--n", "5",
+      "--all-witnesses"), None, 1),
+    (("verify", "--check", "ft-smec", "--family", "random", "--n", "4",
+      "--seed", "1", "--m", "5", "--mode", "sample", "--samples", "0",
+      "--adversarial"), None, 1),
+    (("gen", "--family", "random", "--n", "4", "--seed", "7"),
+     "--construction", 0),
+    (("linegraph", "--family", "crossed", "--n", "4"), "--provenance", 0),
+], ids=["tight-cond-all-witnesses", "failing-campaign", "construction",
+        "provenance"])
+def test_json_output_is_the_stdlib_rendering(capsys, tmp_path, argv,
+                                             sidecar, want):
+    # every report and sidecar is byte for byte what the stdlib writes at
+    # an indent of 2 with sorted keys, followed by one newline
+    if sidecar:
+        path = tmp_path / "record.json"
+        code, _, _ = run(capsys, *argv, sidecar, str(path))
+        text = path.read_text(encoding="utf-8")
+    else:
+        code, text, _ = run(capsys, *argv)
+    assert code == want
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
+
+
 class Generated(Exception):
     """Raised by the patched generators: the request got past the preflight."""
 
