@@ -6,12 +6,15 @@ checks here inject edge fault sets into a line graph and verify either the
 SMEC predicate or the giant-component floor, exhaustively or by seeded
 sampling, in unconditional or conditional (min degree >= 2 after faults)
 mode; conditional mode admits each set where it is produced (_admitted),
-so the evaluation loop only evaluates. Two explicit fault constructions
-certify that the fault-tolerance bounds are tight; their patterns, one
-vertex stripped to a single edge (_strip) and the 4n-9 triangle strip
-(_triangle_faults), are written once, as ascending edge indices read off
-the graph's incidence maps, and also seed the adversarial suite, which
-is built from those indices alone.
+so the evaluation loop only evaluates. Every extremal fault pattern is a
+cut-off delta(S) - K, the edges leaving a small side S less a kept set K,
+and one writer, _cutoff, gives each as ascending edge indices read off
+the graph's incidence maps. The adversarial suite holds three of them,
+vertex strips (S = {v}, K empty), near-isolating splits (S = {v},
+K = {vu}) and 4n-9 triangle strips (S = {u1, u2}, K = {u1u, u2u, u2u3}),
+and windows of f-incident edges. The two constructions that certify the
+fault-tolerance bounds are tight are the first split and the first
+triangle strip of that suite.
 `BOUNDS` is the one table of the paper's numeric claims: each check's
 fault budget or construction size, component floor and the dimensions it
 holds for; the CLI, the constructions and the tests read it.
@@ -153,39 +156,48 @@ def is_smec(g: Graph) -> SmecVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _strip(inc: list[dict[int, int]], v: int,
-           keep: Iterable[int]) -> list[int]:
-    """The indices of the edges at v to neighbours outside `keep`, with
-    inc = incidence(g), in ascending neighbour order, which is also
-    ascending index order."""
-    return [k for w, k in inc[v].items() if w not in keep]
+def _cutoff(inc: list[dict[int, int]], side: Sequence[int],
+            keep: Sequence[tuple[int, ...]]) -> list[int]:
+    """delta(side) - K in ascending edge indices, with inc = incidence(g):
+    the edges at side[i] to neighbours outside keep[i], for each i.
+    keep[i] holds the members of side adjacent to side[i], whose edges are
+    not in the cut, and the far ends of the kept edges K at side[i]."""
+    if len(side) > 1:
+        return sorted([k for v, kept in zip(side, keep)
+                       for w, k in inc[v].items() if w not in kept])
+    # inc[v] iterates in ascending index order: no sort
+    (v,), (kept,) = side, keep
+    return [k for w, k in inc[v].items() if w not in kept]
 
 
-def _triangle_faults(inc: list[dict[int, int]], u: int, u1: int,
-                     u2: int) -> Optional[tuple[int, ...]]:
-    """The edge indices of the 4n-9 pattern on the triangle (u, u1, u2),
-    with inc = incidence(g), sorted: u2 stripped down to {u, u1, u3}, with
-    u3 its lowest neighbour outside the triangle, and u1 stripped down to
-    {u, u2}. None when u2 has no such neighbour."""
-    u3 = next((w for w in inc[u2] if w != u and w != u1), None)
-    if u3 is None:
-        return None
-    return tuple(sorted(_strip(inc, u2, (u, u1, u3))
-                        + _strip(inc, u1, (u, u2))))
+def _triangle_strips(inc: list[dict[int, int]]) -> Iterator[tuple]:
+    """(u, side, keep) of the 4n-9 pattern for every triangle (_triangles
+    order) and vertex assignment (u, u1, u2) (permutations order): S =
+    (u1, u2) and K = {u1u, u2u, u2u3}, with u3 u2's lowest neighbour
+    outside the triangle; an assignment without such a u3 is skipped."""
+    for triangle in _triangles(inc):
+        for u, u1, u2 in permutations(triangle):
+            u3 = next((w for w in inc[u2] if w != u and w != u1), None)
+            if u3 is not None:
+                yield u, (u1, u2), ((u, u2), (u, u1, u3))
 
 
 def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]]:
     """Deterministic stress suite mirroring the extremal proof cases.
 
-    Includes, deduplicated and capped at `budget` edges per set:
-    * the first min(budget, deg v) incident edges of every vertex;
-    * for every adjacent pair (v, u): the edges from v to all its other
-      neighbors (a near-isolating split, leaving only the v-u link), the
-      pattern of the 2n-3 construction (tightness_unconditional);
-    * for every triangle and vertex assignment (u, u1, u2): the 4n-9
-      pattern of the conditional construction (_triangle_faults), which
-      has deg u1 + deg u2 - 5 edges, so no triangle is listed when twice
-      the minimum degree less 5 passes the budget;
+    Every pattern but the last is a cut-off delta(S) - K (_cutoff): the
+    edges leaving a small side S, less a kept set K. Included, in this
+    order, deduplicated and capped at `budget` edges per set:
+    * vertex strips, S = {v} and K empty, for every vertex v: the first
+      min(budget, deg v) edges of v;
+    * near-isolating splits, S = {v} and K = {vu}, for every adjacent pair
+      (v, u), truncated the same way: the pattern of the 2n-3
+      construction (tightness_unconditional);
+    * triangle strips, S = {u1, u2} and K = {u1u, u2u, u2u3}, for every
+      triangle and vertex assignment (u, u1, u2) (_triangle_strips): the
+      4n-9 pattern of the conditional construction, with
+      deg u1 + deg u2 - 5 edges, so no triangle is listed when twice the
+      minimum degree less 5 passes the budget;
     * every contiguous window of `budget` f-incident edges, when the line
       graph knows its f-vertices.
     Every pattern comes as ascending edge indices read off incidence(g),
@@ -207,19 +219,17 @@ def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]
             ordered.append(key)
 
     for v in range(g.n_vertices):
-        push(_strip(inc, v, ())[:budget])
+        push(_cutoff(inc, (v,), ((),))[:budget])
 
     if budget >= 1:
         for v, at_v in enumerate(inc):
+            side = (v,)
             for u in at_v:
-                push(_strip(inc, v, (u,))[:budget])
+                push(_cutoff(inc, side, ((u,),))[:budget])
 
     if 2 * g.min_degree() - 5 <= budget:
-        for triangle in _triangles(inc):
-            for u, u1, u2 in permutations(triangle):
-                faults = _triangle_faults(inc, u, u1, u2)
-                if faults is not None:
-                    push(faults)
+        for _, side, keep in _triangle_strips(inc):
+            push(_cutoff(inc, side, keep))
 
     if L.f_vertices and budget >= 1:
         fv = L.f_vertices
@@ -304,9 +314,11 @@ Progress = Callable[[int, int, int, float], None]
 
 
 def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
-           check_name: str, target: Optional[dict], jobs: int,
-           extra_params: Optional[dict] = None,
+           target: Optional[dict], jobs: int,
            progress: Optional[Progress] = None) -> VerificationReport:
+    """The campaign c of `kind` ("smec" or "component") on L. A component
+    campaign reports as component-floor with its floor among the
+    parameters, a SMEC one as cond-ft-smec or ft-smec."""
     g = L.graph
     n_edges = len(g.edges)
     if c.m < 0:
@@ -367,8 +379,9 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         "pair_order": "ascending-lexicographic",
         "fault_order": "sizes-ascending-then-lex-by-edge-index",
     }
-    if extra_params:
-        params.update(extra_params)
+    check_name = "cond-ft-smec" if c.conditional else "ft-smec"
+    if kind == "component":
+        check_name, params["floor"] = "component-floor", floor
     return VerificationReport(
         check_name=check_name,
         target=target,
@@ -389,8 +402,7 @@ def run_campaign(L: LineGraph, c: FaultCampaign, jobs: int = 1,
     so far, the total the sweep and the adversarial suite can yield before
     the conditional admission, the failures so far and the elapsed time.
     """
-    name = "cond-ft-smec" if c.conditional else "ft-smec"
-    return _drive(L, c, "smec", 0, name, target, jobs, progress=progress)
+    return _drive(L, c, "smec", 0, target, jobs, progress)
 
 
 def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
@@ -403,8 +415,7 @@ def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
     if floor > L.graph.n_vertices:
         raise ValueError("floor exceeds the vertex count")
     c = replace(c, m=fault_budget)
-    return _drive(L, c, "component", floor, "component-floor", target, jobs,
-                  extra_params={"floor": floor}, progress=progress)
+    return _drive(L, c, "component", floor, target, jobs, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -423,43 +434,38 @@ def _far_vertices(g: Graph, core: tuple[int, ...]) -> Iterator[int]:
 def tightness_unconditional(L: LineGraph) -> TightnessWitness:
     """Fault set of size 2n-3 that breaks SMEC, per the sharp bound.
 
-    Deterministic choices: u0 is the lowest vertex id, u its lowest
-    neighbor, v the lowest vertex outside u0's closed neighborhood. The
-    faults remove every edge at u0 except the one to u, leaving u0 a dead
-    end, so at most 2n-3 of u's 2n-2 edges can start disjoint u-v paths.
+    The suite's first near-isolating split: S = {u0} with u0 = 0 and K the
+    edge to u, u0's lowest neighbor; v is the lowest vertex outside u0's
+    closed neighborhood. The faults remove every edge at u0 except the one
+    to u, leaving u0 a dead end, so at most 2n-3 of u's 2n-2 edges can
+    start disjoint u-v paths.
     """
     n = L.base_dimension
     size = require_dimension("tight-uncond", n).faults(n)
     g = L.graph
-    u0 = 0
-    u = min(g.neighbors(u0))
-    faults = _strip(incidence(g), u0, (u,))
-    return _tightness_witness(g, faults, size, u, (u0,))
+    inc = incidence(g)
+    u = min(inc[0])
+    return _tightness_witness(g, _cutoff(inc, (0,), ((u,),)), size, u, (0,))
 
 
 def tightness_conditional(L: LineGraph) -> TightnessWitness:
     """Fault set of size 4n-9 with min degree >= 2 that still breaks SMEC.
 
-    The triangle u < u1 < u2 is the three lowest line vertices sharing the
-    lowest base vertex; u3 is u2's lowest neighbor outside the triangle.
-    The faults strip u2 down to {u, u1, u3} and u1 down to {u, u2}, so the
-    set {u, u1, u2} has only 2n-3 outgoing edges and any v outside its
-    neighborhood is reachable by at most 2n-3 disjoint paths.
+    The suite's first triangle strip (_triangle_strips). L's first
+    triangle u < u1 < u2 is (0, 1, 2), the three lowest edges at base
+    vertex 0, which has degree n >= 4, and u3 is u2's lowest neighbor
+    outside it. The faults strip u2 down to {u, u1, u3} and u1 down to
+    {u, u2}, so the set {u, u1, u2} has only 2n-3 outgoing edges and any
+    v outside its neighborhood is reachable by at most 2n-3 disjoint
+    paths.
     """
     n = L.base_dimension
     size = require_dimension("tight-cond", n).faults(n)
     g = L.graph
-    base_x = 0  # base graph is n-regular with n >= 4, so degree >= 3 holds
-    clique = sorted(
-        i for i, e in enumerate(L.edge_of_vertex) if base_x in e)
-    if len(clique) < 3:
-        raise RuntimeError("no triangle at the lowest base vertex; "
-                           "line graph integrity failure")
-    u, u1, u2 = clique[:3]
-    faults = _triangle_faults(incidence(g), u, u1, u2)
-    if faults is None:
-        raise RuntimeError("u2 has no neighbor outside the triangle")
-    return _tightness_witness(g, faults, size, u, (u, u1, u2))
+    inc = incidence(g)
+    u, side, keep = next(_triangle_strips(inc))
+    return _tightness_witness(g, _cutoff(inc, side, keep), size, u,
+                              (u, *side))
 
 
 def _tightness_witness(g: Graph, fault_idx: Sequence[int], size: int,

@@ -1012,12 +1012,17 @@ class TestAdversarialFaultSets:
                     for w in g.neighbors(u0) if w != u)
                 assert split in found
 
-    def test_contains_conditional_tightness_set_at_budget_7(self):
-        L = lgraph("crossed", 4)
-        tw = tightness_conditional(L)
-        found = {frozenset(L.graph.edges[i] for i in s)
-                 for s in adversarial_fault_indices(L, 7)}
-        assert frozenset(tw.fault_set) in found
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("kind", NAMED_FAMILIES)
+    def test_contains_the_tightness_sets_at_their_budgets(self, kind, n):
+        """Each construction is one of the suite's own sets at its size:
+        2n - 3 for the split, 4n - 9 for the triangle strip."""
+        L = lgraph(kind, n)
+        for tw, budget in ((tightness_unconditional(L), 2 * n - 3),
+                           (tightness_conditional(L), 4 * n - 9)):
+            found = {frozenset(L.graph.edges[i] for i in s)
+                     for s in adversarial_fault_indices(L, budget)}
+            assert frozenset(tw.fault_set) in found, budget
 
     def test_sets_respect_budget_and_host(self):
         L = lgraph("ltq", 3)

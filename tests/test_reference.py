@@ -20,6 +20,9 @@ the floor layout with many sets whose faults have several heavy hosts,
 so a layout decider that miscounts the components inside C changes its
 report. One set-level case pins the heavy threshold itself: an edge of L
 cut off by 4n - 6 faults, two of whose three hosts carry exactly n - 1.
+Another writes the two sharp floor cut-offs through menger._cutoff, an
+edge and a triangle of L with nothing kept, and checks both floor
+deciders against networkx on them.
 """
 
 import io
@@ -30,6 +33,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hlmenger import NAMED_FAMILIES, _campaign_exec, smallsides
+from hlmenger.graph import incidence
+from hlmenger.menger import BOUNDS, _cutoff
 from hlmenger.cli import main
 from hlmenger.report import VerificationReport
 
@@ -137,3 +142,33 @@ def test_floor_of_an_isolated_edge_of_the_line_graph(family, n):
     size = largest_component(family, n, None, idx)
     assert size == g.n_vertices - 2
     assert smallsides.largest_component(layout, idx) == size
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("family", NAMED_FAMILIES)
+def test_sharp_floor_cutoffs(family, n):
+    """delta(S) with K empty, written by menger._cutoff: S = two adjacent
+    line vertices cuts off an edge of L with 4n - 6 faults, one past
+    lemma32's budget, and S = the three line vertices at base vertex 0
+    cuts off a triangle with 6n - 12 faults, one past lemma41's. Each
+    leaves networkx's largest component |V(L)| - |S|, below the lemma's
+    floor. The floor-layout decider, where floor_layout exists (the
+    triangle from n = 5), and the plain component search agree."""
+    L = lgraph(family, n)
+    g = L.graph
+    inc = incidence(g)
+    for side, keep, cut, lemma in (
+            ((0, 1), ((1,), (0,)), 4 * n - 6, "lemma32"),
+            ((0, 1, 2), ((1, 2), (0, 2), (0, 1)), 6 * n - 12, "lemma41")):
+        bound = BOUNDS[lemma]
+        idx = tuple(_cutoff(inc, side, keep))
+        assert idx == tuple(sorted(k for k, e in enumerate(g.edges)
+                                   if len(set(e) & set(side)) == 1))
+        assert len(idx) == cut == bound.faults(n) + 1
+        size = largest_component(family, n, None, idx)
+        assert size == g.n_vertices - len(side) < bound.floor(n)
+        assert _campaign_exec.largest_component_under_faults(g, idx) == size
+        layout = smallsides.floor_layout(L, len(idx))
+        assert layout is not None or (lemma, n) == ("lemma41", 4)
+        if layout is not None:
+            assert smallsides.largest_component(layout, idx) == size
