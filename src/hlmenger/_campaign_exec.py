@@ -3,14 +3,15 @@
 Fault sets are consumed from the caller's stream in canonical order and
 evaluated in fixed-size chunks by one chunk runner, in process for one job
 and in a pool otherwise, so the merged counts and the first-in-order
-failing set are identical whatever the worker count. Each process builds
-its state from (L, m, kind, floor) alone, and each part of it when its
-checks first read it: the layout on the process's first set, the flow
-engine when a flow first runs. So a campaign of no sets builds neither,
-and a SMEC campaign its layout decides builds no engine unless a set
-fails. The stream holds only sets to evaluate: the conditional mode's
-minimum-degree admission happens where the sets are produced, so every
-set here is visited.
+failing set are identical whatever the worker count. One job runs its
+chunks in process on the caller's state; a pool worker builds its own.
+Each state is built from (L, m, floor) alone, floor None for SMEC, and
+each part of it when its checks first read it: the layout on the
+state's first set, the flow engine when a flow first runs. So a
+campaign of no sets builds neither, and a SMEC campaign its layout
+decides builds no engine unless a set fails. The stream holds only sets
+to evaluate: the conditional mode's minimum-degree admission happens
+where the sets are produced, so every set here is visited.
 
 Per fault set F the component-floor check is decided on the base
 network when the campaign has a line graph L(H) of an HL network with
@@ -47,10 +48,11 @@ min cut, and each gives the full check's verdict, so the failure count
 cannot move. Each chunk returns its counts and its first failing set,
 and _merge keeps the set of the first chunk that has one. As imap keeps
 chunk order, that is the stream's first failing set at any worker count.
-evaluate_stream then computes that one set's witness in the calling
-process, from the same state: at one job the chunk runner's, at more the
-parent's own, built only then. The witness is a fact of G - F, so which
-process computes it cannot change it.
+evaluate_stream then computes that one set's witness on the caller's
+state at any worker count: at one job the state the chunks ran on, at
+more one the pool's chunks never read, whose parts are built only then.
+The witness is a fact of G - F, so which state computes it cannot
+change it.
 """
 
 from __future__ import annotations
@@ -175,18 +177,18 @@ def largest_component_under_faults(g: Graph, fault_idx) -> int:
 
 
 class _State:
-    """What one process's checks read, from (L, m, kind, floor) alone.
-    `layout` is built on the process's first set and `engine` when a
-    flow first runs."""
+    """What one process's checks read, from (L, m, floor) alone: the
+    component floor, or None for SMEC. `layout` is built on the state's
+    first set and `engine` when a flow first runs."""
 
-    def __init__(self, L: LineGraph, m: int, kind: str, floor: int):
-        self.L, self.m, self.kind, self.floor = L, m, kind, floor
+    def __init__(self, L: LineGraph, m: int, floor: Optional[int]):
+        self.L, self.m, self.floor = L, m, floor
 
     @cached_property
     def layout(self) -> Optional[smallsides.Layout]:
         """The layout of L for m (smallsides.layout, or floor_layout for
         floors), or None where it would not be exact."""
-        if self.kind == "smec":
+        if self.floor is None:
             return smallsides.layout(self.L, self.m)
         return smallsides.floor_layout(self.L, self.m)
 
@@ -209,7 +211,7 @@ def _evaluate_one(state: _State, idx) -> bool:
     SMEC decided by the small sides from F alone where there is a layout
     and otherwise by the hub check stopped at its first deficient
     vertex. No pair scan and no min cut runs."""
-    if state.kind == "component":
+    if state.floor is not None:
         return state.component_size(idx) < state.floor
     if state.layout is not None:
         return smallsides.fails(state.layout, idx)
@@ -222,7 +224,7 @@ def _witness(state: _State, idx) -> dict:
     """The failure witness of a set that _evaluate_one failed: the size
     for floors, else the least violating pair with one min_cut of it."""
     out = {"fault_edges": [list(state.L.graph.edges[k]) for k in idx]}
-    if state.kind == "component":
+    if state.floor is not None:
         return {**out, "largest_component": state.component_size(idx),
                 "floor": state.floor}
     engine = state.engine
@@ -239,9 +241,11 @@ def _init_worker(*args):
     _WORKER_STATE = _State(*args)
 
 
-def _run_chunk(chunk):
-    """(sets, failures, the first failing set or None) of one chunk."""
-    failing = [idx for idx in chunk if _evaluate_one(_WORKER_STATE, idx)]
+def _run_chunk(chunk, state: Optional[_State] = None):
+    """(sets, failures, the first failing set or None) of one chunk, on
+    `state`, or in a pool worker on the worker's own."""
+    state = state or _WORKER_STATE
+    failing = [idx for idx in chunk if _evaluate_one(state, idx)]
     return len(chunk), len(failing), failing[0] if failing else None
 
 
@@ -253,34 +257,28 @@ def _chunks(stream: Iterator, size: int) -> Iterator[list]:
         yield block
 
 
-def evaluate_stream(L: LineGraph, m: int, stream, kind: str, floor: int,
+def evaluate_stream(L: LineGraph, m: int, stream, floor: Optional[int],
                     counters: dict, jobs: int,
                     progress: Optional[Callable[[], None]] = None
                     ) -> Optional[dict]:
-    """Evaluate every fault set of L.graph for a campaign of budget m;
-    returns the first-in-order failure witness. At most os.cpu_count()
-    worker processes start, whatever `jobs` asks for, and one job runs in
-    process. `progress`, when given, is called after each chunk's tallies
-    are merged into counters."""
-    global _WORKER_STATE
+    """Evaluate every fault set of L.graph for a campaign of budget m,
+    against the component floor, or SMEC when floor is None; returns the
+    first-in-order failure witness, computed on this call's own state.
+    One job runs its chunks in process on that same state; more run them
+    in a pool of at most os.cpu_count() worker processes, whatever `jobs`
+    asks for, each on a state of its own. `progress`, when given, is
+    called after each chunk's tallies are merged into counters."""
     jobs = min(jobs, os.cpu_count() or 1)
-    initargs = (L, m, kind, floor)
+    state = _State(L, m, floor)
     chunks = _chunks(stream, _CHUNK_SIZE)
-    try:
-        if jobs <= 1:
-            _init_worker(*initargs)
-            first = _merge(map(_run_chunk, chunks), counters, progress)
-        else:
-            with Pool(jobs, initializer=_init_worker,
-                      initargs=initargs) as pool:
-                first = _merge(pool.imap(_run_chunk, chunks), counters,
-                               progress)
-        if first is None:
-            return None
-        state = _WORKER_STATE if jobs <= 1 else _State(*initargs)
-        return _witness(state, first)
-    finally:
-        _WORKER_STATE = None
+    if jobs <= 1:
+        results = (_run_chunk(chunk, state) for chunk in chunks)
+        first = _merge(results, counters, progress)
+    else:
+        with Pool(jobs, initializer=_init_worker,
+                  initargs=(L, m, floor)) as pool:
+            first = _merge(pool.imap(_run_chunk, chunks), counters, progress)
+    return None if first is None else _witness(state, first)
 
 
 def _merge(results, counters: dict,

@@ -306,13 +306,12 @@ def vertex_connectivity(g: Graph, cap: Optional[int] = None) -> int:
     vertex in the order outside C and S. It exists, it comes after
     N(v0), which lies in C and S, and every earlier vertex lies in C or
     S, so S meets every path from them to v, and v's fan is <= |S|.
+    A disconnected graph is the case of S empty. In K_n every vertex is
+    v0 or in N(v0), so no flow runs and the result is min(delta, cap).
     """
     n = g.n_vertices
-    if n <= 1 or not is_connected(g):
+    if n <= 1:
         return 0
-    if len(g.edges) == n * (n - 1) // 2:
-        return n - 1 if cap is None else min(n - 1, cap)
-
     net = split_network(g)
     source = 2 * n
     first = 2 * (n + 2 * len(g.edges))       # the source arc of vertex 0

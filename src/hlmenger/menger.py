@@ -182,12 +182,37 @@ def _triangle_strips(inc: list[dict[int, int]]) -> Iterator[tuple]:
                 yield u, (u1, u2), ((u, u2), (u, u1, u3))
 
 
+def _patterns(L: LineGraph, budget: int) -> Iterator[Sequence[int]]:
+    """The suite's patterns in adversarial_fault_indices' order, before
+    its dedupe and budget filter."""
+    g = L.graph
+    inc = incidence(g)
+    for v in range(g.n_vertices):
+        yield _cutoff(inc, (v,), ((),))[:budget]
+
+    if budget >= 1:
+        for v, at_v in enumerate(inc):
+            side = (v,)
+            for u in at_v:
+                yield _cutoff(inc, side, ((u,),))[:budget]
+
+    if 2 * g.min_degree() - 5 <= budget:
+        for _, side, keep in _triangle_strips(inc):
+            yield _cutoff(inc, side, keep)
+
+    if L.f_vertices and budget >= 1:
+        fv = L.f_vertices
+        ef = [k for k, (a, b) in enumerate(g.edges) if a in fv or b in fv]
+        for start in range(len(ef) - budget + 1):
+            yield ef[start:start + budget]
+
+
 def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]]:
     """Deterministic stress suite mirroring the extremal proof cases.
 
     Every pattern but the last is a cut-off delta(S) - K (_cutoff): the
-    edges leaving a small side S, less a kept set K. Included, in this
-    order, deduplicated and capped at `budget` edges per set:
+    edges leaving a small side S, less a kept set K. The patterns come
+    from one generator, _patterns, in this order:
     * vertex strips, S = {v} and K empty, for every vertex v: the first
       min(budget, deg v) edges of v;
     * near-isolating splits, S = {v} and K = {vu}, for every adjacent pair
@@ -201,43 +226,14 @@ def adversarial_fault_indices(L: LineGraph, budget: int) -> list[tuple[int, ...]
     * every contiguous window of `budget` f-incident edges, when the line
       graph knows its f-vertices.
     Every pattern comes as ascending edge indices read off incidence(g),
-    so a set is keyed as it comes and no edge is looked up.
+    so a set is keyed as it comes and no edge is looked up. The suite
+    keeps the patterns of at most `budget` edges, each at its first
+    place: dict.fromkeys drops the repeats, in the order they come.
     """
-    g = L.graph
-    if budget > len(g.edges):
+    if budget > len(L.graph.edges):
         raise ValueError("budget exceeds the number of edges")
-    inc = incidence(g)
-    ordered: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def push(idx: Sequence[int]) -> None:
-        if len(idx) > budget:
-            return
-        key = tuple(idx)
-        if key not in seen:
-            seen.add(key)
-            ordered.append(key)
-
-    for v in range(g.n_vertices):
-        push(_cutoff(inc, (v,), ((),))[:budget])
-
-    if budget >= 1:
-        for v, at_v in enumerate(inc):
-            side = (v,)
-            for u in at_v:
-                push(_cutoff(inc, side, ((u,),))[:budget])
-
-    if 2 * g.min_degree() - 5 <= budget:
-        for _, side, keep in _triangle_strips(inc):
-            push(_cutoff(inc, side, keep))
-
-    if L.f_vertices and budget >= 1:
-        fv = L.f_vertices
-        ef = [k for k, (a, b) in enumerate(g.edges) if a in fv or b in fv]
-        for start in range(len(ef) - budget + 1):
-            push(ef[start:start + budget])
-
-    return ordered
+    return list(dict.fromkeys(key for key in map(tuple, _patterns(L, budget))
+                              if len(key) <= budget))
 
 
 def _triangles(inc: list[dict[int, int]]) -> Iterator[tuple[int, int, int]]:
@@ -313,12 +309,13 @@ def _admitted(g: Graph, sets: Iterable[tuple[int, ...]],
 Progress = Callable[[int, int, int, float], None]
 
 
-def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
+def _drive(L: LineGraph, c: FaultCampaign, floor: Optional[int],
            target: Optional[dict], jobs: int,
            progress: Optional[Progress] = None) -> VerificationReport:
-    """The campaign c of `kind` ("smec" or "component") on L. A component
-    campaign reports as component-floor with its floor among the
-    parameters, a SMEC one as cond-ft-smec or ft-smec."""
+    """The campaign c on L, of SMEC when floor is None, else of the
+    component floor. A floor campaign reports as component-floor with
+    its floor among the parameters, a SMEC one as cond-ft-smec or
+    ft-smec."""
     g = L.graph
     n_edges = len(g.edges)
     if c.m < 0:
@@ -327,30 +324,28 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         raise ValueError(f"samples={c.samples} must be >= 0")
     if c.m > n_edges:
         raise ValueError(f"m={c.m} exceeds the {n_edges} available edges")
-    if c.mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown campaign mode {c.mode!r}")
+    counters = {"visited": 0, "skipped_conditional": 0, "failures": 0}
+
+    def admit(sets: Iterable[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+        return _admitted(g, sets, counters) if c.conditional else sets
+
     swept = c.samples     # sets the sweep yields before admission
     if c.mode == "exhaustive":
         swept = _exhaustive_count(n_edges, c.m)
         if swept > c.budget:
             raise BudgetExceeded(
                 f"exhaustive sweep of {swept} fault sets exceeds budget {c.budget}")
+        sweep = admit(_exhaustive_stream(n_edges, c.m))
+    elif c.mode != "sampled":
+        raise ValueError(f"unknown campaign mode {c.mode!r}")
     elif c.conditional and g.min_degree() < 2:
         # every F has delta(G-F) <= delta(G) < 2: rejection would never end
         raise ValueError("graph already violates the min-degree-2 condition")
-
-    started = time.perf_counter()
-    counters = {"visited": 0, "skipped_conditional": 0, "failures": 0}
-
-    adversarial = (adversarial_fault_indices(L, c.m) if c.adversarial else [])
-
-    def admit(sets: Iterable[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-        return _admitted(g, sets, counters) if c.conditional else sets
-
-    if c.mode == "exhaustive":
-        sweep = admit(_exhaustive_stream(n_edges, c.m))
     else:
         sweep = islice(admit(_sample_stream(g, c)), c.samples)
+
+    started = time.perf_counter()
+    adversarial = (adversarial_fault_indices(L, c.m) if c.adversarial else [])
     on_chunk = None
     if progress is not None:
         total = len(adversarial) + swept
@@ -359,8 +354,8 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
             progress(counters["visited"], total, counters["failures"],
                      time.perf_counter() - started)
     witness = _exec.evaluate_stream(
-        L, c.m, chain(admit(adversarial), sweep), kind, floor, counters,
-        jobs, on_chunk)
+        L, c.m, chain(admit(adversarial), sweep), floor, counters, jobs,
+        on_chunk)
 
     if target is None:
         target = {"line_vertices": g.n_vertices, "line_edges": n_edges}
@@ -380,7 +375,7 @@ def _drive(L: LineGraph, c: FaultCampaign, kind: str, floor: int,
         "fault_order": "sizes-ascending-then-lex-by-edge-index",
     }
     check_name = "cond-ft-smec" if c.conditional else "ft-smec"
-    if kind == "component":
+    if floor is not None:
         check_name, params["floor"] = "component-floor", floor
     return VerificationReport(
         check_name=check_name,
@@ -402,7 +397,7 @@ def run_campaign(L: LineGraph, c: FaultCampaign, jobs: int = 1,
     so far, the total the sweep and the adversarial suite can yield before
     the conditional admission, the failures so far and the elapsed time.
     """
-    return _drive(L, c, "smec", 0, target, jobs, progress)
+    return _drive(L, c, None, target, jobs, progress)
 
 
 def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
@@ -415,7 +410,7 @@ def check_component_lemma(L: LineGraph, fault_budget: int, floor: int,
     if floor > L.graph.n_vertices:
         raise ValueError("floor exceeds the vertex count")
     c = replace(c, m=fault_budget)
-    return _drive(L, c, "component", floor, target, jobs, progress)
+    return _drive(L, c, floor, target, jobs, progress)
 
 
 # ---------------------------------------------------------------------------

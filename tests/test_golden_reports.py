@@ -1,10 +1,11 @@
 """Golden report digests: `verify` reports must stay byte-identical.
 
-Each case runs one `verify` argument list in process and compares the
-exit code and the SHA-256 of the report's canonical_json() with the value
-recorded when the case was added. A change that alters any verdict,
-count, witness or parameter of these reports fails here; a change that
-must alter one records the new digest and says why.
+Each case runs one `verify` argument list in process, at --jobs 1 and
+at --jobs 2, and compares the exit code and the SHA-256 of the report's
+canonical_json() with the value recorded when the case was added. A
+change that alters any verdict, count, witness or parameter of these
+reports fails here; a change that must alter one records the new digest
+and says why.
 """
 
 import hashlib
@@ -56,8 +57,15 @@ GOLDEN = (
 )
 
 
-@pytest.mark.parametrize("args, code, digest", GOLDEN,
-                         ids=[args for args, _, _ in GOLDEN])
+# every case at the default --jobs 1 and again at --jobs 2, against the
+# same digest; a case that names its --jobs runs once, as named
+CASES = GOLDEN + tuple((f"{args} --jobs 2", code, digest)
+                       for args, code, digest in GOLDEN
+                       if "--jobs" not in args)
+
+
+@pytest.mark.parametrize("args, code, digest", CASES,
+                         ids=[args for args, _, _ in CASES])
 def test_report_digest(capsys, args, code, digest):
     assert main(["verify", "--check", *args.split()]) == code
     report = VerificationReport.from_dict(json.loads(capsys.readouterr().out))

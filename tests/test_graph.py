@@ -226,14 +226,17 @@ class TestGlobalConnectivity:
         assert edge_connectivity(g) == 1
         assert vertex_connectivity(g) == 1
 
-    def test_disconnected_is_zero(self):
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 9])
+    def test_disconnected_is_zero(self, cap):
         g = build_graph(4, [(0, 1), (2, 3)])
         assert edge_connectivity(g) == 0
-        assert vertex_connectivity(g) == 0
+        assert vertex_connectivity(g, cap) == 0
 
-    def test_complete_graph(self):
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3, 9])
+    def test_complete_graph(self, cap):
         g = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert vertex_connectivity(g) == 4
+        assert vertex_connectivity(g, cap) == (4 if cap is None
+                                               else min(4, cap))
         assert edge_connectivity(g) == 4
 
 

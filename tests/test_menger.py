@@ -239,6 +239,30 @@ class TestRunCampaign:
             assert solo.counts["skipped_conditional"] == 228
             assert solo.counts["failures"] == 384
 
+    def test_one_job_checks_on_the_callers_state(self, monkeypatch):
+        """At jobs=1 every set is checked on the state evaluate_stream
+        builds, which also gives the witness: the worker state stays
+        unset, in a failing SMEC campaign and a failing floor campaign."""
+        checked = []
+        evaluate_one = _campaign_exec._evaluate_one
+
+        def in_process(state, idx):
+            assert _campaign_exec._WORKER_STATE is None
+            checked.append(idx)
+            return evaluate_one(state, idx)
+
+        monkeypatch.setattr(_campaign_exec, "_evaluate_one", in_process)
+        smec = run_campaign(lgraph("mobius1", 4), FaultCampaign(
+            mode="sampled", m=7, conditional=True, samples=30, seed=2,
+            adversarial=True), jobs=1)
+        floor = check_component_lemma(
+            lgraph("crossed", 3), 7, BOUNDS["lemma32"].floor(3),
+            FaultCampaign(mode="sampled", m=7, samples=400, seed=2,
+                          adversarial=True), jobs=1)
+        assert not smec.passed and not floor.passed
+        assert len(checked) == (smec.counts["visited"]
+                                + floor.counts["visited"])
+
     @pytest.mark.parametrize("cpus,pools", [(2, [2]), (1, []), (None, [])])
     def test_workers_are_bounded_by_the_cpu_count(self, monkeypatch, cpus,
                                                   pools):
@@ -755,7 +779,7 @@ class TestVerdictOnly:
         seen = {"decided_fail": 0, "decided_pass": 0, "hub_check": 0,
                 "hub_pass": 0}
         for idx in TestWitnessScanAgainstTree._fault_sets(L, n):
-            state = _State(L, len(idx), "smec", 0)
+            state = _State(L, len(idx), None)
             state.engine = engine
             layout = state.layout
             engine.set_fault_indices(idx)
@@ -838,7 +862,7 @@ class TestVerdictOnly:
         sets = streams[0]
         assert streams[1] == sets
         engine = UnitFlowEngine(g.n_vertices, g.edges)
-        state = _State(L, m, "smec", 0)
+        state = _State(L, m, None)
         failed, first = [], None
         for idx in sets:
             engine.set_fault_indices(idx)

@@ -166,7 +166,7 @@ class TestFails:
         engine = UnitFlowEngine(g.n_vertices, g.edges)
         seen = {"fails": 0, "passes": 0}
         for m in budgets(n):
-            campaign = _State(L, m, "smec", 0)
+            campaign = _State(L, m, None)
             layout = campaign.layout
             if layout is None:
                 continue
