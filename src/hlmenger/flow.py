@@ -22,8 +22,8 @@ fraction of that. The level where they meet usually meets them in
 several vertices, and each of those closes a path through the two
 trees, so one search augments every such path whose arcs an earlier one
 left free, as the phases of Even and Tarjan (1975) take several
-augmenting paths from one search: on L(MQ_7), lambda's flows ran 169
-searches in place of 756. With no path left, the loop returns the
+augmenting paths from one search: on L(MQ_7), lambda's flows find 756
+units in 169 searches. With no path left, the loop returns the
 residual s-side, the smallest s-side of a minimum cut, which min_cut
 and min_cuts read.
 

@@ -9,8 +9,7 @@ and vertex connectivity from a vertex-splitting reduction to a directed
 network of unit arcs, in which capped flows between the neighbours of a
 minimum-degree vertex (Esfahanian and Hakimi 1984) and fans into each
 later vertex from the vertices before it (Even 1975), each fan starting
-from paths of one and two hops read off the adjacency lists, replace a
-cold flow from one vertex to every other.
+from paths of one and two hops read off the adjacency lists.
 """
 
 from __future__ import annotations
@@ -185,10 +184,6 @@ def largest_component_size(g: Graph) -> int:
     if g.n_vertices == 0:
         return 0
     return max(len(c) for c in components(g))
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n_vertices <= 1 or len(components(g)) == 1
 
 
 def max_edge_disjoint_paths(g: Graph, u: int, v: int) -> FlowResult:

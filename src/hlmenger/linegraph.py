@@ -78,9 +78,8 @@ def line_graph_of_hl(h: HLNetwork) -> LineGraph:
 
 
 def vertex_side(lg: LineGraph, v: int) -> int:
-    """0 if v's base edge lies in the left half, 1 if right, -1 if f-vertex."""
-    if lg.f_vertices is not None and v in lg.f_vertices:
-        return -1
+    """0 if v's base edge lies in the left half, 1 if right, -1 if it
+    joins the halves (an f-vertex)."""
     x, y = lg.edge_of_vertex[v]
     half = lg.base.n_vertices // 2
     if x < half and y < half:
@@ -145,10 +144,6 @@ class BCDCPair:
     original: Graph
     logical: LineGraph
     dimension: int
-
-    @property
-    def n_switches(self) -> int:
-        return 1 << self.dimension
 
 
 def bcdc(n: int) -> BCDCPair:

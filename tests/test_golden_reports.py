@@ -5,16 +5,32 @@ at --jobs 2, and compares the exit code and the SHA-256 of the report's
 canonical_json() with the value recorded when the case was added. A
 change that alters any verdict, count, witness or parameter of these
 reports fails here; a change that must alter one records the new digest
-and says why.
+and says why. The failure message gives the case's arguments with the
+new exit code and digest, as a GOLDEN entry.
+
+Each report is also checked without trusting the code that wrote it:
+its stdout is the stdlib's JSON rendering of itself, every cut
+certificate is re-checked by plain graph search
+(perfbench/certify.py's `recheck_cuts`), and every floor witness's
+largest component is recounted by networkx on L - F.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
+from hlmenger import generate, line_graph_of_hl
 from hlmenger.cli import main
 from hlmenger.report import VerificationReport
+
+CERTIFY = Path(__file__).resolve().parents[1] / "perfbench" / "certify.py"
+_spec = importlib.util.spec_from_file_location("perfbench_certify", CERTIFY)
+certify = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify)
 
 GOLDEN = (
     ("smec --family crossed --n 4", 0,
@@ -34,6 +50,8 @@ GOLDEN = (
      "5b1a61a481aab27a013d82fdd999f29381efed538d964156f5341e0f671c9f9b"),
     ("lemma32 --family crossed --n 3", 0,
      "ba0a8c92ba82bdbc741148e6e48c6eca24b498e234daafa52bf247a8baef5750"),
+    # floor-fail: kappa(H) = mu = 3, so a plain component search of L - F
+    # decides every set
     ("lemma32 --family crossed --n 3 --m 7 --mode sample --samples 400 "
      "--seed 2 --adversarial", 1,
      "4f0c0ec67acc8ba76c07f0c8c95c76d8cf0eeae8abe73848e87f618882745466"),
@@ -47,13 +65,61 @@ GOLDEN = (
      "ba62b4f70a646d84954be6315b332322901c71c658db806cd282cc74679bf536"),
     ("tight-cond --family random --n 5 --seed 7 --all-witnesses", 1,
      "b1e52871dc17c9e243d4f3a2c11e2ddf44fede3f545013e6e71a7a7f0fc7071c"),
-    # small sides over mu = 4 base vertices, where H[M] can hold a 4-cycle
+    # smec-pass-cq5 and cond-violating-cq5: small sides over mu = 4 base
+    # vertices, where H[M] can hold a 4-cycle
     ("cond-ft-smec --family crossed --n 5 --m 10 --mode sample --samples 300 "
      "--seed 1 --adversarial", 0,
      "bf225d3dbf925fde7e4c9cbad3e34b83406064284a50db1fa8a8090e0cb79fec"),
     ("cond-ft-smec --family crossed --n 5 --m 11 --mode sample --samples 100 "
      "--seed 1 --adversarial", 1,
      "939cb159f9f28d5047436c6c171a6f6b833c489084f72daebe39314d1602dad0"),
+    # violating: one fault past 2n - 4, decided by the small sides
+    ("ft-smec --family random --n 4 --seed 1 --m 5 --mode sample "
+     "--samples 0 --adversarial", 1,
+     "29956a491f3bb73a02cced4e46c230335431c27b2985f1bfbe474fcb68126857"),
+    # smec-pass: at 4n - 10, decided by the small sides
+    ("cond-ft-smec --family crossed --n 4 --m 6 --mode sample --samples 200 "
+     "--seed 1 --adversarial", 0,
+     "74aebc6cadfa1fb47545225b1d175e4a0876caf3043f32d893c3fdb8b1245c88"),
+    # cond-violating and smec-fallback: one fault past 4n - 10 at n = 4,
+    # where kappa(H) = mu and the hub check decides every set
+    ("cond-ft-smec --family crossed --n 4 --m 7 --mode sample --samples 100 "
+     "--seed 1 --adversarial", 1,
+     "a0ff9108c1cbd67615f5be7f9304985e627345b2c62293fb6d4312cee49ef6bc"),
+    ("cond-ft-smec --family crossed --n 4 --m 7 --mode sample --samples 200 "
+     "--seed 1", 0,
+     "87e9a5c2dda3304ba92e363eb46ee1da6dfefc41e44321077698ab96bfdfb9a1"),
+    # floor-pass and floor-cq5: at lemma41's budget, decided on the base
+    # network (smallsides.largest_component)
+    ("lemma41 --family crossed --n 4 --mode sample --samples 200 --seed 1 "
+     "--adversarial", 0,
+     "5258d27f88ca21197a732076bda0e9ac3189e019f1a4ab85829d25ff9abd0101"),
+    ("lemma41 --family crossed --n 5 --mode sample --samples 300 --seed 1 "
+     "--adversarial", 0,
+     "30ad5f321617b8a42376e31a7b33574c6e8fe6b2b288ea266c98dcb99d9eb1e4"),
+    # floor-fallback: kappa(H) = mu = 5, so a plain component search of
+    # L - F decides every set. Its pass is not a claim of the paper: m = 20
+    # is past lemma41's budget 17, and 6n - 12 = 18 faults can cut off a
+    # triangle of L, leaving 77 of 80 vertices, below the floor 78. It
+    # passes only because the suite lacks that triangle cut-off; ROADMAP
+    # item 11 adds it, and this case then fails.
+    ("lemma41 --family crossed --n 5 --m 20 --mode sample --samples 300 "
+     "--seed 1 --adversarial", 0,
+     "16b643608442e58fbab6e408e23e67ce84aaa85abcada6f6511c3052379d160d"),
+    # n2-violating: L(Q_2) is a 4-cycle; n <= 2 leaves no layout, and
+    # smec_witness's pair scan gives the witness
+    ("ft-smec --family hypercube --n 2 --m 1", 1,
+     "c468b04635a72ddf9f8e43d192f336fa97c08e95f1248d1c1fe05a92053c62ea"),
+    # both constructions cut every far vertex below its degree; on L of
+    # 192 vertices at n = 6 most searches augment several paths
+    ("tight-uncond --family ltq --n 5 --all-witnesses", 1,
+     "0ad75496f8c5898b5128f23bf9af1f13b544ea047e48dfd7c3f70ccc24a5585d"),
+    ("tight-cond --family crossed --n 5 --all-witnesses", 1,
+     "e7c013e7e6203944e77c96f72ac9ae65392f6721073c7eea295c2c04362b7ba8"),
+    ("tight-uncond --family mobius1 --n 6 --all-witnesses", 1,
+     "9ff9d9e6d095fddf40145011860b5b2e5388319c50ebc372d9d008e717223050"),
+    ("tight-cond --family hypercube --n 6 --all-witnesses", 1,
+     "da1fc7d0bffddc5b69d43a1ca2709969817db26ad39dbb67e3727a98ee6b2ca1"),
 )
 
 
@@ -64,10 +130,33 @@ CASES = GOLDEN + tuple((f"{args} --jobs 2", code, digest)
                        if "--jobs" not in args)
 
 
+def check_certificates(report: VerificationReport) -> None:
+    """Every cut certificate proves its violation in L - F, and a floor
+    witness's largest component is networkx's and lies below the floor."""
+    witness = report.witness
+    if witness is None:
+        assert report.details == []
+        return
+    t = report.target
+    g = line_graph_of_hl(generate(t["family"], t["n"], t.get("seed"))).graph
+    certificates = [*report.details, *([witness] if "cut" in witness else [])]
+    assert certify.recheck_cuts(g, witness["fault_edges"], certificates) == []
+    if "floor" in witness:
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n_vertices))
+        h.remove_edges_from(map(tuple, witness["fault_edges"]))
+        size = max(map(len, nx.connected_components(h)))
+        assert size == witness["largest_component"] < witness["floor"]
+
+
 @pytest.mark.parametrize("args, code, digest", CASES,
                          ids=[args for args, _, _ in CASES])
 def test_report_digest(capsys, args, code, digest):
-    assert main(["verify", "--check", *args.split()]) == code
-    report = VerificationReport.from_dict(json.loads(capsys.readouterr().out))
-    assert hashlib.sha256(
-        report.canonical_json().encode()).hexdigest() == digest
+    got = main(["verify", "--check", *args.split()])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    report = VerificationReport.from_dict(json.loads(out))
+    assert (report.witness is None) == (got == 0)
+    check_certificates(report)
+    new = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert (got, new) == (code, digest), f"now ({args!r}, {got}, {new!r})"

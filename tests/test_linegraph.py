@@ -1,5 +1,7 @@
 """Line-graph construction, f-vertices, structural counts, and the BCDC pair."""
 
+from dataclasses import replace
+
 import pytest
 
 from hlmenger import (
@@ -139,6 +141,18 @@ class TestProp31:
         with pytest.raises(ValueError):
             check_prop_3_1(network("hypercube", 1))
 
+    def test_f_edges_off_the_top_matching_fail(self):
+        """Q_3 with its f-edges moved onto two edges of its left half: the
+        line vertex of (0, 1), now marked as an f-vertex, sees n - 1 line
+        vertices of the left half and none of the right."""
+        h = network("hypercube", 3)
+        moved = replace(h, f_edges=frozenset({(0, 1), (2, 3)}))
+        report = check_prop_3_1(moved)
+        assert not report.passed
+        lg = line_graph_of_hl(h)
+        assert report.witness["vertex"] == lg.vertex_of_edge[(0, 1)]
+        assert report.witness["kind"] == "f"
+
 
 class TestBcdc:
     def test_n3_counts(self):
@@ -161,9 +175,9 @@ class TestBcdc:
 
     def test_switch_and_server_degrees(self):
         pair = bcdc(3)
-        for v in range(pair.n_switches):
+        for v in range(1 << pair.dimension):
             assert pair.original.degree(v) == 3
-        for v in range(pair.n_switches, pair.original.n_vertices):
+        for v in range((1 << pair.dimension), pair.original.n_vertices):
             assert pair.original.degree(v) == 2
 
     def test_rule_agreement(self):
@@ -174,7 +188,7 @@ class TestBcdc:
         pair = bcdc(3)
         base = gen_family("crossed", 3).graph
         for i, (u, v) in enumerate(base.edges):
-            server = pair.n_switches + i
+            server = (1 << pair.dimension) + i
             assert pair.original.labels[server] == \
                 f"{base.labels[u]},{base.labels[v]}"
             assert pair.logical.edge_of_vertex[i] == (u, v)

@@ -36,6 +36,11 @@ from util import lgraph, random_graph, two_k4_minus_e
 
 FAMILIES = [*NAMED_FAMILIES, "random"]
 
+# a connected base of 9 vertices and degrees 2 to 4
+IRREGULAR_EDGES = [(0, 3), (0, 4), (0, 8), (1, 3), (1, 5), (1, 6), (1, 7),
+                   (2, 4), (2, 5), (2, 6), (3, 4), (3, 8), (5, 6), (5, 7),
+                   (6, 7)]
+
 def budgets(n):
     return (2 * n - 4, 2 * n - 3, 4 * n - 10, 4 * n - 9)
 
@@ -77,6 +82,20 @@ class TestLayout:
                 assert not smallsides.fails(unchecked, (k,))
                 missed += 1
         assert missed
+
+    def test_refuses_a_base_that_is_not_regular(self):
+        """A connected base of degrees 2 to 4, marked as dimension 3, whose
+        kappa passes both checks at m = 0. L itself is not SMEC, and the
+        campaign's one (empty) set must fail with the pair scan's witness."""
+        L = replace(line_graph(build_graph(9, IRREGULAR_EDGES)),
+                    base_dimension=3)
+        assert smallsides.layout(L, 0) is None
+        assert smallsides.floor_layout(L, 0) is None
+        g = L.graph
+        witness = smec_witness(UnitFlowEngine(g.n_vertices, g.edges))
+        report = run_campaign(L, FaultCampaign(mode="exhaustive", m=0))
+        assert not report.passed
+        assert report.witness == {**witness.to_dict(), "fault_edges": []}
 
     def test_refuses_bases_without_a_dimension_or_below_three(self):
         k4 = build_graph(4, [(a, b) for a, b in combinations(range(4), 2)])

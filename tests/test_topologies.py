@@ -1,5 +1,7 @@
 """Hypercube-like network generators: join rules, families, validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from hlmenger import (
@@ -219,6 +221,16 @@ class TestValidateHl:
         assert "edge_count" in failed
         assert "n_regular" in failed
         assert "f_edges_in_graph" in failed
+
+    def test_above_dimension_six_checks_connectivity_alone(self):
+        h = gen_family("hypercube", 7)
+        report = validate_hl(h)
+        assert report.passed
+        assert {"check": "connected", "passed": True} in report.details
+        split = replace(h, graph=remove_edges(h.graph, h.f_edges))
+        failed = [d["check"] for d in validate_hl(split).details
+                  if not d["passed"]]
+        assert "connected" in failed
 
     def test_coding_below_the_top_level_is_checked(self):
         g = build_graph(16, NOT_HL4_EDGES, _bit_labels(4))

@@ -24,7 +24,7 @@ from hlmenger import (
     remove_edges,
 )
 from hlmenger import flow
-from hlmenger.graph import canonical_edge, is_connected, split_network
+from hlmenger.graph import canonical_edge, split_network
 from hlmenger.linegraph import BCDCPair, line_graph_of_hl
 from hlmenger.rng import SplitMix64
 
@@ -193,7 +193,7 @@ def eh_vertex_connectivity(g: Graph) -> int:
     neighbours, each from zero flow in the split network. The reference
     for graph.vertex_connectivity's prefix fans."""
     n = g.n_vertices
-    if n <= 1 or not is_connected(g):
+    if n <= 1 or len(components(g)) != 1:
         return 0
     if len(g.edges) == n * (n - 1) // 2:
         return n - 1
@@ -356,7 +356,7 @@ def cut_disconnects(g: Graph, u: int, v: int, cut) -> bool:
 def bcdc_rule_agreement(pair: BCDCPair) -> bool:
     """True iff servers are adjacent in the logical graph exactly when they
     share a switch in the original graph."""
-    n_switch = pair.n_switches
+    n_switch = 1 << pair.dimension
     original = pair.original
     logical = pair.logical.graph
     if logical.n_vertices != original.n_vertices - n_switch:
